@@ -250,4 +250,6 @@ def load_embedding(path: str | Path) -> RotationSystem:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nesting is too deep") from exc
     return embedding_from_document(doc)

@@ -248,4 +248,6 @@ def load_graph(path: str | Path) -> Graph:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nesting is too deep") from exc
     return graph_from_document(doc)

@@ -45,9 +45,12 @@ class SearchBudget:
     time_cap: float = 900.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool):
+            raise ValueError("max_nodes must be an integer")
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_cap <= 0:
+        # NaN fails every comparison, so test for a positive cap, not a non-positive one
+        if not self.time_cap > 0:
             raise ValueError("time_cap must be positive")
 
 

@@ -8,20 +8,28 @@ the embedding is a quadrangulation whose genus equals the cycle rank of G
 and whose face count is twice the spine's edge count.
 
 Surgery happens inside witness faces: quads carrying both copies of a spine
-vertex as opposite corners.  Each step consumes witnesses and creates fresh
-ones, and every step re-traces and re-validates the whole embedding.  If a
-step would leave some vertex without any witness, the driver backtracks
-over witness choices and then over chord insertion order; backtrack counts
-are reported rather than assumed to be zero.
+vertex as opposite corners.  Each step splices the new neighbors into four
+rotations and traces only the faces through the eight new darts: three
+quads for a tree edge, four for a chord.  Every new face must be a 4-cycle
+with distinct corners and edges, and the old darts on the new faces must be
+exactly the darts of the consumed witness faces, which proves that no other
+face changed.  If a step would leave some vertex without any witness, it is
+undone and the next witness face (or pair, for a chord) is tried, smallest
+first; these retries are reported as backtracks rather than assumed to be
+zero.  Spine edges are added in one fixed order (tree edges breadth-first,
+then chords), and the finished embedding is validated once in full.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import product
+from typing import Callable, Iterable
 
-from .embedding import RotationSystem, _rotate_to_min, trace_faces, validate_quadrangulation
+from .embedding import RotationSystem, _rotate_to_min, validate_quadrangulation
 from .formulas import certified_minimal
 from .graph import Edge, Graph, betti, complete_graph, delete_edges_connected, interlace, is_connected
 
@@ -33,7 +41,7 @@ class WitnessConflict(RuntimeError):
 
 
 class BuildError(RuntimeError):
-    """The builder exhausted its search space or broke an invariant; a
+    """The builder exhausted its witness choices or broke an invariant; a
     spinal quadrangulation always exists, so this indicates a defect."""
 
 
@@ -52,6 +60,12 @@ def _insert_after(rotation: tuple[int, ...], after: int, items: tuple[int, ...])
     """Insert items into a cyclic rotation immediately after one entry."""
     i = rotation.index(after)
     return rotation[: i + 1] + items + rotation[i + 1 :]
+
+
+def _witnessed(face: Quad) -> list[int]:
+    """The spine vertices whose two copies are opposite corners of a quad."""
+    a, b, c, d = face
+    return [x >> 1 for x, y in ((a, c), (b, d)) if x ^ 1 == y]
 
 
 @dataclass(frozen=True)
@@ -93,59 +107,171 @@ class BuildState:
         )
 
 
-def _traced_state(
-    spine_vertices: set[int] | frozenset[int],
-    spine_edges: set[Edge] | frozenset[Edge],
-    rotations: Mapping[int, tuple[int, ...]],
-) -> BuildState:
-    """Re-trace a rotation map, verify the invariant, and rebuild the state.
+# ============================================================
+# Surgery steps on a private mutable state
+# ============================================================
 
-    The embedding vertices are compacted to 0..k-1 for validation (spine ids
-    need not be contiguous mid-build), then faces are mapped back.  Raises
-    BuildError if the embedding is not a quadrangulation of the expected
-    genus, WitnessConflict if some spine vertex lost its last witness.
+
+class _Build:
+    """The mutable counterpart of BuildState that every surgery step runs on.
+
+    A step replaces whole rotation tuples, so undoing it only puts the old
+    tuples back.  Faces are kept as a set of canonical quads and each
+    witness list stays in ascending order.
     """
-    ids = sorted(rotations)
-    index = {vertex: k for k, vertex in enumerate(ids)}
-    edges = {
-        (min(index[v], index[u]), max(index[v], index[u]))
-        for v, rotation in rotations.items()
-        for u in rotation
-    }
-    system = RotationSystem(
-        Graph(len(ids), frozenset(edges)),
-        tuple(tuple(index[u] for u in rotations[v]) for v in ids),
-    )
-    report = validate_quadrangulation(system)
-    rank = len(spine_edges) - len(spine_vertices) + 1
-    if not report.is_quadrangulation:
-        raise BuildError(f"surgery broke the quadrangulation: {'; '.join(report.failures[:3])}")
-    if report.genus != rank:
-        raise BuildError(f"surgery genus {report.genus} does not match spine rank {rank}")
-    faces = sorted(
-        _rotate_to_min(tuple(ids[k] for k in walk.vertices())) for walk in trace_faces(system)
-    )
-    witnesses: dict[int, list[Quad]] = {w: [] for w in spine_vertices}
-    for face in faces:
-        a, b, c, d = face
-        for x, y in ((a, c), (b, d)):
-            if x ^ 1 == y:  # opposite corners are the two copies of x // 2
-                witnesses[x >> 1].append(face)
-    orphans = sorted(w for w, table in witnesses.items() if not table)
-    if orphans:
-        raise WitnessConflict(f"spine vertices {orphans} would lose their last witness face")
-    return BuildState(
-        frozenset(spine_vertices),
-        frozenset(spine_edges),
-        {v: tuple(rotations[v]) for v in ids},
-        tuple(faces),
-        {w: tuple(table) for w, table in witnesses.items()},
-    )
+
+    __slots__ = ("spine_vertices", "spine_edges", "rotations", "faces", "witnesses")
+
+    def __init__(self) -> None:
+        self.spine_vertices: set[int] = set()
+        self.spine_edges: set[Edge] = set()
+        self.rotations: dict[int, tuple[int, ...]] = {}
+        self.faces: set[Quad] = set()
+        self.witnesses: dict[int, list[Quad]] = {}
+
+    @classmethod
+    def thaw(cls, state: BuildState) -> _Build:
+        build = cls()
+        build.spine_vertices = set(state.spine_vertices)
+        build.spine_edges = set(state.spine_edges)
+        build.rotations = dict(state.rotations)
+        build.faces = set(state.faces)
+        build.witnesses = {w: list(table) for w, table in state.witnesses.items()}
+        return build
+
+    def freeze(self) -> BuildState:
+        return BuildState(
+            frozenset(self.spine_vertices),
+            frozenset(self.spine_edges),
+            {v: self.rotations[v] for v in sorted(self.rotations)},
+            tuple(sorted(self.faces)),
+            {w: tuple(self.witnesses[w]) for w in sorted(self.witnesses)},
+        )
+
+    def base(self, u: int, v: int) -> None:
+        """The single spine edge (u, v) on an empty state: a 4-cycle in the
+        sphere whose two quad faces each witness both endpoints."""
+        u0, u1 = _copies(u)
+        v0, v1 = _copies(v)
+        self._splice(u, v, {u0: (v0, v1), u1: (v0, v1), v0: (u0, u1), v1: (u0, u1)}, ())
+
+    def tree_surgery(self, u: int, v: int, face: Quad) -> None:
+        u0, u1 = _copies(u)
+        v0, v1 = _copies(v)
+        _, x, mid, y = _align_quad(face, u0)
+        if mid != u1:
+            raise ValueError(f"face {face} does not hold {u0} and {u1} as opposite corners")
+        rotations = {
+            u0: _insert_after(self.rotations[u0], after=y, items=(v1, v0)),
+            u1: _insert_after(self.rotations[u1], after=x, items=(v0, v1)),
+            v0: (u0, u1),
+            v1: (u0, u1),
+        }
+        self._splice(u, v, rotations, (face,))
+
+    def chord_surgery(self, u: int, v: int, face_u: Quad, face_v: Quad) -> None:
+        u0, u1 = _copies(u)
+        v0, v1 = _copies(v)
+        _, a, _, b = _align_quad(face_u, u0)
+        _, c, _, d = _align_quad(face_v, v0)
+        rotations = {
+            u0: _insert_after(self.rotations[u0], after=b, items=(v1, v0)),
+            u1: _insert_after(self.rotations[u1], after=a, items=(v0, v1)),
+            v0: _insert_after(self.rotations[v0], after=d, items=(u1, u0)),
+            v1: _insert_after(self.rotations[v1], after=c, items=(u0, u1)),
+        }
+        self._splice(u, v, rotations, (face_u, face_v))
+
+    def _splice(
+        self, u: int, v: int, rotations: dict[int, tuple[int, ...]], consumed: tuple[Quad, ...]
+    ) -> None:
+        """Add spine edge (u, v) by installing the new rotations at the copies
+        of u and v, which must replace exactly the consumed faces.
+
+        Raises BuildError if a new face is not a quad or the surgery reached
+        beyond the consumed faces, and WitnessConflict if some spine vertex
+        would lose its last witness face; either way the state is unchanged.
+        """
+        saved = {w: self.rotations.get(w) for w in rotations}
+        self.rotations.update(rotations)
+        try:
+            created = self._trace_new_faces(u, v, consumed)
+            lost = [w for face in consumed for w in _witnessed(face)]
+            gained = [w for face in created for w in _witnessed(face)]
+            at_risk = set(lost) | ({u, v} - self.spine_vertices)
+            orphans = sorted(
+                w
+                for w in at_risk
+                if len(self.witnesses.get(w, ())) - lost.count(w) + gained.count(w) == 0
+            )
+            if orphans:
+                raise WitnessConflict(
+                    f"spine vertices {orphans} would lose their last witness face"
+                )
+        except BaseException:
+            for w, rotation in saved.items():
+                if rotation is None:
+                    del self.rotations[w]
+                else:
+                    self.rotations[w] = rotation
+            raise
+        self.spine_vertices.update((u, v))
+        self.spine_edges.add((min(u, v), max(u, v)))
+        for face in consumed:
+            self.faces.remove(face)
+            for w in _witnessed(face):
+                self.witnesses[w].remove(face)
+        for face in created:
+            self.faces.add(face)
+            for w in _witnessed(face):
+                insort(self.witnesses.setdefault(w, []), face)
+
+    def _trace_new_faces(self, u: int, v: int, consumed: tuple[Quad, ...]) -> list[Quad]:
+        """Trace the faces through the eight darts between the copies of u
+        and v, check that each is a genuine quad, and check that their other
+        darts are exactly those of the consumed faces."""
+        new_darts = {(x, y) for x in _copies(u) for y in _copies(v)}
+        new_darts |= {(y, x) for x, y in new_darts}
+        seen: set[tuple[int, int]] = set()
+        old_darts: set[tuple[int, int]] = set()
+        created: list[Quad] = []
+        for start in sorted(new_darts):
+            if start in seen:
+                continue
+            walk = [start]
+            while len(walk) <= 4:
+                x, y = walk[-1]
+                rotation = self.rotations[y]
+                dart = (y, rotation[(rotation.index(x) + 1) % len(rotation)])
+                if dart == start:
+                    break
+                walk.append(dart)
+            corners = tuple(x for x, _ in walk)
+            if len(walk) != 4:
+                raise BuildError(f"surgery made a face through {start} that is not a 4-walk")
+            if len(set(corners)) != 4 or len({frozenset(dart) for dart in walk}) != 4:
+                raise BuildError(f"surgery made a face {corners} that revisits a corner or edge")
+            seen.update(walk)
+            old_darts.update(dart for dart in walk if dart not in new_darts)
+            created.append(_rotate_to_min(corners))
+        if old_darts != {(face[i], face[(i + 1) % 4]) for face in consumed for i in range(4)}:
+            raise BuildError("surgery changed faces other than the consumed witness faces")
+        return created
 
 
-# ============================================================
-# Surgery steps
-# ============================================================
+def _first_fit(attempt: Callable[..., None], choices: Iterable[tuple]) -> int:
+    """Apply the first choice that raises no WitnessConflict and return how
+    many conflicted before it; if all do, the last conflict propagates."""
+    conflict: WitnessConflict | None = None
+    for tried, choice in enumerate(choices):
+        try:
+            attempt(*choice)
+        except WitnessConflict as exc:
+            conflict = exc
+        else:
+            return tried
+    assert conflict is not None  # the witness table is never empty
+    raise conflict
 
 
 def init_base(u: int, v: int) -> BuildState:
@@ -155,29 +281,9 @@ def init_base(u: int, v: int) -> BuildState:
         raise ValueError("spine edge endpoints must differ")
     if u < 0 or v < 0:
         raise ValueError("vertex ids must be non-negative")
-    u0, u1 = _copies(u)
-    v0, v1 = _copies(v)
-    rotations = {u0: (v0, v1), u1: (v0, v1), v0: (u0, u1), v1: (u0, u1)}
-    return _traced_state({u, v}, {(min(u, v), max(u, v))}, rotations)
-
-
-def _tree_surgery(state: BuildState, u: int, v: int, face: Quad) -> BuildState:
-    u0, u1 = _copies(u)
-    v0, v1 = _copies(v)
-    aligned = _align_quad(face, u0)
-    _, x, mid, y = aligned
-    if mid != u1:
-        raise ValueError(f"face {face} does not hold {u0} and {u1} as opposite corners")
-    rotations = dict(state.rotations)
-    rotations[u0] = _insert_after(rotations[u0], after=y, items=(v1, v0))
-    rotations[u1] = _insert_after(rotations[u1], after=x, items=(v0, v1))
-    rotations[v0] = (u0, u1)
-    rotations[v1] = (u0, u1)
-    return _traced_state(
-        state.spine_vertices | {v},
-        state.spine_edges | {(min(u, v), max(u, v))},
-        rotations,
-    )
+    build = _Build()
+    build.base(u, v)
+    return build.freeze()
 
 
 def tree_add(state: BuildState, u: int, v: int, witness: Quad | None = None) -> BuildState:
@@ -186,7 +292,7 @@ def tree_add(state: BuildState, u: int, v: int, witness: Quad | None = None) -> 
     The two copies of v land inside a witness face of u, splitting it into
     three quads; the genus is unchanged and the face count rises by two.
     With witness=None the smallest witness face that keeps every vertex
-    witnessed is chosen; the backtracking driver forces specific faces.
+    witnessed is chosen; callers may force a specific face instead.
     """
     if u not in state.spine_vertices:
         raise ValueError(f"vertex {u} is not in the spine")
@@ -197,31 +303,9 @@ def tree_add(state: BuildState, u: int, v: int, witness: Quad | None = None) -> 
     if witness is not None and witness not in state.witnesses[u]:
         raise ValueError(f"face {witness} is not a witness of vertex {u}")
     candidates = (witness,) if witness is not None else state.witnesses[u]
-    conflict: WitnessConflict | None = None
-    for face in candidates:
-        try:
-            return _tree_surgery(state, u, v, face)
-        except WitnessConflict as exc:
-            conflict = exc
-    assert conflict is not None  # the witness table is never empty
-    raise conflict
-
-
-def _chord_surgery(state: BuildState, u: int, v: int, face_u: Quad, face_v: Quad) -> BuildState:
-    u0, u1 = _copies(u)
-    v0, v1 = _copies(v)
-    _, a, _, b = _align_quad(face_u, u0)
-    _, c, _, d = _align_quad(face_v, v0)
-    rotations = dict(state.rotations)
-    rotations[u0] = _insert_after(rotations[u0], after=b, items=(v1, v0))
-    rotations[u1] = _insert_after(rotations[u1], after=a, items=(v0, v1))
-    rotations[v0] = _insert_after(rotations[v0], after=d, items=(u1, u0))
-    rotations[v1] = _insert_after(rotations[v1], after=c, items=(u0, u1))
-    return _traced_state(
-        state.spine_vertices,
-        state.spine_edges | {(min(u, v), max(u, v))},
-        rotations,
-    )
+    build = _Build.thaw(state)
+    _first_fit(partial(build.tree_surgery, u, v), product(candidates))
+    return build.freeze()
 
 
 def chord_add(
@@ -253,25 +337,14 @@ def chord_add(
         raise ValueError(f"face {witness_v} is not a witness of vertex {v}")
     candidates_u = (witness_u,) if witness_u is not None else state.witnesses[u]
     candidates_v = (witness_v,) if witness_v is not None else state.witnesses[v]
-    conflict: WitnessConflict | None = None
-    for face_u in candidates_u:
-        for face_v in candidates_v:
-            try:
-                return _chord_surgery(state, u, v, face_u, face_v)
-            except WitnessConflict as exc:
-                conflict = exc
-    assert conflict is not None
-    raise conflict
+    build = _Build.thaw(state)
+    _first_fit(partial(build.chord_surgery, u, v), product(candidates_u, candidates_v))
+    return build.freeze()
 
 
 # ============================================================
 # Driver
 # ============================================================
-
-
-@dataclass
-class BuildStats:
-    backtracks: int = 0
 
 
 @dataclass(frozen=True)
@@ -311,73 +384,58 @@ def _bfs_plan(graph: Graph) -> tuple[list[tuple[int, int]], list[Edge]]:
     return tree, chords
 
 
-def _search(
-    state: BuildState,
-    tree_steps: Sequence[tuple[int, int]],
-    chords: Sequence[Edge],
-    stats: BuildStats,
-) -> BuildState | None:
-    """Depth-first completion of the build, backtracking over witness
-    choices first and chord insertion order second."""
-    if tree_steps:
-        u, v = tree_steps[0]
-        for face in state.witnesses[u]:
-            try:
-                grown = tree_add(state, u, v, witness=face)
-            except WitnessConflict:
-                stats.backtracks += 1
-                continue
-            result = _search(grown, tree_steps[1:], chords, stats)
-            if result is not None:
-                return result
-            stats.backtracks += 1
-        return None
-    if not chords:
-        return state
-    for k in range(len(chords)):
-        u, v = chords[k]
-        rest = list(chords[:k]) + list(chords[k + 1 :])
-        for face_u in state.witnesses[u]:
-            for face_v in state.witnesses[v]:
-                try:
-                    grown = chord_add(state, u, v, witness_u=face_u, witness_v=face_v)
-                except WitnessConflict:
-                    stats.backtracks += 1
-                    continue
-                result = _search(grown, (), rest, stats)
-                if result is not None:
-                    return result
-                stats.backtracks += 1
-    return None
-
-
 def build_spinal_report(graph: Graph) -> BuildReport:
     """Build and verify a spinal quadrangulation of the given connected
-    spine, returning the embedding together with search statistics."""
+    spine, returning the embedding together with search statistics.
+
+    Steps follow the breadth-first plan; each takes the smallest witness
+    face (or pair) that keeps every vertex witnessed, and every conflict
+    along the way counts as one backtrack.
+    """
     if graph.vertex_count < 2:
         raise ValueError("spine needs at least 2 vertices")
     if not is_connected(graph):
         raise ValueError("spine must be connected")
     tree_steps, chords = _bfs_plan(graph)
-    stats = BuildStats()
-    base = init_base(*tree_steps[0])
-    final = _search(base, tree_steps[1:], chords, stats)
-    if final is None:
-        raise BuildError("witness search exhausted without completing the spine")
-    system = final.embedding()
+    build = _Build()
+    build.base(*tree_steps[0])
+    backtracks = 0
+    try:
+        for u, v in tree_steps[1:]:
+            backtracks += _first_fit(
+                partial(build.tree_surgery, u, v), product(build.witnesses[u])
+            )
+        for u, v in chords:
+            backtracks += _first_fit(
+                partial(build.chord_surgery, u, v),
+                product(build.witnesses[u], build.witnesses[v]),
+            )
+    except WitnessConflict as exc:
+        raise BuildError(f"no witness choice completes spine edge ({u}, {v}): {exc}") from exc
+    built = Graph(graph.vertex_count, frozenset(build.spine_edges))
+    system = RotationSystem(
+        interlace(built), tuple(build.rotations[v] for v in range(2 * graph.vertex_count))
+    )
     if system.graph != interlace(graph):
         raise BuildError("finished embedding is not on the interlaced spine")
-    if final.face_count != 2 * graph.edge_count:
+    check = validate_quadrangulation(system)
+    if not check.is_quadrangulation:
+        raise BuildError(f"surgery broke the quadrangulation: {'; '.join(check.failures[:3])}")
+    genus = betti(graph)
+    if check.genus != genus:
+        raise BuildError(f"surgery genus {check.genus} does not match spine rank {genus}")
+    if not check.face_count == len(build.faces) == 2 * graph.edge_count:
         raise BuildError(
-            f"face count {final.face_count} differs from twice the spine edge count"
+            f"traced {check.face_count} faces and tracked {len(build.faces)},"
+            f" but twice the spine edge count is {2 * graph.edge_count}"
         )
     return BuildReport(
         embedding=system,
         spine=graph,
         order=2 * graph.vertex_count,
-        genus=betti(graph),
-        face_count=final.face_count,
-        backtracks=stats.backtracks,
+        genus=genus,
+        face_count=check.face_count,
+        backtracks=backtracks,
     )
 
 

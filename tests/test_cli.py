@@ -195,6 +195,14 @@ def test_verify_bad_documents(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+def test_verify_deeply_nested_document(capsys, tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000, encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(nested))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # ============================================================
 # interlace
 # ============================================================
@@ -218,6 +226,16 @@ def test_interlace_byte_stable(capsys, tmp_path):
     main(["interlace", str(graph_file), "-o", str(second)])
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_interlace_deeply_nested_document(capsys, tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000, encoding="utf-8")
+    out_file = tmp_path / "doubled.json"
+    code, _, err = run(capsys, "interlace", str(nested), "-o", str(out_file))
+    assert code == 2
+    assert err.startswith("error:")
+    assert not out_file.exists()
 
 
 # ============================================================

@@ -218,6 +218,18 @@ def test_budget_validation():
     assert SearchBudget().max_nodes == 100_000_000
 
 
+def test_budget_rejects_nan_time_cap():
+    # NaN compares false with everything, so it would silently disable the cap
+    with pytest.raises(ValueError):
+        SearchBudget(time_cap=float("nan"))
+
+
+def test_budget_rejects_non_integer_max_nodes():
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError):
+            SearchBudget(max_nodes=bad)
+
+
 def test_budget_exhaustion_is_an_exception_not_a_verdict():
     with pytest.raises(BudgetExhausted):
         exists_quadrangulation(7, 2, budget=SearchBudget(max_nodes=5))

@@ -1,11 +1,25 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from qforge.embedding import validate_quadrangulation
-from qforge.graph import betti, complete_graph, interlace, make_graph, octahedral_graph
+from qforge.embedding import (
+    RotationSystem,
+    embedding_to_document,
+    trace_faces,
+    validate_quadrangulation,
+)
+from qforge.graph import (
+    Graph,
+    betti,
+    canonical_json,
+    complete_graph,
+    interlace,
+    make_graph,
+    octahedral_graph,
+)
 from qforge.spinal import (
     BuildError,
     WitnessConflict,
@@ -29,6 +43,58 @@ def _random_connected(rng, max_vertices=10, max_edges=20):
     budget = max(0, rng.randint(n - 1, max_edges) - len(edges))
     edges.update(pool[:budget])
     return make_graph(n, edges)
+
+
+def _relabeled_spine_steps(rng, max_vertices=12, max_chords=24):
+    """A random spanning tree on shuffled vertex ids, as (parent, child)
+    steps in growth order, plus random chords."""
+    n = rng.randint(2, max_vertices)
+    label = rng.sample(range(n), n)
+    tree = [(label[rng.randrange(v)], label[v]) for v in range(1, n)]
+    present = {(min(e), max(e)) for e in tree}
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in present]
+    return n, tree, rng.sample(others, rng.randint(0, min(len(others), max_chords)))
+
+
+def _relabeled_spine(rng):
+    n, tree, chords = _relabeled_spine_steps(rng)
+    return make_graph(n, [(v, u) for u, v in tree] + chords)
+
+
+def _document_bytes(report):
+    """The embedding document `qforge build` writes for a report."""
+    doc = embedding_to_document(report.embedding, declared_genus=report.genus)
+    return canonical_json(doc).encode("utf-8")
+
+
+def _retraced(state):
+    """Faces and witness table of a state, traced afresh from its rotations
+    (embedding vertices compacted to 0..k-1 for tracing, then mapped back)."""
+    ids = sorted(state.rotations)
+    index = {v: k for k, v in enumerate(ids)}
+    edges = {
+        (min(index[v], index[u]), max(index[v], index[u]))
+        for v, rotation in state.rotations.items()
+        for u in rotation
+    }
+    system = RotationSystem(
+        Graph(len(ids), frozenset(edges)),
+        tuple(tuple(index[u] for u in state.rotations[v]) for v in ids),
+    )
+    report = validate_quadrangulation(system)
+    assert report.is_quadrangulation, report.failures
+    assert report.genus == state.spine_rank
+    faces = []
+    for walk in trace_faces(system):
+        corners = [ids[k] for k in walk.vertices()]
+        pivot = corners.index(min(corners))
+        faces.append(tuple(corners[pivot:] + corners[:pivot]))
+    faces.sort()
+    witnesses = {
+        w: tuple(f for f in faces if {2 * w, 2 * w + 1} in ({f[0], f[2]}, {f[1], f[3]}))
+        for w in state.spine_vertices
+    }
+    return tuple(faces), witnesses
 
 
 # ============================================================
@@ -282,3 +348,83 @@ def test_build_error_is_distinct_from_witness_conflict():
     assert issubclass(WitnessConflict, RuntimeError)
     assert issubclass(BuildError, RuntimeError)
     assert not issubclass(BuildError, WitnessConflict)
+
+
+def test_public_steps_match_a_full_retrace():
+    # Each step traces only the faces it creates; re-trace every
+    # intermediate state in full and compare faces and witness tables.
+    # Random forced witnesses take the build off the default path, and
+    # every step made after a conflict checks that the conflict left no trace.
+    rng = random.Random(2718)
+    conflicts = 0
+    for _ in range(25):
+        _, tree, chords = _relabeled_spine_steps(rng, max_vertices=9, max_chords=12)
+        state = init_base(*tree[0])
+        assert (state.faces, state.witnesses) == _retraced(state)
+        steps = [(tree_add, u, v) for u, v in tree[1:]] + [(chord_add, u, v) for u, v in chords]
+        for add, u, v in steps:
+            if add is tree_add:
+                forced = {"witness": rng.choice(state.witnesses[u])}
+            else:
+                forced = {
+                    "witness_u": rng.choice(state.witnesses[u]),
+                    "witness_v": rng.choice(state.witnesses[v]),
+                }
+            try:
+                grown = add(state, u, v, **forced)
+            except WitnessConflict:
+                conflicts += 1
+                grown = add(state, u, v)
+            assert (grown.faces, grown.witnesses) == _retraced(grown)
+            assert grown.face_count == state.face_count + 2
+            state = grown
+    assert conflicts > 0
+
+
+# ============================================================
+# Golden outputs
+# ============================================================
+
+# SHA-256 of the canonical embedding document that `qforge build` writes
+# (declared genus included) and the backtrack count, pinned from the
+# builder that re-traced and re-validated the whole embedding after every
+# step and searched depth-first.  The builder must reproduce them exactly.
+GOLDEN_COMPLETE = {
+    (2, 0): ("f062c9c9b641bce803027eadb0b9e74f1402bad1e2928f0ea443c15c5e608628", 0),
+    (3, 0): ("7302b2668d2821825e1866b179f008acbd5c21e69488a7f001e967d147d33d54", 0),
+    (4, 0): ("816678d39379fd77df602c7628055f5c00f193196bf62c7d643afae82bfcf184", 0),
+    (5, 0): ("90cb200c8739d525a562184ea4157471f3e3586f489adf39adfbb3ec201193da", 0),
+    (6, 0): ("ab720ab23153fc11f045f2b95541a5407c82b6589c366d88683aec40577a2307", 0),
+    (7, 0): ("ad3f8997b69a4be7b39a1c8e2e00db7ca7fc9035c1125bf43b867e6cb29604e5", 0),
+    (8, 0): ("39a0a07245a3b95c1a21dbb395f5c727426ab3a15874b9be2c400825d78a58b6", 0),
+    (9, 0): ("41e0d5818983c7df3d51833fe4368aacece6ae21b8167f14ef2fe0e2eda3e808", 0),
+    (10, 0): ("a4651c79ba060b0d71f0c1a20daf40536d6ea3f074a34133caf1a7b87acc7b50", 0),
+    (11, 0): ("542da3795284b7d7aa49bad7dc7118a85fa312f1cf38c0c0e47580bf5fa6981f", 0),
+    (12, 0): ("c244eb7eca7d75abf94e536a707b09438002b2b8db548c7f78d2e2d6952e24e1", 0),
+    (12, 1): ("192825214f37571990a570d59b3f3342dbd7b603f6e6756642a06dcf247d6f79", 0),
+    (12, 2): ("405038bf709269e7f900711d575b64e0e546e471bb9779f66bf02d44b6ef2151", 0),
+}
+
+# One digest over the documents of 40 relabeled random spines (seed 10)
+# in build order, and their backtrack counts; three of them need retries.
+GOLDEN_RANDOM_DIGEST = "a03243a3f44cebb2eedd594d4866d80d0f5fccb10506bc07c85136e63a87b3e5"
+GOLDEN_RANDOM_BACKTRACKS = [0] * 15 + [11] + [0] * 10 + [1] + [0] * 4 + [1] + [0] * 8
+
+
+@pytest.mark.parametrize("p, m", sorted(GOLDEN_COMPLETE))
+def test_golden_complete_spines(p, m):
+    report = build_instance(p, m)
+    digest = hashlib.sha256(_document_bytes(report)).hexdigest()
+    assert (digest, report.backtracks) == GOLDEN_COMPLETE[p, m]
+
+
+def test_golden_random_spines():
+    rng = random.Random(10)
+    digest = hashlib.sha256()
+    backtracks = []
+    for _ in range(40):
+        report = build_spinal_report(_relabeled_spine(rng))
+        digest.update(_document_bytes(report))
+        backtracks.append(report.backtracks)
+    assert backtracks == GOLDEN_RANDOM_BACKTRACKS
+    assert digest.hexdigest() == GOLDEN_RANDOM_DIGEST
