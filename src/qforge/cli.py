@@ -27,7 +27,6 @@ from .graph import FormatError, interlace, load_graph, save_graph
 from .oracle import (
     BudgetExhausted,
     SearchBudget,
-    exists_quadrangulation,
     min_order_bruteforce,
     search_quadrangulation,
 )

@@ -2,14 +2,15 @@
 
 Euler's equation forces the edge count of any quadrangulation, and near the
 minimum order that count sits close to the complete graph, so candidate
-graphs are enumerated as complements of a few missing edges.  For each
-candidate the search assembles quad faces dart by dart, growing the
-rotation at every vertex incrementally and abandoning a branch as soon as a
-face would close at the wrong length or revisit a vertex.
+graphs are enumerated as complements of a few missing edges that keep the
+minimum degree.  For each connected candidate the search assembles quad
+faces dart by dart, growing the rotation at every vertex incrementally and
+abandoning a branch as soon as a face would close at the wrong length or
+revisit a vertex.
 
-Verdicts are deterministic and independent of traversal order.  Running out
-of node or time budget raises BudgetExhausted instead of answering; that
-outcome is never collapsed into "no".
+Verdicts are deterministic and independent of traversal order.  One budget
+covers enumeration and assembly; running out of it raises BudgetExhausted
+instead of answering, and that outcome is never collapsed into "no".
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import order_lower_bound, spinal_min_order
-from .graph import Graph, _connected
+from .graph import Edge, Graph, is_connected
 
 __all__ = [
     "SearchBudget",
@@ -55,26 +56,29 @@ class SearchBudget:
 
 
 class _Ticker:
-    """Counts search nodes against a budget; checks the clock sparsely."""
+    """Counts search nodes against a budget; checks the clock every 4096 steps."""
 
-    __slots__ = ("budget", "nodes", "start")
+    __slots__ = ("budget", "nodes", "steps", "start")
 
     def __init__(self, budget: SearchBudget) -> None:
         self.budget = budget
         self.nodes = 0
+        self.steps = 0
         self.start = time.monotonic()
 
-    def __call__(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise BudgetExhausted(f"node budget {self.budget.max_nodes} exhausted")
-        if self.nodes % 4096 == 0 and time.monotonic() - self.start > self.budget.time_cap:
+    def __call__(self, node: bool = True) -> None:
+        if node:
+            self.nodes += 1
+            if self.nodes > self.budget.max_nodes:
+                raise BudgetExhausted(f"node budget {self.budget.max_nodes} exhausted")
+        self.steps += 1
+        if self.steps % 4096 == 0 and time.monotonic() - self.start > self.budget.time_cap:
             raise BudgetExhausted(f"time cap {self.budget.time_cap}s exhausted")
 
 
 def quad_edge_count(n: int, genus: int) -> int | None:
     """Edge count 2(n-2+2g) forced on any n-vertex quadrangulation of genus
-    g, or None when no connected simple graph can carry that count."""
+    g, or None only when that is more than the C(n,2) edges of a simple graph."""
     if genus < 0:
         raise ValueError("genus must be non-negative")
     if n < 3 or (genus == 0 and n < 4):
@@ -82,38 +86,43 @@ def quad_edge_count(n: int, genus: int) -> int | None:
     edges = 2 * (n - 2 + 2 * genus)
     if edges > n * (n - 1) // 2:
         return None
-    if edges < n - 1:
-        return None
     return edges
 
 
-def _candidate_adjacencies(n: int, edge_target: int, min_degree: int):
+def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker):
     """All connected labeled graphs on n vertices with the target edge count
-    and minimum degree, as sorted adjacency lists, in a fixed order.
+    and minimum degree, in a fixed order.
 
     Enumeration runs over the complement: lexicographic combinations of the
     missing edges.  Near the minimum order very few edges are missing, so
     this is exponentially smaller than enumerating edge subsets directly.
+    A pair is dropped only while both endpoints can spare an edge; each pair
+    considered is a timed step of the ticker, not a search node.
     """
     pairs = list(combinations(range(n), 2))
-    missing = len(pairs) - edge_target
-    for removed in combinations(range(len(pairs)), missing):
-        deficit = [0] * n
-        for k in removed:
+    spare = [n - 1 - min_degree] * n
+    if any(s < 0 for s in spare):  # even the complete graph is too sparse
+        return
+
+    def drop(start: int, left: int, missing: frozenset[Edge]):
+        if left == 0:
+            yield missing
+            return
+        for k in range(start, len(pairs) - left + 1):
+            ticker(node=False)
             i, j = pairs[k]
-            deficit[i] += 1
-            deficit[j] += 1
-        if any(n - 1 - d < min_degree for d in deficit):
-            continue
-        removed_set = set(removed)
-        edges = [pairs[k] for k in range(len(pairs)) if k not in removed_set]
-        if not _connected(n, edges):
-            continue
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for i, j in edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        yield adjacency
+            if spare[i] > 0 and spare[j] > 0:
+                spare[i] -= 1
+                spare[j] -= 1
+                yield from drop(k + 1, left - 1, missing | {pairs[k]})
+                spare[i] += 1
+                spare[j] += 1
+
+    everything = frozenset(pairs)
+    for removed in drop(0, len(pairs) - edge_target, frozenset()):
+        graph = Graph(n, everything - removed)
+        if is_connected(graph):
+            yield graph
 
 
 class _FaceAssembler:
@@ -127,15 +136,15 @@ class _FaceAssembler:
     caller, so no witness is lost while the symmetry factor drops out.
     """
 
-    def __init__(self, n: int, adjacency: list[list[int]], ticker: _Ticker) -> None:
-        self.n = n
-        self.adjacency = adjacency
+    def __init__(self, graph: Graph, ticker: _Ticker) -> None:
+        n = self.n = graph.vertex_count
+        adjacency = self.adjacency = graph.adjacency()
         self.neighbor_sets = [set(row) for row in adjacency]
         self.degree = [len(row) for row in adjacency]
         self.succ: list[dict[int, int]] = [{} for _ in range(n)]
         self.pred: list[dict[int, int]] = [{} for _ in range(n)]
         self.used: set[tuple[int, int]] = set()
-        self.darts = sorted((u, v) for u in range(n) for v in adjacency[u])
+        self.darts = [(u, v) for u in range(n) for v in adjacency[u]]
         self.ticker = ticker
         anchor = min(range(n), key=lambda v: (-self.degree[v], v))
         ring = adjacency[anchor]
@@ -160,8 +169,6 @@ class _FaceAssembler:
 
     def _can_assign(self, v: int, u: int, w: int) -> bool:
         if u in self.succ[v] or w in self.pred[v]:
-            return False
-        if u == w and self.degree[v] > 1:
             return False
         return not self._creates_short_cycle(v, u, w)
 
@@ -214,7 +221,7 @@ class _FaceAssembler:
         assignable neighbor, ascending."""
         forced = self.succ[at].get(from_vertex)
         if forced is not None:
-            if forced not in forbidden and (at, forced) not in self.used:
+            if forced not in forbidden:
                 yield forced
             return
         for w in self.adjacency[at]:
@@ -227,24 +234,15 @@ class _FaceAssembler:
         """Close the face (a, b, c, d), recurse, undo on failure."""
         constraints = ((b, a, c), (c, b, d), (d, c, a), (a, d, b))
         newly = []
-        ok = True
         for v, u, w in constraints:
             current = self.succ[v].get(u)
-            if current is not None:
-                if current != w:
-                    ok = False
-                    break
-                continue
-            if not self._can_assign(v, u, w):
-                ok = False
+            if current is None and self._can_assign(v, u, w):
+                self._assign(v, u, w)
+                newly.append((v, u))
+            elif current != w:
                 break
-            self._assign(v, u, w)
-            newly.append((v, u))
-        if ok:
+        else:
             face_darts = ((a, b), (b, c), (c, d), (d, a))
-            if any(fd in self.used for fd in face_darts):
-                ok = False
-        if ok:
             self.used.update(face_darts)
             if self._extend():
                 return True
@@ -254,32 +252,35 @@ class _FaceAssembler:
         return False
 
 
-def search_quadrangulation(
-    n: int, genus: int, budget: SearchBudget | None = None, _ticker: _Ticker | None = None
-) -> RotationSystem | None:
-    """Find a quadrangulation with the given order and genus, or prove that
-    none exists.  Returns a verified witness embedding, or None."""
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
+def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
+    """search_quadrangulation for a non-negative genus, charged to ticker."""
     if n < 4:
         return None  # every quad face needs four distinct vertices
     edge_target = quad_edge_count(n, genus)
     if edge_target is None:
         return None
-    ticker = _ticker if _ticker is not None else _Ticker(budget or SearchBudget())
     min_degree = 2 if genus == 0 else 3
-    for adjacency in _candidate_adjacencies(n, edge_target, min_degree):
+    for graph in _candidate_graphs(n, edge_target, min_degree, ticker):
         ticker()
-        rotations = _FaceAssembler(n, adjacency, ticker).search()
+        rotations = _FaceAssembler(graph, ticker).search()
         if rotations is None:
             continue
-        graph = Graph(n, frozenset((u, v) for u in range(n) for v in adjacency[u] if u < v))
         system = RotationSystem(graph, rotations)
         report = validate_quadrangulation(system)
         if not report.is_quadrangulation or report.genus != genus:
             raise RuntimeError("assembler produced an invalid witness; search defect")
         return system
     return None
+
+
+def search_quadrangulation(
+    n: int, genus: int, budget: SearchBudget | None = None
+) -> RotationSystem | None:
+    """Find a quadrangulation with the given order and genus, or prove that
+    none exists.  Returns a verified witness embedding, or None."""
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
+    return _search(n, genus, _Ticker(budget or SearchBudget()))
 
 
 def exists_quadrangulation(
@@ -335,7 +336,7 @@ def min_order_bruteforce(
     stop = spinal_min_order(genus)
     cap = stop if max_order is None else min(stop, max_order)
     for n in range(start, cap + 1):
-        system = search_quadrangulation(n, genus, _ticker=ticker)
+        system = _search(n, genus, ticker)
         if system is not None:
             return MinOrderWitness(genus, n, system, ticker.nodes)
     if cap < stop:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 from .embedding import RotationSystem, _rotate_to_min, validate_quadrangulation
 from .formulas import certified_minimal
-from .graph import Edge, Graph, betti, complete_graph, delete_edges_connected, interlace, is_connected
+from .graph import Edge, Graph, complete_graph, delete_edges_connected, interlace
 
 Quad = tuple[int, int, int, int]
 
@@ -394,9 +394,9 @@ def build_spinal_report(graph: Graph) -> BuildReport:
     """
     if graph.vertex_count < 2:
         raise ValueError("spine needs at least 2 vertices")
-    if not is_connected(graph):
-        raise ValueError("spine must be connected")
     tree_steps, chords = _bfs_plan(graph)
+    if len(tree_steps) != graph.vertex_count - 1:
+        raise ValueError("spine must be connected")
     build = _Build()
     build.base(*tree_steps[0])
     backtracks = 0
@@ -412,16 +412,15 @@ def build_spinal_report(graph: Graph) -> BuildReport:
             )
     except WitnessConflict as exc:
         raise BuildError(f"no witness choice completes spine edge ({u}, {v}): {exc}") from exc
-    built = Graph(graph.vertex_count, frozenset(build.spine_edges))
-    system = RotationSystem(
-        interlace(built), tuple(build.rotations[v] for v in range(2 * graph.vertex_count))
-    )
-    if system.graph != interlace(graph):
+    if build.spine_edges != graph.edges:
         raise BuildError("finished embedding is not on the interlaced spine")
+    system = RotationSystem(
+        interlace(graph), tuple(build.rotations[v] for v in range(2 * graph.vertex_count))
+    )
     check = validate_quadrangulation(system)
     if not check.is_quadrangulation:
         raise BuildError(f"surgery broke the quadrangulation: {'; '.join(check.failures[:3])}")
-    genus = betti(graph)
+    genus = len(chords)  # a connected spine has one chord per independent cycle
     if check.genus != genus:
         raise BuildError(f"surgery genus {check.genus} does not match spine rank {genus}")
     if not check.face_count == len(build.faces) == 2 * graph.edge_count:

@@ -292,6 +292,17 @@ def test_oracle_order_and_max_order_conflict(capsys):
     capsys.readouterr()
 
 
+def test_oracle_order_12_finishes():
+    # listing every combination of missing edges for order 12 once ran for
+    # minutes, with neither the node budget nor the time cap checked
+    argv = ["oracle", "-g", "0", "--order", "12", "--time-cap", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qforge.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "exists: yes (order 12, genus 0)\n"
+
+
 # ============================================================
 # spectrum and general plumbing
 # ============================================================
