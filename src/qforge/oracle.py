@@ -6,7 +6,10 @@ graphs are enumerated as complements of a few missing edges that keep the
 minimum degree.  For each connected candidate the search assembles quad
 faces dart by dart, growing the rotation at every vertex incrementally and
 abandoning a branch as soon as a face would close at the wrong length or
-revisit a vertex.
+revisit a vertex.  Each step places a face on the open dart with the fewest
+ways left to complete one (most-constrained first, as in Knuth's Dancing
+Links), reading each corner's options from per-vertex sets of neighbours
+that still lack a predecessor in the rotation.
 
 Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration and assembly; running out of it raises BudgetExhausted
@@ -129,20 +132,34 @@ class _FaceAssembler:
     """Backtracking assembly of quad faces over one candidate graph.
 
     State is a partial successor map at every vertex (the rotation under
-    construction, as "w follows u at v") plus the set of darts already
-    placed into a face.  The rotation at one maximum-degree vertex is
-    pre-fixed to ascending order: every embedding of every isomorph can be
-    relabeled to respect that, and all labelings are enumerated by the
-    caller, so no witness is lost while the symmetry factor drops out.
+    construction, as "w follows u at v"), the set of darts already placed
+    into a face, and per vertex the set ``free_in`` of neighbours that have
+    no predecessor there yet.  A face walk arriving at v from u continues to
+    ``_options(v, u)``: the forced successor of u at v if there is one, else
+    ``free_in[v]`` minus u and minus the head of u's partial rotation path,
+    whose choice would close a rotation cycle that misses a neighbour (the
+    head stays when the assignment completes the rotation).  Options are
+    cached per vertex until that vertex's rotation changes.
+
+    Each step branches on the open dart (a, b) with the fewest face
+    completions, k(a, b) = sum over c in opts(b, a) of |opts(c, b) & N(a)|:
+    the most-constrained-first rule.  Ties go to the first dart in ascending
+    order, the scan stops at the first dart with k <= 1, and k = 0 ends the
+    branch.  The rotation at one maximum-degree vertex is pre-fixed to
+    ascending order: every embedding of every isomorph can be relabeled to
+    respect that, and all labelings are enumerated by the caller, so no
+    witness is lost while the symmetry factor drops out.
     """
 
     def __init__(self, graph: Graph, ticker: _Ticker) -> None:
         n = self.n = graph.vertex_count
         adjacency = self.adjacency = graph.adjacency()
-        self.neighbor_sets = [set(row) for row in adjacency]
+        self.neighbor_sets = [frozenset(row) for row in adjacency]
         self.degree = [len(row) for row in adjacency]
         self.succ: list[dict[int, int]] = [{} for _ in range(n)]
         self.pred: list[dict[int, int]] = [{} for _ in range(n)]
+        self.free_in = [set(row) for row in adjacency]
+        self.option_cache: list[dict[int, set[int]]] = [{} for _ in range(n)]
         self.used: set[tuple[int, int]] = set()
         self.darts = [(u, v) for u in range(n) for v in adjacency[u]]
         self.ticker = ticker
@@ -153,32 +170,37 @@ class _FaceAssembler:
 
     # ---- successor-map bookkeeping ----
 
-    def _creates_short_cycle(self, v: int, u: int, w: int) -> bool:
-        """Would assigning "w follows u at v" close a rotation cycle that
-        misses some neighbor of v?  Completing the rotation is allowed."""
-        if len(self.succ[v]) + 1 == self.degree[v]:
-            return False
-        x = w
-        while True:
-            if x == u:
-                return True
-            nxt = self.succ[v].get(x)
-            if nxt is None:
-                return False
-            x = nxt
-
-    def _can_assign(self, v: int, u: int, w: int) -> bool:
-        if u in self.succ[v] or w in self.pred[v]:
-            return False
-        return not self._creates_short_cycle(v, u, w)
+    def _options(self, v: int, u: int) -> set[int]:
+        """Every w that "w follows u at v" may take; callers must not mutate it."""
+        cache = self.option_cache[v]
+        options = cache.get(u)
+        if options is None:
+            succ = self.succ[v]
+            forced = succ.get(u)
+            if forced is not None:
+                options = {forced}
+            else:
+                options = self.free_in[v] - {u}
+                if len(succ) + 1 < self.degree[v]:
+                    pred = self.pred[v]
+                    head = u
+                    while head in pred:
+                        head = pred[head]
+                    options.discard(head)
+            cache[u] = options
+        return options
 
     def _assign(self, v: int, u: int, w: int) -> None:
         self.succ[v][u] = w
         self.pred[v][w] = u
+        self.free_in[v].remove(w)
+        self.option_cache[v].clear()
 
     def _unassign(self, v: int, u: int) -> None:
         w = self.succ[v].pop(u)
         del self.pred[v][w]
+        self.free_in[v].add(w)
+        self.option_cache[v].clear()
 
     # ---- face assembly ----
 
@@ -195,52 +217,45 @@ class _FaceAssembler:
             out.append(self.succ[v][out[-1]])
         return tuple(out)
 
-    def _first_unused_dart(self) -> tuple[int, int] | None:
-        for dart in self.darts:
-            if dart not in self.used:
-                return dart
-        return None
-
     def _extend(self) -> bool:
-        dart = self._first_unused_dart()
-        if dart is None:
+        self.ticker(node=False)
+        options, neighbor_sets, used = self._options, self.neighbor_sets, self.used
+        best, fewest = None, float("inf")
+        for dart in self.darts:
+            if dart in used:
+                continue
+            a, b = dart
+            near_a = neighbor_sets[a]
+            count = 0
+            for c in options(b, a):
+                count += len(options(c, b) & near_a)
+                if count >= fewest:
+                    break
+            else:
+                best, fewest = dart, count
+                if count <= 1:
+                    break
+        if best is None:
             return True
-        a, b = dart
-        for c in self._corner_options(b, a, forbidden=(a, b)):
-            for d in self._corner_options(c, b, forbidden=(a, b, c)):
+        a, b = best
+        near_a = neighbor_sets[a]
+        for c in sorted(options(b, a)):
+            for d in sorted(options(c, b) & near_a):
                 self.ticker()
-                if a not in self.neighbor_sets[d]:
-                    continue
                 if self._try_face(a, b, c, d):
                     return True
         return False
-
-    def _corner_options(self, at: int, from_vertex: int, forbidden: tuple[int, ...]):
-        """Continuations of a face walk arriving at ``at`` from
-        ``from_vertex``: the forced successor if one exists, else every
-        assignable neighbor, ascending."""
-        forced = self.succ[at].get(from_vertex)
-        if forced is not None:
-            if forced not in forbidden:
-                yield forced
-            return
-        for w in self.adjacency[at]:
-            if w in forbidden:
-                continue
-            if self._can_assign(at, from_vertex, w):
-                yield w
 
     def _try_face(self, a: int, b: int, c: int, d: int) -> bool:
         """Close the face (a, b, c, d), recurse, undo on failure."""
         constraints = ((b, a, c), (c, b, d), (d, c, a), (a, d, b))
         newly = []
         for v, u, w in constraints:
-            current = self.succ[v].get(u)
-            if current is None and self._can_assign(v, u, w):
+            if w not in self._options(v, u):
+                break
+            if u not in self.succ[v]:
                 self._assign(v, u, w)
                 newly.append((v, u))
-            elif current != w:
-                break
         else:
             face_darts = ((a, b), (b, c), (c, d), (d, a))
             self.used.update(face_darts)

@@ -5,13 +5,14 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from qforge.embedding import embedding_to_document, validate_quadrangulation
+from qforge.embedding import RotationSystem, embedding_to_document, validate_quadrangulation
 from qforge.formulas import order_lower_bound
-from qforge.graph import canonical_json, complete_graph
+from qforge.graph import Graph, canonical_json, complete_graph
 from qforge.oracle import (
     BudgetExhausted,
     SearchBudget,
     _candidate_graphs,
+    _FaceAssembler,
     _Ticker,
     exists_quadrangulation,
     min_order_bruteforce,
@@ -173,6 +174,122 @@ def test_candidate_enumeration_obeys_time_cap():
 
 
 # ============================================================
+# Reference assembler: the first open dart in ascending order
+# ============================================================
+#
+# The face assembler before most-constrained-first branching: it always
+# extends the lexicographically first dart not yet in a face and tests each
+# successor assignment by walking the partial rotation.  Branching order
+# changes which witness is found, never whether one exists.
+
+
+class _ReferenceAssembler:
+    def __init__(self, graph):
+        n = self.n = graph.vertex_count
+        adjacency = self.adjacency = graph.adjacency()
+        self.neighbor_sets = [set(row) for row in adjacency]
+        self.degree = [len(row) for row in adjacency]
+        self.succ = [{} for _ in range(n)]
+        self.pred = [{} for _ in range(n)]
+        self.used = set()
+        self.darts = [(u, v) for u in range(n) for v in adjacency[u]]
+        anchor = min(range(n), key=lambda v: (-self.degree[v], v))
+        ring = adjacency[anchor]
+        for i, u in enumerate(ring):
+            self._assign(anchor, u, ring[(i + 1) % len(ring)])
+
+    def _can_assign(self, v, u, w):
+        if u in self.succ[v] or w in self.pred[v]:
+            return False
+        if len(self.succ[v]) + 1 == self.degree[v]:
+            return True  # completing the rotation closes its cycle
+        x = w
+        while x is not None:
+            if x == u:
+                return False  # would close a cycle that misses a neighbor
+            x = self.succ[v].get(x)
+        return True
+
+    def _assign(self, v, u, w):
+        self.succ[v][u] = w
+        self.pred[v][w] = u
+
+    def _unassign(self, v, u):
+        del self.pred[v][self.succ[v].pop(u)]
+
+    def search(self):
+        if not self._extend():
+            return None
+        rotations = []
+        for v in range(self.n):
+            out = [self.adjacency[v][0]]
+            while len(out) < self.degree[v]:
+                out.append(self.succ[v][out[-1]])
+            rotations.append(tuple(out))
+        return tuple(rotations)
+
+    def _corner_options(self, at, from_vertex, forbidden):
+        forced = self.succ[at].get(from_vertex)
+        if forced is not None:
+            if forced not in forbidden:
+                yield forced
+            return
+        for w in self.adjacency[at]:
+            if w not in forbidden and self._can_assign(at, from_vertex, w):
+                yield w
+
+    def _extend(self):
+        dart = next((d for d in self.darts if d not in self.used), None)
+        if dart is None:
+            return True
+        a, b = dart
+        for c in self._corner_options(b, a, forbidden=(a, b)):
+            for d in self._corner_options(c, b, forbidden=(a, b, c)):
+                if a in self.neighbor_sets[d] and self._try_face(a, b, c, d):
+                    return True
+        return False
+
+    def _try_face(self, a, b, c, d):
+        newly = []
+        for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
+            current = self.succ[v].get(u)
+            if current is None and self._can_assign(v, u, w):
+                self._assign(v, u, w)
+                newly.append((v, u))
+            elif current != w:
+                break
+        else:
+            face_darts = ((a, b), (b, c), (c, d), (d, a))
+            self.used.update(face_darts)
+            if self._extend():
+                return True
+            self.used.difference_update(face_darts)
+        for v, u in reversed(newly):
+            self._unassign(v, u)
+        return False
+
+
+def test_assembler_verdicts_match_reference_on_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    verdicts = []
+    for small in nx.graph_atlas_g():
+        n, m = small.number_of_nodes(), small.number_of_edges()
+        if not 4 <= n <= 7 or m % 2 or min(d for _, d in small.degree()) < 2:
+            continue
+        if not nx.is_connected(small):
+            continue
+        graph = Graph(n, frozenset(tuple(sorted(e)) for e in small.edges()))
+        found = _FaceAssembler(graph, _Ticker(SearchBudget())).search()
+        reference = _ReferenceAssembler(graph).search()
+        assert (found is None) == (reference is None), sorted(graph.edges)
+        for rotations in (found, reference):
+            if rotations is not None:
+                assert validate_quadrangulation(RotationSystem(graph, rotations)).is_quadrangulation
+        verdicts.append(found is not None)
+    assert (verdicts.count(True), verdicts.count(False)) == (10, 281)
+
+
+# ============================================================
 # Arithmetic filter
 # ============================================================
 
@@ -231,13 +348,13 @@ def test_search_is_deterministic():
     second = search_quadrangulation(7, 2)
     assert first == second
     assert first.rotations == (
+        (3, 4, 6, 5),
         (3, 5, 6, 4),
         (3, 4, 6, 5),
-        (3, 5, 4, 6),
         (0, 1, 2, 4, 5, 6),
-        (0, 2, 3, 6, 5, 1),
-        (0, 6, 4, 3, 2, 1),
-        (0, 1, 5, 3, 4, 2),
+        (0, 6, 3, 5, 2, 1),
+        (0, 3, 6, 4, 2, 1),
+        (0, 1, 2, 5, 4, 3),
     )
     assert validate_quadrangulation(first).genus == 2
 
@@ -295,6 +412,16 @@ def test_time_cap_type():
         min_order_bruteforce(2, budget=SearchBudget(max_nodes=50))
 
 
+def test_assembler_scoring_scan_obeys_time_cap():
+    # the next step is the 4096th, so the clock is read before any node is
+    # counted: only the dart-scoring scan of the first _extend can reach it
+    ticker = _Ticker(SearchBudget(time_cap=1e-9))
+    ticker.steps = 4095
+    with pytest.raises(BudgetExhausted, match="time cap"):
+        _FaceAssembler(complete_graph(7), ticker).search()
+    assert ticker.nodes == 0
+
+
 # ============================================================
 # Minimum-order scan
 # ============================================================
@@ -332,6 +459,20 @@ def test_min_order_scan_with_max_order_cap():
     assert found.order == 7
 
 
+def test_min_order_scan_reaches_lower_bound_at_former_holdouts():
+    # the first-open-dart assembler left genus 17 open after millions of nodes
+    for genus, order in ((17, 15), (48, 23)):
+        assert order_lower_bound(genus) == order
+        found = min_order_bruteforce(
+            genus, SearchBudget(max_nodes=100_000), max_order=order_lower_bound(genus)
+        )
+        assert found.order == order
+        report = validate_quadrangulation(found.witness)
+        assert report.is_quadrangulation
+        assert report.genus == genus
+        assert found.witness.graph.vertex_count == order
+
+
 def test_min_order_scan_rejects_negative_genus():
     with pytest.raises(ValueError):
         min_order_bruteforce(-1)
@@ -341,30 +482,48 @@ def test_min_order_scan_rejects_negative_genus():
 # Golden outputs
 # ============================================================
 #
-# Generated with the generate-and-filter enumerator: orders, node counts and
-# SHA-256 digests of the canonical witness documents.  Any change to the
+# Generated with the most-constrained-first assembler: orders, node counts
+# and SHA-256 digests of the canonical witness documents.  Any change to the
 # enumeration order or to the assembler's branching shows up here.
 
 # (genus, order, nodes, digest); genus >= 3 runs under 100k nodes and is
-# capped at the arithmetic lower bound
+# capped at the arithmetic lower bound, which every scan reaches
 SCAN_GOLDENS = (
     (0, 4, 3, "f1cf8ec5c4be558a825dd99c3f9a8d6846b2c3a37eff1edae73afc782c042e3d"),
-    (1, 5, 11, "9ce258fb02da46a592010490083548b2a960cc8d61056cde53a2128cd6e2fe95"),
-    (2, 7, 575, "52fb8cbf11a06406f2be3cbc400cb2686fe7e509f8ca55061a464435ae31ff51"),
-    (3, 8, 779, "88b66519b970e32bc0cb63a2387dfc5cef4fdb4d4896bdc399a38f92d8c39343"),
-    (4, 8, 1235, "8bf9089c996d6a32c5dd3239ca69567f32545dd66839203867b1d16cb823a624"),
-    (5, 9, 430, "85f9426096ca59607e8910feb3c735360bf67f6fdfb9cc2342852c706c201aa7"),
-    (6, 10, 3947, "0c6513ed260744f093a2e2aa7893e1723e082ceb6c4233b2d85a88e3d8e6a6fe"),
-    (7, 10, 2281, "dd24a814190ad9a00ddd9093712248527594b0d4281d67316fdb715f8312c4e3"),
-    (8, 11, 7981, "d14c4cb0f1c4dafbe5e17bdbf50214bf41bf56451569ce4244c09f8c57bc4ff7"),
-    (9, 11, 527, "3449ba38982b20c0a605e8b7b4c217d4ce25a912b01ad5691a7af5d12558d7c8"),
-    (10, 12, 14757, "6699fd40a5142b368b7fd806bea02f7079288e13328eced512557b41780ce6fc"),
-    (11, 12, 946, "305f25d838ea6836ced47c8d9180ee41b5275c069d0003845f75fa370b947f32"),
-    (12, 13, 3537, "46d873a55dab0403d2fe41319193e39dfa76cd1963322a897310ba857cc30b5a"),
-    (13, 13, 3613, "b0ed92d6783e335e9cd3f7c485a02ecadc0e7276bfd2b794cf6be4a4e57ca0d0"),
-    (14, 13, 320, "36ebd9a1c76ea19d233219c2824461b1c024656074d9bfc391feb23be134962d"),
-    (15, 14, 2644, "2673425ebc257fca216c4c0a72a180e61610dcce4ab38eac5a2b3598b85c56da"),
-    (16, 14, 2208, "50647376aa7bea782328a175a29410e5f7f08ea8dd268005c3d275c2236d99a4"),
+    (1, 5, 6, "9ce258fb02da46a592010490083548b2a960cc8d61056cde53a2128cd6e2fe95"),
+    (2, 7, 90, "305852d58efcc4215027745414abf3042539c3ff9b7328da1a5edf738f44936d"),
+    (3, 8, 57, "ce712d0581d6293931ec87d76665f8b8bd72aed7d97cf32ba01e4cff96b6baff"),
+    (4, 8, 427, "8bf9089c996d6a32c5dd3239ca69567f32545dd66839203867b1d16cb823a624"),
+    (5, 9, 79, "0e1526aabac1cfdeed331e7b3d8ecc599d2535a14b2fec2d2f2bae524074f0f6"),
+    (6, 10, 122, "6a61b1a1d8fbb0c7a36f80f742e2de2474d8edd86c627729d75dfc84c4798815"),
+    (7, 10, 73, "fe25f4f7a7d0b38fff6ae7dfb5f58528540c09f1ab6180141ad88978a2f16eea"),
+    (8, 11, 35, "84d4b3adaaafa3105a620ecf3d7b485cc8aed67e0ee818c8eeeba274f87bad59"),
+    (9, 11, 65, "d0c4a0e8ef21513750b3cc072ec1cfa40ea9cbcf9fa47ea783aa0f3536d71a53"),
+    (10, 12, 47, "40ef08203f80ab0c04d899ef0c28df0d793404b35e8dfb7a04b50a5f47dfe16a"),
+    (11, 12, 98, "afd4678f46e5297520bea285619c379c5b6ed19a251184190740dabe6881a38b"),
+    (12, 13, 656, "57859bd33eb411cd513ab3fe35d96c789cedc9b18bbf590572e9d36feed9bae0"),
+    (13, 13, 56, "462ca3a9728ef34a45ac7f4dc9ed59610398b33c7d913441d4d38c840ccd9b14"),
+    (14, 13, 279, "e4a66207a9e5f872466a687ddeaaadef7c28649d3dc34451da9e07eb3ab93884"),
+    (15, 14, 179, "491aaed78f60f1521c686ec982d2cd0434f514243850103ccd2420c0d4a6d2e5"),
+    (16, 14, 64, "a18f36ad55dd8eb4dfc72c2c4d8135b2c092dd4baf98f96bc927c09d4eaf6656"),
+    (17, 15, 200, "ab79266b8b973e2dce943782b7d5e18c7a03bbf38af81bc288a923dce7c25a88"),
+    (18, 15, 178, "3aedcb188b13a3c133831d77d19fda4bab367c19bf567cac879f78820d22fe77"),
+    (19, 15, 273, "4b3da12836b3617aaf1b35b101ce68ea9bcf0bb59de3683c0762e6f4e5d628ec"),
+    (20, 16, 249, "4d626d9eed8621cd1351cb175f300baa89e7764bee9a6ddbdf3047cb337e7c73"),
+    (21, 16, 256, "0e1583a6a8432ba7be40a6ebfcdaa1c02c7da032d6bf4f1301ee67031e089a0c"),
+    (22, 16, 102, "3713fbe28d130f4f9a14f535b9de7f8002453faf3d60dda321e48f803a1ef1f7"),
+    (23, 16, 447, "656dd9ed216e652511a058ddb4c03c4556ff4751f649038084c965a9936233b1"),
+    (24, 17, 142, "d8d5c9fada9df321ac77a3c97fbfd98ec5a863678df8068709f6a4ed62ff6644"),
+    (25, 17, 93, "031adab6398d052869c168828995d1a616ba23af31cf73330d0c9e7e0859a68f"),
+    (26, 17, 92, "1b9d915fea977c89a8b376a61b02d03679fec882988cc803add08cd762de1ee1"),
+    (27, 18, 394, "7f90fdb8a51ba2d48e4cc3685665aff08c3dfd32bf0373d9ae3c7b3f51c42806"),
+    (28, 18, 390, "981e408ed1f6f1bd9155cf448a7292cf5f4d3e1c3c186b28271f04cdab9a6438"),
+    (29, 18, 96, "8bbf392ae284090223786cf38c5b026497dcdf8dc159b4865d262b607e7f94c2"),
+    (30, 18, 119, "07c30764fe8d870ce979b458bc920c44b73e8771cd6f04fe63131e3ac268541a"),
+    (31, 19, 111, "c2a708d3c22ddd59225c122fed7cc972ab4c0da191ab4aae027f2bf8b9ec20ec"),
+    (32, 19, 465, "2816e9c903af222dd90b344ae0b500a04efd670fda9893af962d8cd80c6aa5a3"),
+    (33, 19, 160, "4c9d744466b771df3df3beaabb808c311ec8f87e5305af35304f864d2335a91c"),
+    (34, 19, 921, "8bdb9129db3c1b4760eb6f59b02a791e6f78942c93117f1d33d0524047cda939"),
 )
 
 # (order, genus, digest) for existence searches above the minimum order
@@ -377,10 +536,10 @@ SEARCH_GOLDENS = (
     (7, 1, "219c5304b2ed82971ca8177e237ae5fe532870564065d3fd89c68a3b148c605a"),
     (8, 1, "07b949513c0a08a12735c5bbe10aea1dfbfdf288c6c70c6934ecc833ac13e5cb"),
     (8, 2, "103f9001194ac456f0d5f0641e1f0c8184dfea018307f61caf871b3e02bae8e4"),
-    (9, 3, "65a27736a6d524e533f275d36334fc495cb9c033c8109eac4f41e81bc99f1c63"),
-    (9, 4, "d714b3c40bd1354665e6a048d376dba5592c1276790ff825eef26c070ad1d457"),
-    (10, 5, "14fa6de5e0aa05a16c61b8fb5a834925e20e5667c6a4a56793774f3620f202eb"),
-    (11, 7, "06ac84699c796966e8192b8e1f8cc81afee410b903d76a3007e01fc54bbc6486"),
+    (9, 3, "39f45f0a8253be47dc31f0769fff65ded10f1df90c4d6279f66a23ff7c96a7f4"),
+    (9, 4, "861ca3d8f87e4f51c57910e8baad767854b34d21ecdaf48d8f965addadbd46e6"),
+    (10, 5, "7ea26dc314d4e3efd5f5d8c43e7f10e737f22be8ae17215269ce50a7bdbcc43b"),
+    (11, 7, "525cd901e8ad173e8c251b97efba852dcbb4f684ca21ed50e11d7249286f9d82"),
 )
 
 
@@ -398,8 +557,11 @@ def test_min_order_scan_goldens():
                 genus, SearchBudget(max_nodes=100_000), max_order=order_lower_bound(genus)
             )
         assert (found.order, found.nodes, _digest(found.witness)) == (order, nodes, digest), genus
+        assert validate_quadrangulation(found.witness).is_quadrangulation, genus
 
 
 def test_search_goldens():
     for n, genus, digest in SEARCH_GOLDENS:
-        assert _digest(search_quadrangulation(n, genus)) == digest, (n, genus)
+        system = search_quadrangulation(n, genus)
+        assert _digest(system) == digest, (n, genus)
+        assert validate_quadrangulation(system).is_quadrangulation, (n, genus)
