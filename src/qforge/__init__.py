@@ -59,15 +59,11 @@ from .oracle import (
 from .spinal import (
     BuildError,
     BuildReport,
-    BuildState,
     WitnessConflict,
     build_for_genus,
     build_instance,
     build_spinal,
     build_spinal_report,
-    chord_add,
-    init_base,
-    tree_add,
 )
 
 __version__ = "0.1.0"

@@ -139,6 +139,18 @@ def euler_genus(system: RotationSystem) -> tuple[int, int]:
     return _euler(system, len(trace_faces(system)))
 
 
+def _quad_defect(walk: Sequence[tuple[int, int]]) -> str | None:
+    """Why a closed face walk, given as darts, is not a genuine quad, or
+    None if it is one.  A quad walk has length four and four distinct
+    corners; its four edges are then distinct too, since two edges of a
+    4-walk with distinct corners never join the same pair."""
+    if len(walk) != 4:
+        return f"has length {len(walk)}, not 4"
+    if len({tail for tail, _ in walk}) != 4:
+        return "revisits a vertex"
+    return None
+
+
 def validate_quadrangulation(system: RotationSystem) -> EmbeddingReport:
     """Check that every face of the embedding is a genuine 4-cycle.
 
@@ -151,16 +163,10 @@ def validate_quadrangulation(system: RotationSystem) -> EmbeddingReport:
     faces = trace_faces(system)
     failures: list[str] = []
     for index, face in enumerate(faces):
-        label = "-".join(str(v) for v in face.vertices())
-        if face.length != 4:
-            failures.append(f"face {index} ({label}) has length {face.length}, not 4")
-            continue
-        if len(set(face.vertices())) != 4:
-            failures.append(f"face {index} ({label}) revisits a vertex")
-            continue
-        edge_set = {frozenset(dart) for dart in face.darts}
-        if len(edge_set) != 4:
-            failures.append(f"face {index} ({label}) repeats an edge")
+        defect = _quad_defect(face.darts)
+        if defect:
+            label = "-".join(str(v) for v in face.vertices())
+            failures.append(f"face {index} ({label}) {defect}")
     chi, genus = _euler(system, len(faces))
     return EmbeddingReport(
         vertex_count=system.graph.vertex_count,

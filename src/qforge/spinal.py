@@ -8,16 +8,17 @@ the embedding is a quadrangulation whose genus equals the cycle rank of G
 and whose face count is twice the spine's edge count.
 
 Surgery happens inside witness faces: quads carrying both copies of a spine
-vertex as opposite corners.  Each step splices the new neighbors into four
-rotations and traces only the faces through the eight new darts: three
-quads for a tree edge, four for a chord.  Every new face must be a 4-cycle
-with distinct corners and edges, and the old darts on the new faces must be
-exactly the darts of the consumed witness faces, which proves that no other
-face changed.  If a step would leave some vertex without any witness, it is
-undone and the next witness face (or pair, for a chord) is tried, smallest
-first; these retries are reported as backtracks rather than assumed to be
-zero.  Spine edges are added in one fixed order (tree edges breadth-first,
-then chords), and the finished embedding is validated once in full.
+vertex as opposite corners.  Every step changes one private build state in
+place: it splices the new neighbors into four rotations and traces only the
+faces through the eight new darts (three quads for a tree edge, four for a
+chord).  Every new face must be a 4-cycle with distinct corners and edges,
+and the old darts on the new faces must be exactly the darts of the
+consumed witness faces, which proves that no other face changed.  If a step
+would leave some vertex without any witness, it is undone and the next
+witness face (or pair, for a chord) is tried, smallest first; these retries
+are reported as backtracks rather than assumed to be zero.  Spine edges are
+added in one fixed order (tree edges breadth-first, then chords), and the
+finished embedding is validated once in full.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterable
 
-from .embedding import RotationSystem, _rotate_to_min, validate_quadrangulation
+from .embedding import RotationSystem, _quad_defect, _rotate_to_min, validate_quadrangulation
 from .formulas import certified_minimal
 from .graph import Edge, Graph, complete_graph, delete_edges_connected, interlace
 
@@ -68,56 +69,21 @@ def _witnessed(face: Quad) -> list[int]:
     return [x >> 1 for x, y in ((a, c), (b, d)) if x ^ 1 == y]
 
 
-@dataclass(frozen=True)
-class BuildState:
-    """A partial spinal embedding: the spine grown so far, the rotation map
-    of its interlacement, the current quad faces, and the witness table.
-
-    Faces are canonical corner 4-tuples (rotated to start at the smallest
-    corner, orientation kept).  The witness table maps each spine vertex to
-    the ascending list of faces holding its two copies as opposite corners;
-    by construction every spine vertex has at least one.
-    """
-
-    spine_vertices: frozenset[int]
-    spine_edges: frozenset[Edge]
-    rotations: dict[int, tuple[int, ...]]
-    faces: tuple[Quad, ...]
-    witnesses: dict[int, tuple[Quad, ...]]
-
-    @property
-    def spine_rank(self) -> int:
-        return len(self.spine_edges) - len(self.spine_vertices) + 1
-
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
-
-    def spine_graph(self) -> Graph:
-        """The spine as a Graph value; needs contiguous vertex ids from 0."""
-        if self.spine_vertices != frozenset(range(len(self.spine_vertices))):
-            raise ValueError("spine vertex ids are not contiguous from 0")
-        return Graph(len(self.spine_vertices), self.spine_edges)
-
-    def embedding(self) -> RotationSystem:
-        """The current embedding; needs contiguous spine vertex ids."""
-        graph = interlace(self.spine_graph())
-        return RotationSystem(
-            graph, tuple(self.rotations[v] for v in range(2 * len(self.spine_vertices)))
-        )
-
-
 # ============================================================
-# Surgery steps on a private mutable state
+# Surgery steps
 # ============================================================
 
 
 class _Build:
-    """The mutable counterpart of BuildState that every surgery step runs on.
+    """A partial spinal embedding, grown in place one spine edge at a time:
+    the spine so far, the rotation at every embedding vertex, the current
+    quad faces, and the witness table.
 
-    A step replaces whole rotation tuples, so undoing it only puts the old
-    tuples back.  Faces are kept as a set of canonical quads and each
-    witness list stays in ascending order.
+    Faces are canonical corner 4-tuples (rotated to start at the smallest
+    corner, orientation kept).  The witness table maps each spine vertex to
+    the ascending list of faces holding its two copies as opposite corners;
+    every spine vertex keeps at least one.  A step replaces whole rotation
+    tuples, so undoing it only puts the old tuples back.
     """
 
     __slots__ = ("spine_vertices", "spine_edges", "rotations", "faces", "witnesses")
@@ -129,25 +95,6 @@ class _Build:
         self.faces: set[Quad] = set()
         self.witnesses: dict[int, list[Quad]] = {}
 
-    @classmethod
-    def thaw(cls, state: BuildState) -> _Build:
-        build = cls()
-        build.spine_vertices = set(state.spine_vertices)
-        build.spine_edges = set(state.spine_edges)
-        build.rotations = dict(state.rotations)
-        build.faces = set(state.faces)
-        build.witnesses = {w: list(table) for w, table in state.witnesses.items()}
-        return build
-
-    def freeze(self) -> BuildState:
-        return BuildState(
-            frozenset(self.spine_vertices),
-            frozenset(self.spine_edges),
-            {v: self.rotations[v] for v in sorted(self.rotations)},
-            tuple(sorted(self.faces)),
-            {w: tuple(self.witnesses[w]) for w in sorted(self.witnesses)},
-        )
-
     def base(self, u: int, v: int) -> None:
         """The single spine edge (u, v) on an empty state: a 4-cycle in the
         sphere whose two quad faces each witness both endpoints."""
@@ -156,6 +103,7 @@ class _Build:
         self._splice(u, v, {u0: (v0, v1), u1: (v0, v1), v0: (u0, u1), v1: (u0, u1)}, ())
 
     def tree_surgery(self, u: int, v: int, face: Quad) -> None:
+        """Attach a new leaf v to u inside a witness face of u, split into three quads."""
         u0, u1 = _copies(u)
         v0, v1 = _copies(v)
         _, x, mid, y = _align_quad(face, u0)
@@ -170,6 +118,7 @@ class _Build:
         self._splice(u, v, rotations, (face,))
 
     def chord_surgery(self, u: int, v: int, face_u: Quad, face_v: Quad) -> None:
+        """Join u and v by a handle between a witness face of each: two quads become four."""
         u0, u1 = _copies(u)
         v0, v1 = _copies(v)
         _, a, _, b = _align_quad(face_u, u0)
@@ -228,8 +177,9 @@ class _Build:
 
     def _trace_new_faces(self, u: int, v: int, consumed: tuple[Quad, ...]) -> list[Quad]:
         """Trace the faces through the eight darts between the copies of u
-        and v, check that each is a genuine quad, and check that their other
-        darts are exactly those of the consumed faces."""
+        and v, check that each is a genuine quad (walks stop after five
+        darts), and check that their other darts are exactly those of the
+        consumed faces."""
         new_darts = {(x, y) for x in _copies(u) for y in _copies(v)}
         new_darts |= {(y, x) for x, y in new_darts}
         seen: set[tuple[int, int]] = set()
@@ -246,14 +196,12 @@ class _Build:
                 if dart == start:
                     break
                 walk.append(dart)
-            corners = tuple(x for x, _ in walk)
-            if len(walk) != 4:
-                raise BuildError(f"surgery made a face through {start} that is not a 4-walk")
-            if len(set(corners)) != 4 or len({frozenset(dart) for dart in walk}) != 4:
-                raise BuildError(f"surgery made a face {corners} that revisits a corner or edge")
+            defect = "is longer than 4" if len(walk) > 4 else _quad_defect(walk)
+            if defect:
+                raise BuildError(f"surgery made a face through {start} that {defect}")
             seen.update(walk)
             old_darts.update(dart for dart in walk if dart not in new_darts)
-            created.append(_rotate_to_min(corners))
+            created.append(_rotate_to_min([x for x, _ in walk]))
         if old_darts != {(face[i], face[(i + 1) % 4]) for face in consumed for i in range(4)}:
             raise BuildError("surgery changed faces other than the consumed witness faces")
         return created
@@ -272,74 +220,6 @@ def _first_fit(attempt: Callable[..., None], choices: Iterable[tuple]) -> int:
             return tried
     assert conflict is not None  # the witness table is never empty
     raise conflict
-
-
-def init_base(u: int, v: int) -> BuildState:
-    """Start a build from the single spine edge (u, v): a 4-cycle embedded
-    in the sphere whose two quad faces each witness both endpoints."""
-    if u == v:
-        raise ValueError("spine edge endpoints must differ")
-    if u < 0 or v < 0:
-        raise ValueError("vertex ids must be non-negative")
-    build = _Build()
-    build.base(u, v)
-    return build.freeze()
-
-
-def tree_add(state: BuildState, u: int, v: int, witness: Quad | None = None) -> BuildState:
-    """Grow the spine by a new leaf v attached to u.
-
-    The two copies of v land inside a witness face of u, splitting it into
-    three quads; the genus is unchanged and the face count rises by two.
-    With witness=None the smallest witness face that keeps every vertex
-    witnessed is chosen; callers may force a specific face instead.
-    """
-    if u not in state.spine_vertices:
-        raise ValueError(f"vertex {u} is not in the spine")
-    if v in state.spine_vertices:
-        raise ValueError(f"vertex {v} is already in the spine")
-    if v < 0:
-        raise ValueError("vertex ids must be non-negative")
-    if witness is not None and witness not in state.witnesses[u]:
-        raise ValueError(f"face {witness} is not a witness of vertex {u}")
-    candidates = (witness,) if witness is not None else state.witnesses[u]
-    build = _Build.thaw(state)
-    _first_fit(partial(build.tree_surgery, u, v), product(candidates))
-    return build.freeze()
-
-
-def chord_add(
-    state: BuildState,
-    u: int,
-    v: int,
-    witness_u: Quad | None = None,
-    witness_v: Quad | None = None,
-) -> BuildState:
-    """Join two spine vertices already present, splicing a handle between a
-    witness face of u and one of v; the genus rises by one.
-
-    The two faces are cut open and rejoined by the four new edges between
-    the copies of u and the copies of v, turning two quads into four.  The
-    witness faces are automatically distinct while the spine edge is absent.
-    As with tree_add, explicit faces may be forced; otherwise pairs are
-    tried smallest-first until one keeps every vertex witnessed.
-    """
-    for w in (u, v):
-        if w not in state.spine_vertices:
-            raise ValueError(f"vertex {w} is not in the spine")
-    if u == v:
-        raise ValueError("chord endpoints must differ")
-    if (min(u, v), max(u, v)) in state.spine_edges:
-        raise ValueError(f"spine edge ({u}, {v}) is already present")
-    if witness_u is not None and witness_u not in state.witnesses[u]:
-        raise ValueError(f"face {witness_u} is not a witness of vertex {u}")
-    if witness_v is not None and witness_v not in state.witnesses[v]:
-        raise ValueError(f"face {witness_v} is not a witness of vertex {v}")
-    candidates_u = (witness_u,) if witness_u is not None else state.witnesses[u]
-    candidates_v = (witness_v,) if witness_v is not None else state.witnesses[v]
-    build = _Build.thaw(state)
-    _first_fit(partial(build.chord_surgery, u, v), product(candidates_u, candidates_v))
-    return build.freeze()
 
 
 # ============================================================

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
+from itertools import product
 
 import pytest
 
@@ -27,9 +29,8 @@ from qforge.spinal import (
     build_instance,
     build_spinal,
     build_spinal_report,
-    chord_add,
-    init_base,
-    tree_add,
+    _Build,
+    _first_fit,
 )
 
 
@@ -67,23 +68,62 @@ def _document_bytes(report):
     return canonical_json(doc).encode("utf-8")
 
 
-def _retraced(state):
-    """Faces and witness table of a state, traced afresh from its rotations
+def _base(u, v):
+    build = _Build()
+    build.base(u, v)
+    return build
+
+
+def _grow(build, u, v):
+    """Add spine edge (u, v) the way the driver does: the first witness
+    face of u (or pair, for a chord) that causes no conflict."""
+    if v in build.spine_vertices:
+        choices = product(build.witnesses[u], build.witnesses[v])
+        _first_fit(partial(build.chord_surgery, u, v), choices)
+    else:
+        _first_fit(partial(build.tree_surgery, u, v), product(build.witnesses[u]))
+    return build
+
+
+def _embedding(build):
+    """The embedding of a build whose spine ids run from 0."""
+    n = len(build.spine_vertices)
+    graph = interlace(Graph(n, frozenset(build.spine_edges)))
+    return RotationSystem(graph, tuple(build.rotations[v] for v in range(2 * n)))
+
+
+def _tables(build):
+    """Faces and witness table of a build, in ascending order."""
+    return tuple(sorted(build.faces)), {w: tuple(fs) for w, fs in build.witnesses.items()}
+
+
+def _snapshot(build):
+    return (
+        dict(build.rotations),
+        set(build.faces),
+        {w: list(fs) for w, fs in build.witnesses.items()},
+        set(build.spine_vertices),
+        set(build.spine_edges),
+    )
+
+
+def _retraced(build):
+    """Faces and witness table of a build, traced afresh from its rotations
     (embedding vertices compacted to 0..k-1 for tracing, then mapped back)."""
-    ids = sorted(state.rotations)
+    ids = sorted(build.rotations)
     index = {v: k for k, v in enumerate(ids)}
     edges = {
         (min(index[v], index[u]), max(index[v], index[u]))
-        for v, rotation in state.rotations.items()
+        for v, rotation in build.rotations.items()
         for u in rotation
     }
     system = RotationSystem(
         Graph(len(ids), frozenset(edges)),
-        tuple(tuple(index[u] for u in state.rotations[v]) for v in ids),
+        tuple(tuple(index[u] for u in build.rotations[v]) for v in ids),
     )
     report = validate_quadrangulation(system)
     assert report.is_quadrangulation, report.failures
-    assert report.genus == state.spine_rank
+    assert report.genus == len(build.spine_edges) - len(build.spine_vertices) + 1
     faces = []
     for walk in trace_faces(system):
         corners = [ids[k] for k in walk.vertices()]
@@ -92,7 +132,7 @@ def _retraced(state):
     faces.sort()
     witnesses = {
         w: tuple(f for f in faces if {2 * w, 2 * w + 1} in ({f[0], f[2]}, {f[1], f[3]}))
-        for w in state.spine_vertices
+        for w in build.spine_vertices
     }
     return tuple(faces), witnesses
 
@@ -103,78 +143,44 @@ def _retraced(state):
 
 
 def test_init_base():
-    state = init_base(0, 1)
-    assert state.spine_vertices == frozenset({0, 1})
-    assert state.spine_edges == frozenset({(0, 1)})
-    assert state.faces == ((0, 2, 1, 3), (0, 3, 1, 2))
-    assert state.witnesses == {
-        0: ((0, 2, 1, 3), (0, 3, 1, 2)),
-        1: ((0, 2, 1, 3), (0, 3, 1, 2)),
-    }
-    assert state.spine_rank == 0
-    system = state.embedding()
+    build = _base(0, 1)
+    assert build.spine_vertices == {0, 1}
+    assert build.spine_edges == {(0, 1)}
+    assert _tables(build) == (
+        ((0, 2, 1, 3), (0, 3, 1, 2)),
+        {0: ((0, 2, 1, 3), (0, 3, 1, 2)), 1: ((0, 2, 1, 3), (0, 3, 1, 2))},
+    )
+    system = _embedding(build)
     assert system.graph == octahedral_graph(2)
     assert validate_quadrangulation(system).is_quadrangulation
 
 
-def test_init_base_rejects():
-    with pytest.raises(ValueError):
-        init_base(3, 3)
-    with pytest.raises(ValueError):
-        init_base(-1, 0)
-
-
-def test_init_base_sparse_ids():
-    # Spine ids need not be contiguous mid-build, but the embedding view
-    # requires them to be.
-    state = init_base(0, 2)
-    assert state.spine_vertices == frozenset({0, 2})
-    assert state.faces == ((0, 4, 1, 5), (0, 5, 1, 4))
-    with pytest.raises(ValueError):
-        state.spine_graph()
-
-
 def test_tree_add_grows_a_leaf():
-    state = tree_add(init_base(0, 1), 1, 2)
-    assert state.spine_vertices == frozenset({0, 1, 2})
-    assert state.spine_edges == frozenset({(0, 1), (1, 2)})
-    assert state.face_count == 4
-    assert state.spine_rank == 0
+    build = _grow(_base(0, 1), 1, 2)
+    assert build.spine_vertices == {0, 1, 2}
+    assert build.spine_edges == {(0, 1), (1, 2)}
+    assert len(build.faces) == 4
     for w in (0, 1, 2):
-        assert state.witnesses[w]
-    report = validate_quadrangulation(state.embedding())
+        assert build.witnesses[w]
+    report = validate_quadrangulation(_embedding(build))
     assert report.is_quadrangulation
     assert (report.vertex_count, report.edge_count, report.face_count) == (6, 8, 4)
     assert report.genus == 0
 
 
-def test_tree_add_rejects():
-    state = init_base(0, 1)
-    with pytest.raises(ValueError):
-        tree_add(state, 5, 6)  # 5 not in the spine
-    with pytest.raises(ValueError):
-        tree_add(state, 0, 1)  # 1 already present
-    with pytest.raises(ValueError):
-        tree_add(state, 0, -2)
-    with pytest.raises(ValueError):
-        tree_add(state, 0, 2, witness=(9, 9, 9, 9))
-
-
 def test_chord_add_raises_genus():
-    state = tree_add(init_base(0, 1), 1, 2)
-    closed = chord_add(state, 0, 2)
-    assert closed.spine_edges == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert closed.spine_rank == 1
-    assert closed.face_count == 6
-    report = validate_quadrangulation(closed.embedding())
+    build = _grow(_grow(_base(0, 1), 1, 2), 0, 2)
+    assert build.spine_edges == {(0, 1), (0, 2), (1, 2)}
+    assert len(build.faces) == 6
+    report = validate_quadrangulation(_embedding(build))
     assert report.is_quadrangulation
     assert report.genus == 1
-    assert closed.embedding().graph == octahedral_graph(3)
+    assert _embedding(build).graph == octahedral_graph(3)
 
 
 def test_triangle_walkthrough_rotations():
-    state = chord_add(tree_add(init_base(0, 1), 1, 2), 0, 2)
-    assert state.embedding().rotations == (
+    build = _grow(_grow(_base(0, 1), 1, 2), 0, 2)
+    assert _embedding(build).rotations == (
         (2, 5, 4, 3),
         (2, 3, 4, 5),
         (0, 5, 4, 1),
@@ -184,45 +190,21 @@ def test_triangle_walkthrough_rotations():
     )
 
 
-def test_chord_add_rejects():
-    state = tree_add(init_base(0, 1), 1, 2)
-    with pytest.raises(ValueError):
-        chord_add(state, 0, 5)
-    with pytest.raises(ValueError):
-        chord_add(state, 2, 2)
-    with pytest.raises(ValueError):
-        chord_add(state, 0, 1)  # edge already in the spine
-    with pytest.raises(ValueError):
-        chord_add(state, 0, 2, witness_u=(1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        chord_add(state, 0, 2, witness_v=(1, 2, 3, 4))
-
-
 def test_every_witness_pair_fails_loudly_or_verifies():
     # Forcing explicit witness pairs must never yield a half-broken state:
     # each choice either raises WitnessConflict or passes full validation.
-    state = tree_add(init_base(0, 1), 1, 2)
+    path = _grow(_base(0, 1), 1, 2)
     outcomes = []
-    for face_u in state.witnesses[0]:
-        for face_v in state.witnesses[2]:
-            try:
-                closed = chord_add(state, 0, 2, witness_u=face_u, witness_v=face_v)
-            except WitnessConflict:
-                outcomes.append("conflict")
-                continue
-            outcomes.append("ok")
-            assert validate_quadrangulation(closed.embedding()).is_quadrangulation
+    for face_u, face_v in product(path.witnesses[0], path.witnesses[2]):
+        build = _grow(_base(0, 1), 1, 2)
+        try:
+            build.chord_surgery(0, 2, face_u, face_v)
+        except WitnessConflict:
+            outcomes.append("conflict")
+            continue
+        outcomes.append("ok")
+        assert validate_quadrangulation(_embedding(build)).is_quadrangulation
     assert "ok" in outcomes
-
-
-def test_states_are_immutable_snapshots():
-    base = init_base(0, 1)
-    grown = tree_add(base, 1, 2)
-    assert base.spine_vertices == frozenset({0, 1})
-    assert base.face_count == 2
-    assert grown is not base
-    # the shared-prefix rotations were copied, not mutated
-    assert base.rotations[2] == (0, 1)
 
 
 # ============================================================
@@ -353,31 +335,28 @@ def test_build_error_is_distinct_from_witness_conflict():
 def test_public_steps_match_a_full_retrace():
     # Each step traces only the faces it creates; re-trace every
     # intermediate state in full and compare faces and witness tables.
-    # Random forced witnesses take the build off the default path, and
-    # every step made after a conflict checks that the conflict left no trace.
+    # Random forced witnesses take the build off the default path, and a
+    # step that conflicts must leave the state exactly as it found it.
     rng = random.Random(2718)
     conflicts = 0
     for _ in range(25):
         _, tree, chords = _relabeled_spine_steps(rng, max_vertices=9, max_chords=12)
-        state = init_base(*tree[0])
-        assert (state.faces, state.witnesses) == _retraced(state)
-        steps = [(tree_add, u, v) for u, v in tree[1:]] + [(chord_add, u, v) for u, v in chords]
-        for add, u, v in steps:
-            if add is tree_add:
-                forced = {"witness": rng.choice(state.witnesses[u])}
-            else:
-                forced = {
-                    "witness_u": rng.choice(state.witnesses[u]),
-                    "witness_v": rng.choice(state.witnesses[v]),
-                }
+        build = _base(*tree[0])
+        assert _tables(build) == _retraced(build)
+        for u, v in tree[1:] + chords:
+            before = _snapshot(build)
             try:
-                grown = add(state, u, v, **forced)
+                if v in build.spine_vertices:
+                    forced = (rng.choice(build.witnesses[u]), rng.choice(build.witnesses[v]))
+                    build.chord_surgery(u, v, *forced)
+                else:
+                    build.tree_surgery(u, v, rng.choice(build.witnesses[u]))
             except WitnessConflict:
                 conflicts += 1
-                grown = add(state, u, v)
-            assert (grown.faces, grown.witnesses) == _retraced(grown)
-            assert grown.face_count == state.face_count + 2
-            state = grown
+                assert _snapshot(build) == before
+                _grow(build, u, v)
+            assert _tables(build) == _retraced(build)
+            assert len(build.faces) == len(before[1]) + 2
     assert conflicts > 0
 
 
