@@ -8,8 +8,11 @@ faces dart by dart, growing the rotation at every vertex incrementally and
 abandoning a branch as soon as a face would close at the wrong length or
 revisit a vertex.  Each step places a face on the open dart with the fewest
 ways left to complete one (most-constrained first, as in Knuth's Dancing
-Links), reading each corner's options from per-vertex sets of neighbours
-that still lack a predecessor in the rotation.
+Links), reading each corner's options from per-vertex bitmasks of
+neighbours that still lack a predecessor in the rotation, so scoring a dart
+is a few integer ANDs and popcounts.  The search runs as one loop over an
+explicit stack of placed faces, so a witness of any size fits in it without
+touching Python's recursion limit.
 
 Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration and assembly; running out of it raises BudgetExhausted
@@ -131,37 +134,41 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
 class _FaceAssembler:
     """Backtracking assembly of quad faces over one candidate graph.
 
+    Vertex sets are integer bitmasks: bit w of ``nmask[v]`` is the edge vw.
     State is a partial successor map at every vertex (the rotation under
-    construction, as "w follows u at v"), the set of darts already placed
-    into a face, and per vertex the set ``free_in`` of neighbours that have
-    no predecessor there yet.  A face walk arriving at v from u continues to
-    ``_options(v, u)``: the forced successor of u at v if there is one, else
-    ``free_in[v]`` minus u and minus the head of u's partial rotation path,
+    construction, as "w follows u at v", -1 where unset), per vertex the mask
+    ``free[v]`` of neighbours that have no predecessor there yet, and per
+    vertex the mask ``open[v]`` of neighbours w whose dart (v, w) is not yet
+    in a face.  A face walk arriving at v from u continues to
+    ``options(v, u)``: the forced successor of u at v if there is one, else
+    ``free[v]`` minus u and minus the head of u's partial rotation path,
     whose choice would close a rotation cycle that misses a neighbour (the
     head stays when the assignment completes the rotation).  Options are
-    cached per vertex until that vertex's rotation changes.
+    cached per vertex as ints, -1 meaning not computed, until that vertex's
+    rotation changes.
 
     Each step branches on the open dart (a, b) with the fewest face
-    completions, k(a, b) = sum over c in opts(b, a) of |opts(c, b) & N(a)|:
-    the most-constrained-first rule.  Ties go to the first dart in ascending
-    order, the scan stops at the first dart with k <= 1, and k = 0 ends the
-    branch.  The rotation at one maximum-degree vertex is pre-fixed to
-    ascending order: every embedding of every isomorph can be relabeled to
-    respect that, and all labelings are enumerated by the caller, so no
-    witness is lost while the symmetry factor drops out.
+    completions, k(a, b) = sum over c in options(b, a) of
+    popcount(options(c, b) & nmask[a]): the most-constrained-first rule.
+    Ties go to the first dart in ascending order, the scan stops at the first
+    dart with k <= 1, and k = 0 ends the branch.  The search is one loop over
+    an explicit stack with one frame per placed face, so its depth is not
+    bounded by Python's recursion limit.  The rotation at one maximum-degree
+    vertex is pre-fixed to ascending order: every embedding of every isomorph
+    can be relabeled to respect that, and all labelings are enumerated by the
+    caller, so no witness is lost while the symmetry factor drops out.
     """
 
     def __init__(self, graph: Graph, ticker: _Ticker) -> None:
         n = self.n = graph.vertex_count
         adjacency = self.adjacency = graph.adjacency()
-        self.neighbor_sets = [frozenset(row) for row in adjacency]
         self.degree = [len(row) for row in adjacency]
-        self.succ: list[dict[int, int]] = [{} for _ in range(n)]
-        self.pred: list[dict[int, int]] = [{} for _ in range(n)]
-        self.free_in = [set(row) for row in adjacency]
-        self.option_cache: list[dict[int, set[int]]] = [{} for _ in range(n)]
-        self.used: set[tuple[int, int]] = set()
-        self.darts = [(u, v) for u in range(n) for v in adjacency[u]]
+        nmask = self.nmask = [sum(1 << w for w in row) for row in adjacency]
+        self.free = nmask[:]
+        self.open = nmask[:]
+        self.succ = [[-1] * n for _ in range(n)]
+        self.pred = [[-1] * n for _ in range(n)]
+        self.cache = [[-1] * n for _ in range(n)]
         self.ticker = ticker
         anchor = min(range(n), key=lambda v: (-self.degree[v], v))
         ring = adjacency[anchor]
@@ -170,101 +177,148 @@ class _FaceAssembler:
 
     # ---- successor-map bookkeeping ----
 
-    def _options(self, v: int, u: int) -> set[int]:
-        """Every w that "w follows u at v" may take; callers must not mutate it."""
-        cache = self.option_cache[v]
-        options = cache.get(u)
-        if options is None:
-            succ = self.succ[v]
-            forced = succ.get(u)
-            if forced is not None:
-                options = {forced}
-            else:
-                options = self.free_in[v] - {u}
-                if len(succ) + 1 < self.degree[v]:
-                    pred = self.pred[v]
-                    head = u
-                    while head in pred:
-                        head = pred[head]
-                    options.discard(head)
-            cache[u] = options
+    def _options(self, v: int, u: int) -> int:
+        """Mask of every w that "w follows u at v" may take; fills the cache."""
+        forced = self.succ[v][u]
+        if forced >= 0:
+            options = 1 << forced
+        else:
+            free = self.free[v]
+            options = free & ~(1 << u)
+            if free & (free - 1):  # the assignment leaves the rotation open
+                pred = self.pred[v]
+                head = u
+                while pred[head] >= 0:
+                    head = pred[head]
+                options &= ~(1 << head)
+        self.cache[v][u] = options
         return options
 
     def _assign(self, v: int, u: int, w: int) -> None:
         self.succ[v][u] = w
         self.pred[v][w] = u
-        self.free_in[v].remove(w)
-        self.option_cache[v].clear()
+        self.free[v] ^= 1 << w
+        self.cache[v] = [-1] * self.n
 
     def _unassign(self, v: int, u: int) -> None:
-        w = self.succ[v].pop(u)
-        del self.pred[v][w]
-        self.free_in[v].add(w)
-        self.option_cache[v].clear()
+        w = self.succ[v][u]
+        self.succ[v][u] = -1
+        self.pred[v][w] = -1
+        self.free[v] |= 1 << w
+        self.cache[v] = [-1] * self.n
 
     # ---- face assembly ----
 
     def search(self) -> tuple[tuple[int, ...], ...] | None:
         """Complete rotations with all faces of length 4, or None."""
-        if self._extend():
-            return tuple(self._rotation_of(v) for v in range(self.n))
-        return None
+        ticker = self.ticker
+        # one frame per placed face: [a, b, (c, d) completions, next index, assignments]
+        stack: list[list] = []
+        while True:
+            ticker(node=False)
+            dart = self._most_constrained()
+            if dart is None:
+                return tuple(self._rotation_of(v) for v in range(self.n))
+            frame = [*dart, self._completions(*dart), 0, []]
+            stack.append(frame)
+            while not self._place_next(frame):
+                stack.pop()
+                if not stack:
+                    return None
+                frame = stack[-1]
+                self._lift(frame)
 
     def _rotation_of(self, v: int) -> tuple[int, ...]:
         start = self.adjacency[v][0]
+        succ = self.succ[v]
         out = [start]
         while len(out) < self.degree[v]:
-            out.append(self.succ[v][out[-1]])
+            out.append(succ[out[-1]])
         return tuple(out)
 
-    def _extend(self) -> bool:
-        self.ticker(node=False)
-        options, neighbor_sets, used = self._options, self.neighbor_sets, self.used
-        best, fewest = None, float("inf")
-        for dart in self.darts:
-            if dart in used:
-                continue
-            a, b = dart
-            near_a = neighbor_sets[a]
-            count = 0
-            for c in options(b, a):
-                count += len(options(c, b) & near_a)
-                if count >= fewest:
+    def _most_constrained(self) -> tuple[int, int] | None:
+        """The open dart to branch on, or None when every dart is in a face."""
+        cache, nmask, options = self.cache, self.nmask, self._options
+        best, fewest = None, 1 << 62
+        for a, darts in enumerate(self.open):
+            near_a = nmask[a]
+            while darts:
+                low = darts & -darts
+                darts ^= low
+                b = low.bit_length() - 1
+                after_b = cache[b][a]
+                if after_b < 0:
+                    after_b = options(b, a)
+                count = 0
+                while after_b:
+                    low = after_b & -after_b
+                    after_b ^= low
+                    c = low.bit_length() - 1
+                    after_c = cache[c][b]
+                    if after_c < 0:
+                        after_c = options(c, b)
+                    count += (after_c & near_a).bit_count()
+                    if count >= fewest:
+                        break
+                else:
+                    best, fewest = (a, b), count
+                    if count <= 1:
+                        return best
+        return best
+
+    def _completions(self, a: int, b: int) -> list[tuple[int, int]]:
+        """Every (c, d) closing a face (a, b, c, d) now, in ascending order."""
+        near_a = self.nmask[a]
+        return [
+            (c, d)
+            for c in _bits(self._options(b, a))
+            for d in _bits(self._options(c, b) & near_a)
+        ]
+
+    def _place_next(self, frame: list) -> bool:
+        """Place the frame's next completion that fits; False once none is left."""
+        a, b, completions, _, placed = frame
+        while frame[3] < len(completions):
+            c, d = completions[frame[3]]
+            frame[3] += 1
+            self.ticker()
+            for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
+                if not self._options(v, u) >> w & 1:
                     break
+                if self.succ[v][u] < 0:
+                    self._assign(v, u, w)
+                    placed.append((v, u))
             else:
-                best, fewest = dart, count
-                if count <= 1:
-                    break
-        if best is None:
-            return True
-        a, b = best
-        near_a = neighbor_sets[a]
-        for c in sorted(options(b, a)):
-            for d in sorted(options(c, b) & near_a):
-                self.ticker()
-                if self._try_face(a, b, c, d):
-                    return True
+                self._toggle_face(a, b, c, d)
+                return True
+            self._undo(placed)
         return False
 
-    def _try_face(self, a: int, b: int, c: int, d: int) -> bool:
-        """Close the face (a, b, c, d), recurse, undo on failure."""
-        constraints = ((b, a, c), (c, b, d), (d, c, a), (a, d, b))
-        newly = []
-        for v, u, w in constraints:
-            if w not in self._options(v, u):
-                break
-            if u not in self.succ[v]:
-                self._assign(v, u, w)
-                newly.append((v, u))
-        else:
-            face_darts = ((a, b), (b, c), (c, d), (d, a))
-            self.used.update(face_darts)
-            if self._extend():
-                return True
-            self.used.difference_update(face_darts)
-        for v, u in reversed(newly):
-            self._unassign(v, u)
-        return False
+    def _lift(self, frame: list) -> None:
+        """Take back the face the frame placed last."""
+        a, b, completions, index, placed = frame
+        self._toggle_face(a, b, *completions[index - 1])
+        self._undo(placed)
+
+    def _toggle_face(self, a: int, b: int, c: int, d: int) -> None:
+        """Flip the open bits of the face's four darts, which are all open or all used."""
+        opened = self.open
+        opened[a] ^= 1 << b
+        opened[b] ^= 1 << c
+        opened[c] ^= 1 << d
+        opened[d] ^= 1 << a
+
+    def _undo(self, placed: list[tuple[int, int]]) -> None:
+        while placed:
+            self._unassign(*placed.pop())
+
+
+def _bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
+import sys
 from itertools import combinations, permutations, product
 
 import pytest
@@ -414,7 +416,7 @@ def test_time_cap_type():
 
 def test_assembler_scoring_scan_obeys_time_cap():
     # the next step is the 4096th, so the clock is read before any node is
-    # counted: only the dart-scoring scan of the first _extend can reach it
+    # counted: only the first dart-scoring scan of search() can reach it
     ticker = _Ticker(SearchBudget(time_cap=1e-9))
     ticker.steps = 4095
     with pytest.raises(BudgetExhausted, match="time cap"):
@@ -460,17 +462,33 @@ def test_min_order_scan_with_max_order_cap():
 
 
 def test_min_order_scan_reaches_lower_bound_at_former_holdouts():
-    # the first-open-dart assembler left genus 17 open after millions of nodes
-    for genus, order in ((17, 15), (48, 23)):
+    # the first-open-dart assembler left genus 17 open after millions of nodes;
+    # node counts and digests pin the branching decisions beyond order 19
+    for genus, order, nodes, digest in (
+        (17, 15, 200, "ab79266b8b973e2dce943782b7d5e18c7a03bbf38af81bc288a923dce7c25a88"),
+        (48, 23, 974, "f1db8f74bc2fd0f8a00036f9ceabcc3f0fc7369fd141d37d4319ef56f455f5cb"),
+    ):
         assert order_lower_bound(genus) == order
         found = min_order_bruteforce(
             genus, SearchBudget(max_nodes=100_000), max_order=order_lower_bound(genus)
         )
-        assert found.order == order
+        assert (found.order, found.nodes, _digest(found.witness)) == (order, nodes, digest)
         report = validate_quadrangulation(found.witness)
         assert report.is_quadrangulation
         assert report.genus == genus
         assert found.witness.graph.vertex_count == order
+
+
+def test_assembler_depth_is_not_bounded_by_recursion_limit():
+    # the genus-34 witness has 85 faces; a search recursing per placed face
+    # needs more than the 100 frames left here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        found = min_order_bruteforce(34, SearchBudget(max_nodes=100_000), max_order=19)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (found.order, found.nodes) == (19, 921)
 
 
 def test_min_order_scan_rejects_negative_genus():
