@@ -27,6 +27,7 @@ from .formulas import (
     half_order_cap,
     isqrt,
     min_order,
+    min_order_runs,
     min_spine_size,
     order_lower_bound,
     spectrum,

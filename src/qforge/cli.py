@@ -22,7 +22,7 @@ from .embedding import (
     save_embedding,
     validate_quadrangulation,
 )
-from .formulas import MinOrderResult, min_order, spectrum
+from .formulas import MinOrderResult, min_order_runs, spectrum
 from .graph import FormatError, interlace, load_graph, save_graph
 from .oracle import (
     BudgetExhausted,
@@ -37,19 +37,29 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# most minorder lines written at once
+_SCAN_CHUNK = 4096
+
 
 def _format_result(result: MinOrderResult) -> str:
+    """The answer of a minorder line, without its "g=<genus>: " prefix."""
     if result.kind == "exact":
-        return f"g={result.genus}: order {result.value} exactly ({result.source})"
-    return f"g={result.genus}: order in [{result.lower}, {result.upper}] ({result.source})"
+        return f"order {result.value} exactly ({result.source})"
+    return f"order in [{result.lower}, {result.upper}] ({result.source})"
 
 
 def _cmd_minorder(args: argparse.Namespace) -> int:
     last = args.scan if args.scan is not None else args.genus
     if last < args.genus:
         raise ValueError("--scan must not be below -g")
-    for g in range(args.genus, last + 1):
-        print(_format_result(min_order(g)))
+    # one classification per run of genera sharing an answer, and one write
+    # per run or per _SCAN_CHUNK lines of it: a run near genus 10**30 spans
+    # about 10**14 genera, so whole runs could not be held in memory
+    for start, stop, result in min_order_runs(args.genus, last):
+        text = _format_result(result)
+        for first in range(start, stop + 1, _SCAN_CHUNK):
+            chunk = range(first, min(first + _SCAN_CHUNK, stop + 1))
+            sys.stdout.write("".join(f"g={g}: {text}\n" for g in chunk))
     return EXIT_OK
 
 

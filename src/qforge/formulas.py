@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 __all__ = [
     "MinOrderResult",
@@ -21,6 +22,7 @@ __all__ = [
     "spinal_min_order",
     "certified_minimal",
     "min_order",
+    "min_order_runs",
     "spectrum",
 ]
 
@@ -176,6 +178,32 @@ def min_order(genus: int) -> MinOrderResult:
         upper=spinal_min_order(genus),
         source="bounds",
     )
+
+
+def min_order_runs(first: int, last: int) -> Iterator[tuple[int, int, MinOrderResult]]:
+    """Maximal runs of genera in first..last that share one minimum-order
+    answer, ascending: (start, stop, min_order(start)) for each.
+
+    Every genus g in start..stop has min_order(g) equal to the run's result
+    with its genus replaced by g, and neighbouring runs differ.  Past genus
+    2 the answer depends only on p = min_spine_size(g), n =
+    order_lower_bound(g) and whether g is the complete-spine genus
+    C(p-1, 2), so a run ends before that genus, or where n grows: the last
+    genus with (2n-5)^2 >= 32g-7.  Yields nothing when last < first.
+    """
+    start = first
+    while start <= last:
+        result = min_order(start)
+        stop = start
+        if start > 2:
+            p = min_spine_size(start)
+            complete = (p - 1) * (p - 2) // 2
+            if start < complete:
+                n = order_lower_bound(start)
+                stop = min(complete - 1, ((2 * n - 5) ** 2 + 7) // 32)
+        stop = min(stop, last)
+        yield start, stop, result
+        start = stop + 1
 
 
 def spectrum(genus: int, p_max: int) -> list[int]:

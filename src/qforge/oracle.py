@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import order_lower_bound, spinal_min_order
-from .graph import Edge, Graph, is_connected
+from .graph import Graph, is_connected
 
 __all__ = [
     "SearchBudget",
@@ -103,32 +103,43 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     missing edges.  Near the minimum order very few edges are missing, so
     this is exponentially smaller than enumerating edge subsets directly.
     A pair is dropped only while both endpoints can spare an edge; each pair
-    considered is a timed step of the ticker, not a search node.
+    considered is a timed step of the ticker, not a search node.  The
+    combinations come from one loop over an explicit stack of dropped pair
+    indices, so the number of missing edges is not bounded by Python's
+    recursion limit.
     """
     pairs = list(combinations(range(n), 2))
+    need = len(pairs) - edge_target
     spare = [n - 1 - min_degree] * n
     if any(s < 0 for s in spare):  # even the complete graph is too sparse
         return
-
-    def drop(start: int, left: int, missing: frozenset[Edge]):
-        if left == 0:
-            yield missing
-            return
-        for k in range(start, len(pairs) - left + 1):
+    everything = frozenset(pairs)
+    dropped: list[int] = []  # indices into pairs, ascending
+    k = 0
+    while True:
+        # consider pair k while enough pairs remain for the drops still due;
+        # otherwise this combination is complete or exhausted: backtrack
+        left = need - len(dropped)
+        if left and k <= len(pairs) - left:
             ticker(node=False)
             i, j = pairs[k]
             if spare[i] > 0 and spare[j] > 0:
                 spare[i] -= 1
                 spare[j] -= 1
-                yield from drop(k + 1, left - 1, missing | {pairs[k]})
-                spare[i] += 1
-                spare[j] += 1
-
-    everything = frozenset(pairs)
-    for removed in drop(0, len(pairs) - edge_target, frozenset()):
-        graph = Graph(n, everything - removed)
-        if is_connected(graph):
-            yield graph
+                dropped.append(k)
+            k += 1
+            continue
+        if not left:
+            graph = Graph(n, everything.difference(pairs[d] for d in dropped))
+            if is_connected(graph):
+                yield graph
+        if not dropped:
+            return
+        k = dropped.pop()
+        i, j = pairs[k]
+        spare[i] += 1
+        spare[j] += 1
+        k += 1
 
 
 class _FaceAssembler:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from qforge.cli import main
 from qforge.embedding import load_embedding, save_embedding, validate_quadrangulation
+from qforge.formulas import min_order
 from qforge.graph import complete_graph, load_graph, octahedral_graph, save_graph
 from qforge.spinal import build_spinal
 
@@ -60,6 +62,66 @@ def test_minorder_negative_genus(capsys):
     code, _, err = run(capsys, "minorder", "-g", "-1")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_minorder_negative_genus_prints_nothing(capsys):
+    for argv in (["-g", "-1"], ["-g", "-1", "--scan", "5"]):
+        code, out, err = run(capsys, "minorder", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
+def _minorder_line(g):
+    # one classification per genus, independent of the run-by-run scan
+    r = min_order(g)
+    if r.kind == "exact":
+        return f"g={g}: order {r.value} exactly ({r.source})"
+    return f"g={g}: order in [{r.lower}, {r.upper}] ({r.source})"
+
+
+@pytest.mark.parametrize(
+    "first, last",
+    [
+        (0, 3000),
+        (13, 18),  # starts inside the run 12..14 and ends inside the run 17..19
+        (9, 9),  # the last genus of the run 8..9 alone
+        (55, 55),  # a complete-spine genus
+        (54, 56),
+        (10**6 + 17, 10**6 + 2_000),  # crosses seven run boundaries
+        (10**15 + 3, 10**15 + 3),
+        (10**15 + 3, 10**15 + 2_000),  # inside one run
+        (10**12 + 3, 10**12 + 9_000),  # inside one run, more lines than one write
+    ],
+)
+def test_minorder_scan_matches_per_genus_lines(capsys, first, last):
+    code, out, _ = run(capsys, "minorder", "-g", str(first), "--scan", str(last))
+    assert code == 0
+    assert out == "".join(_minorder_line(g) + "\n" for g in range(first, last + 1))
+
+
+def test_minorder_scan_writes_long_runs_in_chunks(monkeypatch):
+    # the genera 10**30 .. 10**30 + 10000 share one answer
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["minorder", "-g", str(10**30), "--scan", str(10**30 + 10_000)]) == 0
+    lines = [w.count("\n") for w in writes]
+    assert (sum(lines), max(lines)) == (10_001, 4096)
+
+
+def test_minorder_scan_digest(capsys):
+    # stdout of the per-genus scan that the run-by-run scan replaced
+    code, out, _ = run(capsys, "minorder", "-g", "0", "--scan", "200000")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 8_120_358
+    assert hashlib.sha256(data).hexdigest() == (
+        "bc94146588c165b62ba6eec41391b6d2cab359abcd278c8a9d182e1e1519187d"
+    )
 
 
 # ============================================================
@@ -301,6 +363,17 @@ def test_oracle_order_12_finishes():
     )
     assert proc.returncode == 0
     assert proc.stdout == "exists: yes (order 12, genus 0)\n"
+
+
+def test_oracle_order_50_has_no_traceback():
+    # order 50 misses 1129 edges of K_50, which once overflowed the recursion
+    # limit of a candidate enumerator that recursed once per missing edge
+    argv = ["oracle", "-g", "0", "--order", "50", "--time-cap", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qforge.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode in (0, 3)
+    assert "Traceback" not in proc.stderr
 
 
 # ============================================================

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import islice
+
 import pytest
 
 from qforge.formulas import (
@@ -10,6 +13,7 @@ from qforge.formulas import (
     half_order_cap,
     isqrt,
     min_order,
+    min_order_runs,
     min_spine_size,
     order_lower_bound,
     spectrum,
@@ -166,6 +170,59 @@ def test_min_order_result_guards():
         MinOrderResult(1, "bounds", lower=6, upper=5)
     with pytest.raises(ValueError):
         MinOrderResult(1, "something")
+
+
+def _check_runs(first, last, near=None):
+    """Check that min_order_runs tiles first..last with maximal runs of one
+    answer.  Every genus is compared when near is None; otherwise only the
+    genera within near of either end of a run, and its midpoint."""
+    runs = []
+    for start, stop, result in min_order_runs(first, last):
+        # checked as they come, so a run that fails to advance cannot loop forever
+        assert start == (runs[-1][1] + 1 if runs else first)
+        assert start <= stop <= last and result == min_order(start)
+        runs.append((start, stop, result))
+        if near is None:
+            genera = range(start, stop + 1)
+        else:
+            genera = {*range(start, min(start + near, stop) + 1), (start + stop) // 2}
+            genera |= set(range(max(stop - near, start), stop + 1))
+        for g in genera:
+            assert min_order(g) == replace(result, genus=g), g
+        if stop != last:
+            assert replace(min_order(stop + 1), genus=start) != result, stop
+    assert runs[-1][1] == last
+    return runs
+
+
+def test_min_order_runs_small_genera():
+    runs = [(start, stop) for start, stop, _ in islice(min_order_runs(0, 20), 17)]
+    assert runs == [
+        (0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 9),
+        (10, 10), (11, 11), (12, 14), (15, 15), (16, 16), (17, 19), (20, 20),
+    ]  # fmt: skip
+
+
+def test_min_order_runs_cover_every_genus_to_20000():
+    assert len(_check_runs(0, 20_000)) > 400
+
+
+@pytest.mark.parametrize("first", [10**6, 10**12, 10**30])
+def test_min_order_runs_at_large_genus(first):
+    # every genus of a 2000-genus window, then a window of 4n genera, where n
+    # is the lower bound, checked near each of its run boundaries: the lower
+    # bound grows every n/4 genera or so and the spine size every n/2
+    _check_runs(first, first + 2_000)
+    runs = _check_runs(first + 7, first + 7 + 4 * order_lower_bound(first), near=50)
+    assert len(runs) > 20
+
+
+def test_min_order_runs_edge_cases():
+    assert list(islice(min_order_runs(9, 9), 2)) == [(9, 9, min_order(9))]
+    assert list(islice(min_order_runs(13, 13), 2)) == [(13, 13, min_order(13))]  # in 12..14
+    assert list(islice(min_order_runs(5, 4), 1)) == []
+    with pytest.raises(ValueError):
+        next(min_order_runs(-1, 5))
 
 
 def test_spectrum():

@@ -175,6 +175,21 @@ def test_candidate_enumeration_obeys_time_cap():
     assert ticker.steps == 4096
 
 
+def test_candidate_enumeration_depth_is_not_bounded_by_recursion_limit():
+    # order 50 on the sphere misses 1129 of the 1225 edges of K_50; an
+    # enumerator recursing per missing edge needs more than the 100 frames left
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        ticker = _Ticker(SearchBudget())
+        first = next(_candidate_graphs(50, quad_edge_count(50, 0), 2, ticker))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (first.vertex_count, first.edge_count) == (50, 96)
+    assert min(len(row) for row in first.adjacency()) >= 2
+    assert ticker.nodes == 0
+
+
 # ============================================================
 # Reference assembler: the first open dart in ascending order
 # ============================================================
