@@ -6,19 +6,22 @@ and the realizable order spectrum.  Human-readable text goes to stdout;
 machine-readable documents are always files, written in canonical JSON so
 identical inputs produce identical bytes.
 
-Exit codes: 0 success, 1 verification or existence failure, 2 invalid
-input, 3 inconclusive (search budget exhausted).
+Exit codes: 0 success, 1 verification or existence failure or a reader
+that closed stdout early, 2 invalid input, 3 inconclusive (search budget
+exhausted).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
 from .embedding import (
     GenusMismatchError,
-    load_embedding,
+    _check_declared_genus,
+    _load_unchecked,
     save_embedding,
     validate_quadrangulation,
 )
@@ -94,8 +97,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    system = load_embedding(args.embedding_file)
+    # one trace gives both the face check and the genus to compare with the
+    # declared one, before anything is printed
+    system, declared = _load_unchecked(args.embedding_file)
     report = validate_quadrangulation(system)
+    _check_declared_genus(declared, report.genus)
     if not report.is_quadrangulation:
         for failure in report.failures:
             print(f"FAIL: {failure}")
@@ -194,7 +200,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        if sys.stdout is sys.__stdout__:
+            # a reader that is gone then raises here, not at exit; an
+            # in-process caller that swapped sys.stdout flushes its own
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (say `qforge minorder ... | head`): send the
+        # rest of stdout to devnull so the final flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAIL
     except GenusMismatchError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

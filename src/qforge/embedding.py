@@ -97,6 +97,45 @@ class EmbeddingReport:
     failures: tuple[str, ...]
 
 
+def _trace(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The one face tracer: every face as its list of corners.
+
+    Dart (v, rotations[v][i]) has the integer id offset[v] + i, and one
+    table gives each dart's successor id.  Start darts are taken in
+    ascending (tail, head) order, so each face starts at its smallest dart
+    and faces come in ascending order of that dart.  Face k's darts are
+    (c[i], c[i + 1]) for its corners c, read cyclically.
+    """
+    offset: list[int] = []
+    darts = 0
+    for rotation in rotations:
+        offset.append(darts)
+        darts += len(rotation)
+    # enter[h][v]: the id of the dart that follows (v, h), namely (h, w)
+    # with w after v in the rotation at h
+    enter = [
+        dict(zip(rotation, [*range(start + 1, start + len(rotation)), start]))
+        for start, rotation in zip(offset, rotations)
+    ]
+    successor = [enter[head][tail] for tail, rotation in enumerate(rotations) for head in rotation]
+    corner = [tail for tail, rotation in enumerate(rotations) for _ in rotation]
+    seen = bytearray(darts)
+    faces: list[list[int]] = []
+    for tail, (start, rotation) in enumerate(zip(offset, rotations)):
+        for i in sorted(range(len(rotation)), key=rotation.__getitem__):
+            first = start + i
+            if seen[first]:
+                continue
+            face = [tail]
+            dart = successor[first]
+            while dart != first:
+                seen[dart] = 1
+                face.append(corner[dart])
+                dart = successor[dart]
+            faces.append(face)
+    return faces
+
+
 def trace_faces(system: RotationSystem) -> list[FaceWalk]:
     """Partition all 2|E| darts into face boundary walks.
 
@@ -104,26 +143,10 @@ def trace_faces(system: RotationSystem) -> list[FaceWalk]:
     lexicographically smallest dart, and orbits are listed in ascending order
     of their starting dart, so identical inputs give identical output.
     """
-    successor: list[dict[int, int]] = []
-    for rotation in system.rotations:
-        degree = len(rotation)
-        successor.append({u: rotation[(i + 1) % degree] for i, u in enumerate(rotation)})
-    all_darts = sorted(Dart(u, v) for i, j in system.graph.edges for u, v in ((i, j), (j, i)))
-    seen: set[Dart] = set()
-    faces: list[FaceWalk] = []
-    for start in all_darts:
-        if start in seen:
-            continue
-        walk = []
-        dart = start
-        while True:
-            walk.append(dart)
-            seen.add(dart)
-            dart = Dart(dart.head, successor[dart.head][dart.tail])
-            if dart == start:
-                break
-        faces.append(FaceWalk(tuple(walk)))
-    return faces
+    return [
+        FaceWalk(tuple(map(Dart, corners, corners[1:] + corners[:1])))
+        for corners in _trace(system.rotations)
+    ]
 
 
 def _euler(system: RotationSystem, face_count: int) -> tuple[int, int]:
@@ -136,17 +159,17 @@ def _euler(system: RotationSystem, face_count: int) -> tuple[int, int]:
 def euler_genus(system: RotationSystem) -> tuple[int, int]:
     """Euler characteristic |V| - |E| + |F| and genus (2 - chi) / 2 of the
     closed orientable surface the rotation system describes."""
-    return _euler(system, len(trace_faces(system)))
+    return _euler(system, len(_trace(system.rotations)))
 
 
-def _quad_defect(walk: Sequence[tuple[int, int]]) -> str | None:
-    """Why a closed face walk, given as darts, is not a genuine quad, or
-    None if it is one.  A quad walk has length four and four distinct
-    corners; its four edges are then distinct too, since two edges of a
-    4-walk with distinct corners never join the same pair."""
-    if len(walk) != 4:
-        return f"has length {len(walk)}, not 4"
-    if len({tail for tail, _ in walk}) != 4:
+def _quad_defect(corners: Sequence[int]) -> str | None:
+    """Why a closed face walk, given by its corners in walk order, is not a
+    genuine quad, or None if it is one.  A quad walk has length four and
+    four distinct corners; its four edges are then distinct too, since two
+    edges of a 4-walk with distinct corners never join the same pair."""
+    if len(corners) != 4:
+        return f"has length {len(corners)}, not 4"
+    if len(set(corners)) != 4:
         return "revisits a vertex"
     return None
 
@@ -160,12 +183,12 @@ def validate_quadrangulation(system: RotationSystem) -> EmbeddingReport:
     The underlying graph is simple and connected by construction.
     Violations are reported per face, never raised.
     """
-    faces = trace_faces(system)
+    faces = _trace(system.rotations)
     failures: list[str] = []
-    for index, face in enumerate(faces):
-        defect = _quad_defect(face.darts)
+    for index, corners in enumerate(faces):
+        defect = _quad_defect(corners)
         if defect:
-            label = "-".join(str(v) for v in face.vertices())
+            label = "-".join(map(str, corners))
             failures.append(f"face {index} ({label}) {defect}")
     chi, genus = _euler(system, len(faces))
     return EmbeddingReport(
@@ -203,6 +226,20 @@ def embedding_from_document(doc: object) -> RotationSystem:
     the document declares a genus, it is compared against the traced genus
     and a mismatch raises GenusMismatchError.
     """
+    system, declared = _parse_document(doc)
+    if declared is not None:
+        _check_declared_genus(declared, euler_genus(system)[1])
+    return system
+
+
+def _check_declared_genus(declared: int | None, genus: int) -> None:
+    if declared is not None and genus != declared:
+        raise GenusMismatchError(f"declared genus {declared} but traced genus is {genus}")
+
+
+def _parse_document(doc: object) -> tuple[RotationSystem, int | None]:
+    """Everything embedding_from_document checks except the traced genus:
+    the rotation system and the declared genus, if any, still unchecked."""
     if not isinstance(doc, dict) or doc.get("format") != EMBEDDING_FORMAT:
         raise FormatError(f"expected a {EMBEDDING_FORMAT} document")
     vertex_count = doc.get("vertex_count")
@@ -237,10 +274,7 @@ def embedding_from_document(doc: object) -> RotationSystem:
     if declared is not None:
         if not isinstance(declared, int) or isinstance(declared, bool) or declared < 0:
             raise FormatError("declared_genus must be a non-negative integer")
-        _, genus = euler_genus(system)
-        if genus != declared:
-            raise GenusMismatchError(f"declared genus {declared} but traced genus is {genus}")
-    return system
+    return system, declared
 
 
 def save_embedding(
@@ -251,11 +285,20 @@ def save_embedding(
     )
 
 
-def load_embedding(path: str | Path) -> RotationSystem:
+def _read_document(path: str | Path) -> object:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("JSON nesting is too deep") from exc
-    return embedding_from_document(doc)
+
+
+def load_embedding(path: str | Path) -> RotationSystem:
+    return embedding_from_document(_read_document(path))
+
+
+def _load_unchecked(path: str | Path) -> tuple[RotationSystem, int | None]:
+    """load_embedding without the genus check, for a caller that traces the
+    faces anyway: the rotation system and its declared genus, if any."""
+    return _parse_document(_read_document(path))

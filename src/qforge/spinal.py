@@ -196,12 +196,13 @@ class _Build:
                 if dart == start:
                     break
                 walk.append(dart)
-            defect = "is longer than 4" if len(walk) > 4 else _quad_defect(walk)
+            corners = [x for x, _ in walk]
+            defect = "is longer than 4" if len(walk) > 4 else _quad_defect(corners)
             if defect:
                 raise BuildError(f"surgery made a face through {start} that {defect}")
             seen.update(walk)
             old_darts.update(dart for dart in walk if dart not in new_darts)
-            created.append(_rotate_to_min([x for x, _ in walk]))
+            created.append(_rotate_to_min(corners))
         if old_darts != {(face[i], face[(i + 1) % 4]) for face in consumed for i in range(4)}:
             raise BuildError("surgery changed faces other than the consumed witness faces")
         return created

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from qforge import embedding
 from qforge.cli import main
 from qforge.embedding import load_embedding, save_embedding, validate_quadrangulation
 from qforge.formulas import min_order
@@ -245,6 +247,22 @@ def test_verify_genus_mismatch(capsys, tmp_path):
     assert err == "verification failed: declared genus 2 but traced genus is 0\n"
 
 
+def test_verify_traces_the_faces_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "k5.json"
+    save_embedding(build_spinal(complete_graph(5)), path, declared_genus=6)
+    calls = []
+    trace = embedding._trace
+
+    def counting(rotations):
+        calls.append(len(rotations))
+        return trace(rotations)
+
+    monkeypatch.setattr(embedding, "_trace", counting)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert (code, out) == (0, "ok: order=10 edges=40 faces=20 genus=6\n")
+    assert calls == [10]
+
+
 def test_verify_bad_documents(capsys, tmp_path):
     missing = tmp_path / "absent.json"
     garbled = tmp_path / "garbled.json"
@@ -374,6 +392,48 @@ def test_oracle_order_50_has_no_traceback():
     )
     assert proc.returncode in (0, 3)
     assert "Traceback" not in proc.stderr
+
+
+def _buffered_env():
+    # stdout to a pipe is block-buffered unless PYTHONUNBUFFERED is set
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_closed_stdout_pipe_is_silent():
+    # a reader that stops after two lines, like `qforge minorder ... | head -2`
+    argv = ["minorder", "-g", "0", "--scan", "200000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qforge.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_buffered_env(),
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert lines == [
+        b"g=0: order 4 exactly (small-genus-table)\n",
+        b"g=1: order 5 exactly (small-genus-table)\n",
+    ]
+    assert err == b""
+
+
+def test_stdout_closed_before_a_short_answer_is_silent():
+    # the one line fits in the buffer, so it is written only by a flush; the
+    # reader is gone before the interpreter has even imported qforge
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qforge.cli", "minorder", "-g", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_buffered_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 # ============================================================

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from qforge.embedding import (
     EMBEDDING_FORMAT,
     Dart,
+    EmbeddingReport,
+    FaceWalk,
     GenusMismatchError,
     RotationSystem,
+    _trace,
     embedding_from_document,
     embedding_to_document,
     euler_genus,
@@ -19,6 +23,13 @@ from qforge.embedding import (
     validate_quadrangulation,
 )
 from qforge.graph import FormatError, Graph, complete_graph, make_graph
+from qforge.spinal import build_spinal
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test is skipped without hypothesis
+    st = None
 
 
 def _system(n, edges, rotations):
@@ -32,6 +43,14 @@ def _shuffled_system(graph: Graph, rng: random.Random) -> RotationSystem:
         rng.shuffle(row)
         rotations.append(tuple(row))
     return RotationSystem(graph, tuple(rotations))
+
+
+def _random_system(rng: random.Random, n: int) -> RotationSystem:
+    """A random connected graph on n vertices with random rotations."""
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    extra = rng.sample(pool, rng.randint(0, len(pool)))
+    return _shuffled_system(make_graph(n, tree + extra), rng)
 
 
 def test_rotation_canonical_start():
@@ -236,3 +255,133 @@ def test_load_rejects_malformed_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError, match="not valid JSON"):
         load_embedding(path)
+
+
+# ============================================================
+# The integer tracer against the Dart-based reference
+# ============================================================
+
+
+def _reference_trace_faces(system):
+    """The Dart-based tracer the integer one replaced, kept as reference."""
+    successor = []
+    for rotation in system.rotations:
+        degree = len(rotation)
+        successor.append({u: rotation[(i + 1) % degree] for i, u in enumerate(rotation)})
+    all_darts = sorted(Dart(u, v) for i, j in system.graph.edges for u, v in ((i, j), (j, i)))
+    seen = set()
+    faces = []
+    for start in all_darts:
+        if start in seen:
+            continue
+        walk = []
+        dart = start
+        while True:
+            walk.append(dart)
+            seen.add(dart)
+            dart = Dart(dart.head, successor[dart.head][dart.tail])
+            if dart == start:
+                break
+        faces.append(FaceWalk(tuple(walk)))
+    return faces
+
+
+def _reference_validate_quadrangulation(system):
+    faces = _reference_trace_faces(system)
+    failures = []
+    for index, face in enumerate(faces):
+        if face.length != 4:
+            defect = f"has length {face.length}, not 4"
+        elif len({dart.tail for dart in face.darts}) != 4:
+            defect = "revisits a vertex"
+        else:
+            continue
+        label = "-".join(str(v) for v in face.vertices())
+        failures.append(f"face {index} ({label}) {defect}")
+    chi = system.graph.vertex_count - system.graph.edge_count + len(faces)
+    return EmbeddingReport(
+        vertex_count=system.graph.vertex_count,
+        edge_count=system.graph.edge_count,
+        face_count=len(faces),
+        euler_characteristic=chi,
+        genus=(2 - chi) // 2,
+        is_quadrangulation=not failures,
+        failures=tuple(failures),
+    )
+
+
+def _assert_matches_reference(system):
+    faces = trace_faces(system)
+    assert faces == _reference_trace_faces(system)
+    assert all(type(dart) is Dart for face in faces for dart in face.darts)
+    report = validate_quadrangulation(system)
+    assert report == _reference_validate_quadrangulation(system)
+    assert euler_genus(system) == (report.euler_characteristic, report.genus)
+    return report
+
+
+def test_tracer_matches_reference_on_random_systems():
+    rng = random.Random(9)
+    quads = failing = 0
+    for _ in range(300):
+        report = _assert_matches_reference(_random_system(rng, rng.randint(2, 12)))
+        quads += report.is_quadrangulation
+        failing += bool(report.failures)
+    assert failing > 250 and quads > 0  # non-quad faces and their labels are covered
+
+
+def test_tracer_matches_reference_on_spinal_builds(tmp_path):
+    for p in range(2, 13):
+        assert _assert_matches_reference(build_spinal(complete_graph(p))).is_quadrangulation
+    path = tmp_path / "k28.json"
+    save_embedding(build_spinal(complete_graph(28)), path, declared_genus=351)
+    report = _assert_matches_reference(load_embedding(path))
+    assert (report.face_count, report.genus, report.failures) == (756, 351, ())
+
+
+def test_tracer_memory_is_linear_in_darts():
+    # a star with 3000 leaves has 5998 darts; a table indexed by
+    # tail * n + head would take 9 million slots (72 MB)
+    n = 3000
+    system = _system(n, [(0, v) for v in range(1, n)], [range(1, n)] + [(0,)] * (n - 1))
+    tracemalloc.start()
+    try:
+        faces = _trace(system.rotations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(face) for face in faces] == [2 * n - 2]
+    assert peak < 500 * 2 * (n - 1)  # bytes per dart
+
+
+if st is not None:
+
+    @st.composite
+    def _rotation_systems(draw):
+        n = draw(st.integers(2, 10))
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+        graph = make_graph(n, sorted(edges))
+        rotations = [draw(st.permutations(row)) for row in graph.adjacency()]
+        return RotationSystem(graph, tuple(map(tuple, rotations)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rotation_systems())
+    def test_faces_partition_darts_and_mirror_keeps_genus(system):
+        faces = trace_faces(system)
+        darts = [dart for face in faces for dart in face.darts]
+        edges = system.graph.edges
+        assert sorted(darts) == sorted(d for i, j in edges for d in ((i, j), (j, i)))
+        chi = system.graph.vertex_count - len(edges) + len(faces)
+        assert chi % 2 == 0 and chi <= 2
+        assert euler_genus(system) == (chi, (2 - chi) // 2)
+        mirror = RotationSystem(system.graph, tuple(r[::-1] for r in system.rotations))
+        assert len(trace_faces(mirror)) == len(faces)
+        assert euler_genus(mirror) == euler_genus(system)
+
+else:
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_faces_partition_darts_and_mirror_keeps_genus():
+        pass
