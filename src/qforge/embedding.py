@@ -11,12 +11,12 @@ is fixed so face lists are reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .graph import FormatError, Graph, canonical_json, is_connected
+from .graph import _is_count, _read_document, _vertex_count
 
 EMBEDDING_FORMAT = "qforge-embedding/1"
 
@@ -240,11 +240,7 @@ def _check_declared_genus(declared: int | None, genus: int) -> None:
 def _parse_document(doc: object) -> tuple[RotationSystem, int | None]:
     """Everything embedding_from_document checks except the traced genus:
     the rotation system and the declared genus, if any, still unchecked."""
-    if not isinstance(doc, dict) or doc.get("format") != EMBEDDING_FORMAT:
-        raise FormatError(f"expected a {EMBEDDING_FORMAT} document")
-    vertex_count = doc.get("vertex_count")
-    if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
-        raise FormatError("vertex_count must be a non-negative integer")
+    vertex_count = _vertex_count(doc, EMBEDDING_FORMAT)
     raw = doc.get("rotations")
     if not isinstance(raw, list) or len(raw) != vertex_count:
         raise FormatError("rotations must list one neighbor cycle per vertex")
@@ -261,19 +257,19 @@ def _parse_document(doc: object) -> tuple[RotationSystem, int | None]:
         if v in row:
             raise FormatError(f"rotation at vertex {v} lists the vertex itself")
         rotations.append(tuple(row))
+    darts = {(v, u) for v, row in enumerate(rotations) for u in row}
     for v, row in enumerate(rotations):
         for u in row:
-            if v not in rotations[u]:
+            if (u, v) not in darts:
                 raise FormatError(f"rotation asymmetry: {u} listed at {v} but not {v} at {u}")
-    edges = {(min(u, v), max(u, v)) for v, row in enumerate(rotations) for u in row}
+    edges = frozenset(dart for dart in darts if dart[0] < dart[1])
     try:
-        system = RotationSystem(Graph(vertex_count, frozenset(edges)), tuple(rotations))
+        system = RotationSystem(Graph(vertex_count, edges), tuple(rotations))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     declared = doc.get("declared_genus")
-    if declared is not None:
-        if not isinstance(declared, int) or isinstance(declared, bool) or declared < 0:
-            raise FormatError("declared_genus must be a non-negative integer")
+    if declared is not None and not _is_count(declared):
+        raise FormatError("declared_genus must be a non-negative integer")
     return system, declared
 
 
@@ -283,15 +279,6 @@ def save_embedding(
     Path(path).write_text(
         canonical_json(embedding_to_document(system, declared_genus)), encoding="utf-8"
     )
-
-
-def _read_document(path: str | Path) -> object:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise FormatError("JSON nesting is too deep") from exc
 
 
 def load_embedding(path: str | Path) -> RotationSystem:

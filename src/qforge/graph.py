@@ -1,6 +1,7 @@
 """Simple undirected graphs and the handful of constructions the rest of the
 package builds on: complete and octahedral graphs, cycle rank, connectivity-
-preserving edge deletion, and 2-fold interlacement."""
+preserving edge deletion, 2-fold interlacement, and the file reader and
+header check that graph and embedding documents share."""
 
 from __future__ import annotations
 
@@ -47,9 +48,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -145,11 +143,12 @@ def betti(graph: Graph) -> int:
 def delete_edges_connected(graph: Graph, m: int) -> Graph:
     """Remove exactly m edges while keeping the graph connected.
 
-    Edges are scanned in lexicographic order and removed greedily whenever
-    removal keeps the graph connected, i.e. current bridges are skipped; the
-    scan restarts if a full pass removed fewer than requested.  The rule is
-    fully deterministic.  Raises ValueError when m exceeds the cycle rank,
-    since no connected result exists then.
+    Edges are scanned once in lexicographic order and removed greedily
+    whenever removal keeps the graph connected, i.e. current bridges are
+    skipped.  A skipped bridge stays a bridge as more edges go, so a full
+    scan ends at a spanning tree and one scan reaches any m up to the cycle
+    rank.  Raises ValueError when m exceeds the cycle rank, since no
+    connected result exists then.
     """
     if m < 0:
         raise ValueError("number of edges to delete must be non-negative")
@@ -157,19 +156,12 @@ def delete_edges_connected(graph: Graph, m: int) -> Graph:
     if m > rank:
         raise ValueError(f"cannot delete {m} edges and stay connected; cycle rank is {rank}")
     remaining = set(graph.edges)
-    removed = 0
-    while removed < m:
-        progress = False
-        for edge in sorted(remaining):
-            if removed == m:
-                break
-            trial = remaining - {edge}
-            if _connected(graph.vertex_count, trial):
-                remaining = trial
-                removed += 1
-                progress = True
-        if removed < m and not progress:
-            raise RuntimeError("no removable edge found although the cycle rank allows it")
+    for edge in sorted(graph.edges):
+        if len(remaining) == graph.edge_count - m:
+            break
+        trial = remaining - {edge}
+        if _connected(graph.vertex_count, trial):
+            remaining = trial
     return Graph(graph.vertex_count, frozenset(remaining))
 
 
@@ -209,16 +201,28 @@ def graph_to_document(graph: Graph) -> dict:
     }
 
 
+def _is_count(value: object) -> bool:
+    """A non-negative integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _vertex_count(doc: object, fmt: str) -> int:
+    """The header every document kind shares: a dict tagged with the given
+    format and a non-negative integer vertex_count, which is returned."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise FormatError(f"expected a {fmt} document")
+    vertex_count = doc.get("vertex_count")
+    if not _is_count(vertex_count):
+        raise FormatError("vertex_count must be a non-negative integer")
+    return vertex_count
+
+
 def graph_from_document(doc: object) -> Graph:
     """Parse and strictly validate a graph document.
 
     Duplicate, unordered, or out-of-range edges are rejected.
     """
-    if not isinstance(doc, dict) or doc.get("format") != GRAPH_FORMAT:
-        raise FormatError(f"expected a {GRAPH_FORMAT} document")
-    vertex_count = doc.get("vertex_count")
-    if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
-        raise FormatError("vertex_count must be a non-negative integer")
+    vertex_count = _vertex_count(doc, GRAPH_FORMAT)
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise FormatError("edges must be a list")
@@ -243,11 +247,16 @@ def save_graph(graph: Graph, path: str | Path) -> None:
     Path(path).write_text(canonical_json(graph_to_document(graph)), encoding="utf-8")
 
 
-def load_graph(path: str | Path) -> Graph:
+def _read_document(path: str | Path) -> object:
+    """The one reader of document files (UTF-8 JSON).  Bad bytes, bad JSON
+    and integers over the interpreter's digit limit all become FormatError."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("JSON nesting is too deep") from exc
-    return graph_from_document(doc)
+
+
+def load_graph(path: str | Path) -> Graph:
+    return graph_from_document(_read_document(path))

@@ -275,6 +275,9 @@ def build_spinal_report(graph: Graph) -> BuildReport:
     """
     if graph.vertex_count < 2:
         raise ValueError("spine needs at least 2 vertices")
+    # too few edges to connect: say so before _bfs_plan allocates per vertex
+    if graph.edge_count < graph.vertex_count - 1:
+        raise ValueError("spine must be connected")
     tree_steps, chords = _bfs_plan(graph)
     if len(tree_steps) != graph.vertex_count - 1:
         raise ValueError("spine must be connected")

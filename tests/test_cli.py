@@ -318,6 +318,21 @@ def test_interlace_deeply_nested_document(capsys, tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "interlace"])
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff{}", b'{"format":"qforge-graph/1","vertex_count":' + b"9" * 5000 + b"}"],
+    ids=["non-utf8", "5000-digit-integer"],
+)
+def test_unreadable_documents_exit_2(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out_file = ["-o", str(tmp_path / "out.json")] if command == "interlace" else []
+    code, out, err = run(capsys, command, str(path), *out_file)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 # ============================================================
 # oracle
 # ============================================================

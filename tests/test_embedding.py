@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -22,7 +23,15 @@ from qforge.embedding import (
     trace_faces,
     validate_quadrangulation,
 )
-from qforge.graph import FormatError, Graph, complete_graph, make_graph
+from qforge.graph import (
+    FormatError,
+    Graph,
+    canonical_json,
+    complete_graph,
+    graph_from_document,
+    graph_to_document,
+    make_graph,
+)
 from qforge.spinal import build_spinal
 
 try:
@@ -30,6 +39,9 @@ try:
     from hypothesis import strategies as st
 except ImportError:  # the property test is skipped without hypothesis
     st = None
+
+# CPython's limit on decimal digits in int(str); 0 when there is none
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _system(n, edges, rotations):
@@ -215,45 +227,73 @@ def test_document_rejections():
         doc.update(changes)
         return doc
 
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(format="qforge-graph/1"))
-    with pytest.raises(FormatError):
-        embedding_from_document([])
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(vertex_count=-1))
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(vertex_count=True))
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(vertex_count=5))  # row count mismatch
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(rotations="nope"))
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(rotations=[[1, 3], [0, 2], [1, 3], [0, "2"]]))
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(rotations=[[1, 3], [0, 2], [1, 3], [0, 9]]))
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(rotations=[[1, 1], [0, 2], [1, 3], [0, 2]]))
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(rotations=[[0, 3], [0, 2], [1, 3], [0, 2]]))
-    with pytest.raises(FormatError, match="asymmetry"):
-        embedding_from_document(broken(rotations=[[1, 3, 2], [0, 2], [1, 3], [0, 2]]))
-    with pytest.raises(FormatError):
-        embedding_from_document(broken(declared_genus="zero"))
-    with pytest.raises(FormatError):
-        # Symmetric rotations but a disconnected graph.
-        embedding_from_document(
-            {
-                "format": EMBEDDING_FORMAT,
-                "vertex_count": 4,
-                "rotations": [[1], [0], [3], [2]],
-            }
-        )
+    header = f"expected a {EMBEDDING_FORMAT} document"
+    count = "vertex_count must be a non-negative integer"
+    for doc, message in (
+        (broken(format="qforge-graph/1"), header),
+        ([], header),
+        (broken(vertex_count=-1), count),
+        (broken(vertex_count=True), count),
+        (broken(vertex_count=5), "rotations must list one neighbor cycle per vertex"),
+        (broken(rotations="nope"), "rotations must list one neighbor cycle per vertex"),
+        (
+            broken(rotations=[[1, 3], [0, 2], [1, 3], [0, "2"]]),
+            "rotation at vertex 3 must be a list of vertex ids",
+        ),
+        (
+            broken(rotations=[[1, 3], [0, 2], [1, 3], [0, 9]]),
+            "rotation at vertex 3 mentions an out-of-range vertex",
+        ),
+        (
+            broken(rotations=[[1, 1], [0, 2], [1, 3], [0, 2]]),
+            "rotation at vertex 0 repeats a neighbor",
+        ),
+        (
+            broken(rotations=[[0, 3], [0, 2], [1, 3], [0, 2]]),
+            "rotation at vertex 0 lists the vertex itself",
+        ),
+        (
+            broken(rotations=[[1, 3, 2], [0, 2], [1, 3], [0, 2]]),
+            "rotation asymmetry: 2 listed at 0 but not 0 at 2",
+        ),
+        (
+            # the first offending pair in vertex order, then rotation order
+            broken(rotations=[[1, 3], [0, 2], [1, 3, 0], [1, 0, 2]]),
+            "rotation asymmetry: 0 listed at 2 but not 2 at 0",
+        ),
+        (broken(declared_genus="zero"), "declared_genus must be a non-negative integer"),
+        (broken(declared_genus=False), "declared_genus must be a non-negative integer"),
+        (
+            # symmetric rotations but a disconnected graph
+            {"format": EMBEDDING_FORMAT, "vertex_count": 4, "rotations": [[1], [0], [3], [2]]},
+            "rotation system needs a connected graph",
+        ),
+    ):
+        with pytest.raises(FormatError) as caught:
+            embedding_from_document(doc)
+        assert str(caught.value) == message, doc
 
 
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError, match="not valid JSON"):
+        load_embedding(path)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff" + canonical_json(embedding_to_document(_square_system())).encode())
+    with pytest.raises(FormatError, match="not valid JSON: 'utf-8' codec"):
+        load_embedding(path)
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS < 5000, reason="no integer digit limit below 5000")
+def test_load_rejects_integer_over_digit_limit(tmp_path):
+    path = tmp_path / "huge.json"
+    text = canonical_json(embedding_to_document(_square_system()))
+    path.write_text(text.replace('"vertex_count":4', '"vertex_count":' + "9" * 5000))
+    with pytest.raises(FormatError, match="not valid JSON: Exceeds the limit"):
         load_embedding(path)
 
 
@@ -380,8 +420,79 @@ if st is not None:
         assert len(trace_faces(mirror)) == len(faces)
         assert euler_genus(mirror) == euler_genus(system)
 
+    _json = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
+        max_leaves=12,
+    )
+    _small = st.integers(-1, 6)
+    _entry = _small | _json  # mostly vertex ids, sometimes anything
+
+    def _tagged(fmt, body, rows):
+        """Documents with a valid format tag and anything else under the
+        keys the parsers read."""
+        return st.fixed_dictionaries(
+            {"format": st.just(fmt), "vertex_count": _small | _json, body: rows | _json},
+            optional={"declared_genus": _small | _json},
+        )
+
+    def _parses_or_rejects(parse, doc):
+        """The loaders' contract: a result, FormatError or GenusMismatchError."""
+        try:
+            parse(doc)
+        except (FormatError, GenusMismatchError):
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _json
+        | _tagged("qforge-graph/1", "edges", st.lists(st.lists(_entry, max_size=3), max_size=8))
+        | _tagged(EMBEDDING_FORMAT, "rotations", st.lists(st.lists(_entry, max_size=4), max_size=6))
+    )
+    def test_parsers_reject_any_json_only_with_format_error(doc):
+        _parses_or_rejects(graph_from_document, doc)
+        _parses_or_rejects(embedding_from_document, doc)
+
+    @st.composite
+    def _perturbed_documents(draw):
+        """A valid graph and embedding document of one random system, with
+        one edge or one neighbour dropped, duplicated, swapped or replaced."""
+        system = draw(_rotation_systems())
+        n = system.graph.vertex_count
+        graph_doc = graph_to_document(system.graph)
+        embedding_doc = embedding_to_document(system, draw(st.none() | st.integers(0, 3)))
+        replacement = draw(st.integers(-1, n) | _json)
+        for rows in (graph_doc["edges"], embedding_doc["rotations"]):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            i = draw(st.integers(0, len(row) - 1))
+            how = draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]))
+            if how == "drop":
+                del row[i]
+            elif how == "duplicate":
+                row.insert(i, row[i])
+            elif how == "swap":
+                row[i - 1], row[i] = row[i], row[i - 1]
+            else:
+                row[i] = replacement
+        return graph_doc, embedding_doc
+
+    @settings(max_examples=200, deadline=None)
+    @given(_perturbed_documents())
+    def test_parsers_reject_perturbed_documents_only_with_format_error(docs):
+        graph_doc, embedding_doc = docs
+        _parses_or_rejects(graph_from_document, graph_doc)
+        _parses_or_rejects(embedding_from_document, embedding_doc)
+
 else:
 
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_faces_partition_darts_and_mirror_keeps_genus():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_parsers_reject_any_json_only_with_format_error():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_parsers_reject_perturbed_documents_only_with_format_error():
         pass

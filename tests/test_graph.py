@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from qforge.graph import (
     FormatError,
     Graph,
     betti,
+    canonical_json,
     complete_graph,
     delete_edges_connected,
     graph_from_document,
@@ -19,6 +21,9 @@ from qforge.graph import (
     octahedral_graph,
     save_graph,
 )
+
+# CPython's limit on decimal digits in int(str); 0 when there is none
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _random_connected(rng: random.Random, max_vertices: int = 10, max_edges: int = 20) -> Graph:
@@ -111,6 +116,29 @@ def test_delete_edges_random_properties():
         assert out.edges == again.edges
 
 
+def _delete_edges_with_restarts(graph: Graph, m: int) -> Graph:
+    """The earlier rule, which rescanned from the start until m edges were
+    gone; the single scan must remove exactly the same edges."""
+    remaining = set(graph.edges)
+    removed = 0
+    while removed < m:
+        for edge in sorted(remaining):
+            if removed == m:
+                break
+            if is_connected(Graph(graph.vertex_count, frozenset(remaining - {edge}))):
+                remaining.discard(edge)
+                removed += 1
+    return Graph(graph.vertex_count, frozenset(remaining))
+
+
+def test_delete_edges_single_scan_matches_restarts():
+    rng = random.Random(5)
+    graphs = [complete_graph(p) for p in range(2, 11)] + [_random_connected(rng) for _ in range(30)]
+    for graph in graphs:
+        for m in range(betti(graph) + 1):
+            assert delete_edges_connected(graph, m) == _delete_edges_with_restarts(graph, m)
+
+
 def test_interlace_small_cases():
     k2 = complete_graph(2)
     assert interlace(k2).edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
@@ -179,4 +207,19 @@ def test_document_rejections(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError):
+        load_graph(bad)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b"\xff" + canonical_json(graph_to_document(complete_graph(3))).encode())
+    with pytest.raises(FormatError, match="not valid JSON: 'utf-8' codec"):
+        load_graph(bad)
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS < 5000, reason="no integer digit limit below 5000")
+def test_load_rejects_integer_over_digit_limit(tmp_path):
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"edges":[[0,1]],"format":"qforge-graph/1","vertex_count":' + "9" * 5000 + "}")
+    with pytest.raises(FormatError, match="not valid JSON: Exceeds the limit"):
         load_graph(bad)

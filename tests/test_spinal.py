@@ -274,6 +274,9 @@ def test_build_rejects_bad_spines():
         build_spinal_report(make_graph(1, []))
     with pytest.raises(ValueError):
         build_spinal_report(make_graph(4, [(0, 1), (2, 3)]))
+    # too few edges to connect 10**12 vertices: refused before any per-vertex work
+    with pytest.raises(ValueError, match="spine must be connected"):
+        build_spinal_report(Graph(10**12, frozenset({(0, 1)})))
 
 
 def test_build_instance_certificates():
