@@ -128,14 +128,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             print(f"exists: no (order {args.order}, genus {args.genus})")
             return EXIT_FAIL
         print(f"exists: yes (order {args.order}, genus {args.genus})")
-        if args.out:
-            save_embedding(system, args.out, declared_genus=args.genus)
-            print(f"wrote {args.out}")
-        return EXIT_OK
-    found = min_order_bruteforce(args.genus, budget, max_order=args.max_order)
-    print(f"minimum order for genus {args.genus}: {found.order} (nodes={found.nodes})")
+    else:
+        found = min_order_bruteforce(args.genus, budget, max_order=args.max_order)
+        system = found.witness
+        print(f"minimum order for genus {args.genus}: {found.order} (nodes={found.nodes})")
     if args.out:
-        save_embedding(found.witness, args.out, declared_genus=args.genus)
+        save_embedding(system, args.out, declared_genus=args.genus)
         print(f"wrote {args.out}")
     return EXIT_OK
 

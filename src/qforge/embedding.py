@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .graph import FormatError, Graph, canonical_json, is_connected
-from .graph import _is_count, _read_document, _vertex_count
+from .graph import FormatError, Graph, canonical_json
+from .graph import _bfs_tree, _is_count, _read_document, _vertex_count
 
 EMBEDDING_FORMAT = "qforge-embedding/1"
 
@@ -55,11 +55,11 @@ class RotationSystem:
     def __post_init__(self) -> None:
         if self.graph.edge_count == 0:
             raise ValueError("rotation system needs a graph with at least one edge")
-        if not is_connected(self.graph):
+        adjacency = self.graph.adjacency()
+        if len(_bfs_tree(adjacency)) != self.graph.vertex_count - 1:
             raise ValueError("rotation system needs a connected graph")
         if len(self.rotations) != self.graph.vertex_count:
             raise ValueError("exactly one rotation per vertex required")
-        adjacency = self.graph.adjacency()
         canonical = []
         for v, rotation in enumerate(self.rotations):
             if sorted(rotation) != adjacency[v]:

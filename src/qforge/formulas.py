@@ -147,6 +147,34 @@ def certified_minimal(p: int, m: int) -> bool:
     return p >= 4 * (m + 1) and rank - m >= 1
 
 
+def _classify(genus: int) -> tuple[MinOrderResult, int]:
+    """min_order(genus), and the last genus of the run of genera sharing
+    that answer.
+
+    Past genus 2 the answer is exact exactly when the lower bound n meets
+    the spinal order 2p, p = min_spine_size(g), and it then comes from a
+    complete spine when g is C(p-1, 2).  So it depends only on n, p and
+    whether g is that complete-spine genus: a run ends before that genus, or
+    where n grows, at the last genus with (2n-5)^2 >= 32g-7.
+    """
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
+    if genus <= 2:
+        value = _SMALL_GENUS_MIN_ORDER[genus]
+        return MinOrderResult(genus, "exact", value=value, source="small-genus-table"), genus
+    p = min_spine_size(genus)
+    n = order_lower_bound(genus)
+    complete = (p - 1) * (p - 2) // 2
+    if n == 2 * p:
+        source = "complete-spine" if genus == complete else "matched-bounds"
+        result = MinOrderResult(genus, "exact", value=n, source=source)
+    else:
+        result = MinOrderResult(genus, "bounds", lower=n, upper=2 * p, source="bounds")
+    if genus == complete:
+        return result, genus
+    return result, min(complete - 1, ((2 * n - 5) ** 2 + 7) // 32)
+
+
 def min_order(genus: int) -> MinOrderResult:
     """Minimum order of a quadrangulation of the genus-g orientable surface.
 
@@ -155,29 +183,7 @@ def min_order(genus: int) -> MinOrderResult:
     the genus exactly); otherwise the two proven bounds are returned
     unresolved, never a guess.
     """
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
-    if genus <= 2:
-        return MinOrderResult(
-            genus, "exact", value=_SMALL_GENUS_MIN_ORDER[genus], source="small-genus-table"
-        )
-    spine = complete_spine_order(genus)
-    if bounds_agree(genus):
-        value = 2 * min_spine_size(genus)
-        if spine is not None and spine[0] != value:
-            raise RuntimeError("exact rules disagree; arithmetic defect")
-        source = "complete-spine" if spine is not None else "matched-bounds"
-        return MinOrderResult(genus, "exact", value=value, source=source)
-    if spine is not None:
-        # A complete spine of matching rank always pins the bounds together.
-        raise RuntimeError("complete spine without matching bounds; arithmetic defect")
-    return MinOrderResult(
-        genus,
-        "bounds",
-        lower=order_lower_bound(genus),
-        upper=spinal_min_order(genus),
-        source="bounds",
-    )
+    return _classify(genus)[0]
 
 
 def min_order_runs(first: int, last: int) -> Iterator[tuple[int, int, MinOrderResult]]:
@@ -185,22 +191,12 @@ def min_order_runs(first: int, last: int) -> Iterator[tuple[int, int, MinOrderRe
     answer, ascending: (start, stop, min_order(start)) for each.
 
     Every genus g in start..stop has min_order(g) equal to the run's result
-    with its genus replaced by g, and neighbouring runs differ.  Past genus
-    2 the answer depends only on p = min_spine_size(g), n =
-    order_lower_bound(g) and whether g is the complete-spine genus
-    C(p-1, 2), so a run ends before that genus, or where n grows: the last
-    genus with (2n-5)^2 >= 32g-7.  Yields nothing when last < first.
+    with its genus replaced by g, and neighbouring runs differ.  Yields
+    nothing when last < first.
     """
     start = first
     while start <= last:
-        result = min_order(start)
-        stop = start
-        if start > 2:
-            p = min_spine_size(start)
-            complete = (p - 1) * (p - 2) // 2
-            if start < complete:
-                n = order_lower_bound(start)
-                stop = min(complete - 1, ((2 * n - 5) ** 2 + 7) // 32)
+        result, stop = _classify(start)
         stop = min(stop, last)
         yield start, stop, result
         start = stop + 1
@@ -209,8 +205,7 @@ def min_order_runs(first: int, last: int) -> Iterator[tuple[int, int, MinOrderRe
 def spectrum(genus: int, p_max: int) -> list[int]:
     """All orders 2p with 2 <= p <= p_max realizable by a spinal
     quadrangulation of genus g, ascending."""
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
+    smallest = min_spine_size(genus)  # rejects a negative genus
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
-    return [2 * p for p in range(2, p_max + 1) if (p - 1) * (p - 2) // 2 >= genus]
+    return [2 * p for p in range(smallest, p_max + 1)]

@@ -1,7 +1,11 @@
 """Simple undirected graphs and the handful of constructions the rest of the
 package builds on: complete and octahedral graphs, cycle rank, connectivity-
 preserving edge deletion, 2-fold interlacement, and the file reader and
-header check that graph and embedding documents share."""
+header check that graph and embedding documents share.
+
+``_bfs_tree`` is the package's one graph search: connectivity here, the
+connectivity check of a rotation system, and the spinal builder's order of
+tree edges all come from it."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -102,25 +106,32 @@ def octahedral_graph(p: int) -> Graph:
     return Graph(2 * p, frozenset(edges))
 
 
+def _bfs_tree(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The one graph search: the tree edges (parent, child) of a breadth-first
+    search from vertex 0, in discovery order, taking neighbours in list order."""
+    if not adjacency:
+        return []
+    seen = [False] * len(adjacency)
+    seen[0] = True
+    queue = deque([0])
+    tree: list[tuple[int, int]] = []
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if not seen[w]:
+                seen[w] = True
+                tree.append((v, w))
+                queue.append(w)
+    return tree
+
+
 def _connected(vertex_count: int, edges: Iterable[Edge]) -> bool:
-    if vertex_count == 0:
-        return True
     adj: list[list[int]] = [[] for _ in range(vertex_count)]
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * vertex_count
-    seen[0] = True
-    queue = deque([0])
-    reached = 1
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                queue.append(w)
-    return reached == vertex_count
+    # a spanning tree has vertex_count - 1 edges; the empty graph has none
+    return len(_bfs_tree(adj)) >= vertex_count - 1
 
 
 def is_connected(graph: Graph) -> bool:

@@ -360,6 +360,8 @@ def search_quadrangulation(
     none exists.  Returns a verified witness embedding, or None."""
     if genus < 0:
         raise ValueError("genus must be non-negative")
+    if n < 0:
+        raise ValueError("order must be non-negative")
     return _search(n, genus, _Ticker(budget or SearchBudget()))
 
 
@@ -411,6 +413,8 @@ def min_order_bruteforce(
         raise ValueError("genus must be non-negative")
     if genus > 2 and budget is None:
         raise ValueError("genus above 2 requires an explicit SearchBudget")
+    if max_order is not None and max_order < 0:
+        raise ValueError("max_order must be non-negative")
     ticker = _Ticker(budget or SearchBudget())
     start = 4 if genus == 0 else order_lower_bound(genus)
     stop = spinal_min_order(genus)

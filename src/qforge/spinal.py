@@ -9,22 +9,22 @@ and whose face count is twice the spine's edge count.
 
 Surgery happens inside witness faces: quads carrying both copies of a spine
 vertex as opposite corners.  Every step changes one private build state in
-place: it splices the new neighbors into four rotations and traces only the
-faces through the eight new darts (three quads for a tree edge, four for a
-chord).  Every new face must be a 4-cycle with distinct corners and edges,
-and the old darts on the new faces must be exactly the darts of the
-consumed witness faces, which proves that no other face changed.  If a step
-would leave some vertex without any witness, it is undone and the next
-witness face (or pair, for a chord) is tried, smallest first; these retries
-are reported as backtracks rather than assumed to be zero.  Spine edges are
-added in one fixed order (tree edges breadth-first, then chords), and the
-finished embedding is validated once in full.
+place: it computes the four rotations with the new neighbors spliced in and
+traces only the faces through the eight new darts (three quads for a tree
+edge, four for a chord).  Every new face must be a 4-cycle with distinct
+corners and edges, and the old darts on the new faces must be exactly the
+darts of the consumed witness faces, which proves that no other face
+changed.  If a step would leave some vertex without any witness, it is
+refused before it changes the build and the next witness face (or pair, for
+a chord) is tried, smallest first; these retries are reported as backtracks
+rather than assumed to be zero.  Spine edges are added in one fixed order
+(tree edges breadth-first, then chords), and the finished embedding is
+validated once in full.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -32,7 +32,7 @@ from typing import Callable, Iterable
 
 from .embedding import RotationSystem, _quad_defect, _rotate_to_min, validate_quadrangulation
 from .formulas import certified_minimal
-from .graph import Edge, Graph, complete_graph, delete_edges_connected, interlace
+from .graph import Edge, Graph, _bfs_tree, complete_graph, delete_edges_connected, interlace
 
 Quad = tuple[int, int, int, int]
 
@@ -82,8 +82,9 @@ class _Build:
     Faces are canonical corner 4-tuples (rotated to start at the smallest
     corner, orientation kept).  The witness table maps each spine vertex to
     the ascending list of faces holding its two copies as opposite corners;
-    every spine vertex keeps at least one.  A step replaces whole rotation
-    tuples, so undoing it only puts the old tuples back.
+    every spine vertex keeps at least one.  A step traces and checks the
+    faces its new rotations would make before it writes anything, so a
+    conflicting step is refused before it changes the build.
     """
 
     __slots__ = ("spine_vertices", "spine_edges", "rotations", "faces", "witnesses")
@@ -137,33 +138,23 @@ class _Build:
         """Add spine edge (u, v) by installing the new rotations at the copies
         of u and v, which must replace exactly the consumed faces.
 
-        Raises BuildError if a new face is not a quad or the surgery reached
-        beyond the consumed faces, and WitnessConflict if some spine vertex
-        would lose its last witness face; either way the state is unchanged.
+        Every check runs before anything is written.  Raises BuildError if a
+        new face is not a quad or the surgery reached beyond the consumed
+        faces, and WitnessConflict if some spine vertex would lose its last
+        witness face; either way the state is unchanged.
         """
-        saved = {w: self.rotations.get(w) for w in rotations}
+        created = self._trace_new_faces(u, v, rotations, consumed)
+        lost = [w for face in consumed for w in _witnessed(face)]
+        gained = [w for face in created for w in _witnessed(face)]
+        at_risk = set(lost) | ({u, v} - self.spine_vertices)
+        orphans = sorted(
+            w
+            for w in at_risk
+            if len(self.witnesses.get(w, ())) - lost.count(w) + gained.count(w) == 0
+        )
+        if orphans:
+            raise WitnessConflict(f"spine vertices {orphans} would lose their last witness face")
         self.rotations.update(rotations)
-        try:
-            created = self._trace_new_faces(u, v, consumed)
-            lost = [w for face in consumed for w in _witnessed(face)]
-            gained = [w for face in created for w in _witnessed(face)]
-            at_risk = set(lost) | ({u, v} - self.spine_vertices)
-            orphans = sorted(
-                w
-                for w in at_risk
-                if len(self.witnesses.get(w, ())) - lost.count(w) + gained.count(w) == 0
-            )
-            if orphans:
-                raise WitnessConflict(
-                    f"spine vertices {orphans} would lose their last witness face"
-                )
-        except BaseException:
-            for w, rotation in saved.items():
-                if rotation is None:
-                    del self.rotations[w]
-                else:
-                    self.rotations[w] = rotation
-            raise
         self.spine_vertices.update((u, v))
         self.spine_edges.add((min(u, v), max(u, v)))
         for face in consumed:
@@ -175,11 +166,13 @@ class _Build:
             for w in _witnessed(face):
                 insort(self.witnesses.setdefault(w, []), face)
 
-    def _trace_new_faces(self, u: int, v: int, consumed: tuple[Quad, ...]) -> list[Quad]:
+    def _trace_new_faces(
+        self, u: int, v: int, rotations: dict[int, tuple[int, ...]], consumed: tuple[Quad, ...]
+    ) -> list[Quad]:
         """Trace the faces through the eight darts between the copies of u
-        and v, check that each is a genuine quad (walks stop after five
-        darts), and check that their other darts are exactly those of the
-        consumed faces."""
+        and v, reading the new rotations over the current ones, check that
+        each is a genuine quad (walks stop after five darts), and check that
+        their other darts are exactly those of the consumed faces."""
         new_darts = {(x, y) for x in _copies(u) for y in _copies(v)}
         new_darts |= {(y, x) for x, y in new_darts}
         seen: set[tuple[int, int]] = set()
@@ -191,7 +184,7 @@ class _Build:
             walk = [start]
             while len(walk) <= 4:
                 x, y = walk[-1]
-                rotation = self.rotations[y]
+                rotation = rotations[y] if y in rotations else self.rotations[y]
                 dart = (y, rotation[(rotation.index(x) + 1) % len(rotation)])
                 if dart == start:
                     break
@@ -245,26 +238,6 @@ class BuildReport:
     minimal: bool | None = None
 
 
-def _bfs_plan(graph: Graph) -> tuple[list[tuple[int, int]], list[Edge]]:
-    """Tree edges (parent, child) in breadth-first discovery order from
-    vertex 0, plus the remaining chords in lexicographic order."""
-    adjacency = graph.adjacency()
-    seen = [False] * graph.vertex_count
-    seen[0] = True
-    queue = deque([0])
-    tree: list[tuple[int, int]] = []
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                tree.append((v, w))
-                queue.append(w)
-    tree_set = {(min(u, v), max(u, v)) for u, v in tree}
-    chords = sorted(graph.edges - tree_set)
-    return tree, chords
-
-
 def build_spinal_report(graph: Graph) -> BuildReport:
     """Build and verify a spinal quadrangulation of the given connected
     spine, returning the embedding together with search statistics.
@@ -275,12 +248,13 @@ def build_spinal_report(graph: Graph) -> BuildReport:
     """
     if graph.vertex_count < 2:
         raise ValueError("spine needs at least 2 vertices")
-    # too few edges to connect: say so before _bfs_plan allocates per vertex
+    # too few edges to connect: say so before the search allocates per vertex
     if graph.edge_count < graph.vertex_count - 1:
         raise ValueError("spine must be connected")
-    tree_steps, chords = _bfs_plan(graph)
+    tree_steps = _bfs_tree(graph.adjacency())
     if len(tree_steps) != graph.vertex_count - 1:
         raise ValueError("spine must be connected")
+    chords = sorted(graph.edges - {(min(u, v), max(u, v)) for u, v in tree_steps})
     build = _Build()
     build.base(*tree_steps[0])
     backtracks = 0

@@ -382,6 +382,15 @@ def test_oracle_rejects_bad_budget(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["--order", "-5"], ["--order", "-1"], ["--max-order", "-1"]])
+def test_oracle_negative_order_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "oracle", "-g", "0", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_oracle_order_and_max_order_conflict(capsys):
     assert main(["oracle", "-g", "2", "--order", "7", "--max-order", "8"]) == 2
     capsys.readouterr()

@@ -217,6 +217,34 @@ def test_min_order_runs_at_large_genus(first):
     assert len(runs) > 20
 
 
+def _large_genus_sample(first, near=50):
+    """The genera test_min_order_runs_at_large_genus checks: all of a
+    2000-genus window, then those within `near` of each run boundary of a
+    window of 4n genera, and each run's middle."""
+    genera = set(range(first, first + 2_001))
+    window = (first + 7, first + 7 + 4 * order_lower_bound(first))
+    for start, stop, _ in min_order_runs(*window):
+        genera.update(range(start, min(start + near, stop) + 1), [(start + stop) // 2])
+        genera.update(range(max(stop - near, start), stop + 1))
+    return sorted(genera)
+
+
+@pytest.mark.parametrize("first", [3, 10**6, 10**12, 10**30])
+def test_min_order_matches_the_public_exactness_rules(first):
+    # min_order decides exactness and source on its own; the public rules
+    # are the independent references it must agree with
+    kinds = set()
+    for g in _large_genus_sample(first):
+        result = min_order(g)
+        assert (result.kind == "exact") == bounds_agree(g), g
+        spine = complete_spine_order(g)
+        assert (result.source == "complete-spine") == (spine is not None), g
+        if spine is not None:
+            assert result.value == spine[0]
+        kinds.add(result.source)
+    assert kinds == {"complete-spine", "matched-bounds", "bounds"}
+
+
 def test_min_order_runs_edge_cases():
     assert list(islice(min_order_runs(9, 9), 2)) == [(9, 9, min_order(9))]
     assert list(islice(min_order_runs(13, 13), 2)) == [(13, 13, min_order(13))]  # in 12..14

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import random
 import sys
 from itertools import combinations, permutations, product
 
@@ -9,7 +10,7 @@ import pytest
 
 from qforge.embedding import RotationSystem, embedding_to_document, validate_quadrangulation
 from qforge.formulas import order_lower_bound
-from qforge.graph import Graph, canonical_json, complete_graph
+from qforge.graph import Graph, canonical_json, complete_graph, is_connected
 from qforge.oracle import (
     BudgetExhausted,
     SearchBudget,
@@ -390,6 +391,32 @@ def test_exists_with_injected_witness():
 def test_exists_rejects_negative_genus():
     with pytest.raises(ValueError):
         exists_quadrangulation(6, -1)
+
+
+def test_negative_order_is_rejected_not_answered():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        search_quadrangulation(-5, 0)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        exists_quadrangulation(-1, 0)
+    with pytest.raises(ValueError):
+        exists_quadrangulation(-1, 0, witness=build_spinal(complete_graph(2)))
+    with pytest.raises(ValueError, match="max_order must be non-negative"):
+        min_order_bruteforce(0, max_order=-1)
+    # orders 0..3 are too small for a quad face: a correct "no", not an error
+    for n in range(4):
+        assert search_quadrangulation(n, 0) is None
+        assert not exists_quadrangulation(n, 1)
+
+
+def test_is_connected_agrees_with_mini_connected():
+    rng = random.Random(4242)
+    sizes = [0, 1] * 10 + [rng.randint(2, 12) for _ in range(600)]
+    for n in sizes:
+        density = rng.random()
+        edges = frozenset(
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+        )
+        assert is_connected(Graph(n, edges)) == _mini_connected(n, edges), (n, sorted(edges))
 
 
 # ============================================================

@@ -207,6 +207,33 @@ def test_every_witness_pair_fails_loudly_or_verifies():
     assert "ok" in outcomes
 
 
+def test_a_step_on_a_quad_that_is_no_face_is_refused_unchanged():
+    # quads holding the copies of spine vertex 1 as opposite corners, on
+    # common neighbours of both copies, that are not faces of the build:
+    # every such step must raise BuildError and write nothing
+    build = _grow(_grow(_base(0, 1), 1, 2), 2, 3)
+    u0, u1 = 2, 3
+    common = sorted(set(build.rotations[u0]) & set(build.rotations[u1]))
+    quads = [(u0, x, u1, y) for x in common for y in common if x != y]
+    fakes = [q for q in quads if min(q[i:] + q[:i] for i in range(4)) not in build.faces]
+    assert len(fakes) >= 8
+    before = _snapshot(build)
+    for fake in fakes:
+        with pytest.raises(BuildError):
+            build.tree_surgery(1, 4, fake)
+        assert _snapshot(build) == before
+        with pytest.raises(BuildError):
+            build.chord_surgery(1, 3, fake, build.witnesses[3][0])
+        assert _snapshot(build) == before
+        with pytest.raises(BuildError):
+            build.chord_surgery(3, 1, build.witnesses[3][0], fake)
+        assert _snapshot(build) == before
+    # the refused steps left a state that still grows and re-traces exactly
+    _grow(build, 1, 4)
+    _grow(build, 1, 3)
+    assert _tables(build) == _retraced(build)
+
+
 # ============================================================
 # Driver
 # ============================================================
