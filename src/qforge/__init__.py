@@ -60,7 +60,6 @@ from .oracle import (
 from .spinal import (
     BuildError,
     BuildReport,
-    WitnessConflict,
     build_for_genus,
     build_instance,
     build_spinal,

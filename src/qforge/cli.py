@@ -130,6 +130,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"exists: yes (order {args.order}, genus {args.genus})")
     else:
         found = min_order_bruteforce(args.genus, budget, max_order=args.max_order)
+        if found is None:
+            print(f"minimum order for genus {args.genus}: more than {args.max_order}")
+            return EXIT_FAIL
         system = found.witness
         print(f"minimum order for genus {args.genus}: {found.order} (nodes={found.nodes})")
     if args.out:

@@ -62,7 +62,13 @@ class SearchBudget:
 
 
 class _Ticker:
-    """Counts search nodes against a budget; checks the clock every 4096 steps."""
+    """Counts search nodes against a budget.
+
+    The clock is read at every search node (a face placement or a candidate
+    graph): one node can cost a scan over every open dart, tens of
+    milliseconds at order 200.  Cheap steps (``node=False``) read it only
+    every 4096th time.
+    """
 
     __slots__ = ("budget", "nodes", "steps", "start")
 
@@ -77,8 +83,11 @@ class _Ticker:
             self.nodes += 1
             if self.nodes > self.budget.max_nodes:
                 raise BudgetExhausted(f"node budget {self.budget.max_nodes} exhausted")
-        self.steps += 1
-        if self.steps % 4096 == 0 and time.monotonic() - self.start > self.budget.time_cap:
+        else:
+            self.steps += 1
+            if self.steps % 4096:
+                return
+        if time.monotonic() - self.start > self.budget.time_cap:
             raise BudgetExhausted(f"time cap {self.budget.time_cap}s exhausted")
 
 
@@ -401,13 +410,17 @@ class MinOrderWitness:
 
 def min_order_bruteforce(
     genus: int, budget: SearchBudget | None = None, max_order: int | None = None
-) -> MinOrderWitness:
+) -> MinOrderWitness | None:
     """Scan orders upward until a quadrangulation of the genus exists.
 
     The scan starts at the arithmetic lower bound (order 4 for the sphere)
     and can stop at the spinal order, where existence is guaranteed.  Genus
     above 2 requires an explicit budget, as a guard against accidentally
     launching a monster search.  The budget spans the whole scan.
+
+    A ``max_order`` below the spinal order caps the scan.  If every order up
+    to the cap was searched to the end (or lies below the lower bound) with
+    no witness, the answer is None: the minimum order exceeds ``max_order``.
     """
     if genus < 0:
         raise ValueError("genus must be non-negative")
@@ -424,5 +437,5 @@ def min_order_bruteforce(
         if system is not None:
             return MinOrderWitness(genus, n, system, ticker.nodes)
     if cap < stop:
-        raise BudgetExhausted(f"scan capped at order {cap} before reaching a verdict")
+        return None  # every order up to the cap has no quadrangulation
     raise RuntimeError("no quadrangulation found up to the guaranteed spinal order; search defect")

@@ -8,37 +8,32 @@ the embedding is a quadrangulation whose genus equals the cycle rank of G
 and whose face count is twice the spine's edge count.
 
 Surgery happens inside witness faces: quads carrying both copies of a spine
-vertex as opposite corners.  Every step changes one private build state in
-place: it computes the four rotations with the new neighbors spliced in and
-traces only the faces through the eight new darts (three quads for a tree
-edge, four for a chord).  Every new face must be a 4-cycle with distinct
-corners and edges, and the old darts on the new faces must be exactly the
-darts of the consumed witness faces, which proves that no other face
-changed.  If a step would leave some vertex without any witness, it is
-refused before it changes the build and the next witness face (or pair, for
-a chord) is tried, smallest first; these retries are reported as backtracks
-rather than assumed to be zero.  Spine edges are added in one fixed order
-(tree edges breadth-first, then chords), and the finished embedding is
-validated once in full.
+vertex as opposite corners.  The build keeps two records, changed in place:
+the rotation at every embedding vertex and the witness table.  A step
+computes the four rotations with the new neighbors spliced in and traces
+only the faces through the eight new darts (three quads for a tree edge,
+four for a chord).  Every new face must be a 4-cycle with distinct corners
+and edges, and the old darts on the new faces must be exactly the darts of
+the consumed witness faces, which proves that no other face changed.  If a
+step would leave some vertex without any witness, it returns False and
+writes nothing, and the next witness face (or pair, for a chord) is tried,
+smallest first; these retries are reported as backtracks rather than
+assumed to be zero.  Spine edges are added in one fixed order (tree edges
+breadth-first, then chords), and the finished embedding is validated once
+in full.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import product
-from typing import Callable, Iterable
 
 from .embedding import RotationSystem, _quad_defect, _rotate_to_min, validate_quadrangulation
 from .formulas import certified_minimal
-from .graph import Edge, Graph, _bfs_tree, complete_graph, delete_edges_connected, interlace
+from .graph import Graph, _bfs_tree, complete_graph, delete_edges_connected, interlace
 
 Quad = tuple[int, int, int, int]
-
-
-class WitnessConflict(RuntimeError):
-    """A surgery step would leave some spine vertex with no witness face."""
 
 
 class BuildError(RuntimeError):
@@ -75,25 +70,23 @@ def _witnessed(face: Quad) -> list[int]:
 
 
 class _Build:
-    """A partial spinal embedding, grown in place one spine edge at a time:
-    the spine so far, the rotation at every embedding vertex, the current
-    quad faces, and the witness table.
+    """A partial spinal embedding, grown in place one spine edge at a time.
+    It keeps two records: the rotation at every embedding vertex, and the
+    witness table.
 
     Faces are canonical corner 4-tuples (rotated to start at the smallest
-    corner, orientation kept).  The witness table maps each spine vertex to
-    the ascending list of faces holding its two copies as opposite corners;
-    every spine vertex keeps at least one.  A step traces and checks the
-    faces its new rotations would make before it writes anything, so a
-    conflicting step is refused before it changes the build.
+    corner, orientation kept).  The witness table maps each spine vertex of
+    the build to the ascending list of faces holding its two copies as
+    opposite corners; every spine vertex keeps at least one.  A step traces
+    and checks the faces its new rotations would make before it writes
+    anything, and a step that would orphan a vertex returns False and writes
+    nothing.
     """
 
-    __slots__ = ("spine_vertices", "spine_edges", "rotations", "faces", "witnesses")
+    __slots__ = ("rotations", "witnesses")
 
     def __init__(self) -> None:
-        self.spine_vertices: set[int] = set()
-        self.spine_edges: set[Edge] = set()
         self.rotations: dict[int, tuple[int, ...]] = {}
-        self.faces: set[Quad] = set()
         self.witnesses: dict[int, list[Quad]] = {}
 
     def base(self, u: int, v: int) -> None:
@@ -103,7 +96,7 @@ class _Build:
         v0, v1 = _copies(v)
         self._splice(u, v, {u0: (v0, v1), u1: (v0, v1), v0: (u0, u1), v1: (u0, u1)}, ())
 
-    def tree_surgery(self, u: int, v: int, face: Quad) -> None:
+    def tree_surgery(self, u: int, v: int, face: Quad) -> bool:
         """Attach a new leaf v to u inside a witness face of u, split into three quads."""
         u0, u1 = _copies(u)
         v0, v1 = _copies(v)
@@ -116,9 +109,9 @@ class _Build:
             v0: (u0, u1),
             v1: (u0, u1),
         }
-        self._splice(u, v, rotations, (face,))
+        return self._splice(u, v, rotations, (face,))
 
-    def chord_surgery(self, u: int, v: int, face_u: Quad, face_v: Quad) -> None:
+    def chord_surgery(self, u: int, v: int, face_u: Quad, face_v: Quad) -> bool:
         """Join u and v by a handle between a witness face of each: two quads become four."""
         u0, u1 = _copies(u)
         v0, v1 = _copies(v)
@@ -130,41 +123,37 @@ class _Build:
             v0: _insert_after(self.rotations[v0], after=d, items=(u1, u0)),
             v1: _insert_after(self.rotations[v1], after=c, items=(u0, u1)),
         }
-        self._splice(u, v, rotations, (face_u, face_v))
+        return self._splice(u, v, rotations, (face_u, face_v))
 
     def _splice(
         self, u: int, v: int, rotations: dict[int, tuple[int, ...]], consumed: tuple[Quad, ...]
-    ) -> None:
+    ) -> bool:
         """Add spine edge (u, v) by installing the new rotations at the copies
-        of u and v, which must replace exactly the consumed faces.
+        of u and v, which must replace exactly the consumed faces; return
+        whether the step committed.
 
         Every check runs before anything is written.  Raises BuildError if a
         new face is not a quad or the surgery reached beyond the consumed
-        faces, and WitnessConflict if some spine vertex would lose its last
-        witness face; either way the state is unchanged.
+        faces, and returns False if some spine vertex would be left without a
+        witness face; either way the state is unchanged.  Only a vertex that
+        loses a face, or an endpoint new to the build (it has none yet), can
+        be left without one.
         """
         created = self._trace_new_faces(u, v, rotations, consumed)
         lost = [w for face in consumed for w in _witnessed(face)]
         gained = [w for face in created for w in _witnessed(face)]
-        at_risk = set(lost) | ({u, v} - self.spine_vertices)
-        orphans = sorted(
-            w
-            for w in at_risk
-            if len(self.witnesses.get(w, ())) - lost.count(w) + gained.count(w) == 0
-        )
-        if orphans:
-            raise WitnessConflict(f"spine vertices {orphans} would lose their last witness face")
+        witnesses = self.witnesses
+        for w in set(lost) | {u, v}:
+            if len(witnesses.get(w, ())) - lost.count(w) + gained.count(w) == 0:
+                return False
         self.rotations.update(rotations)
-        self.spine_vertices.update((u, v))
-        self.spine_edges.add((min(u, v), max(u, v)))
         for face in consumed:
-            self.faces.remove(face)
             for w in _witnessed(face):
-                self.witnesses[w].remove(face)
+                witnesses[w].remove(face)
         for face in created:
-            self.faces.add(face)
             for w in _witnessed(face):
-                insort(self.witnesses.setdefault(w, []), face)
+                insort(witnesses.setdefault(w, []), face)
+        return True
 
     def _trace_new_faces(
         self, u: int, v: int, rotations: dict[int, tuple[int, ...]], consumed: tuple[Quad, ...]
@@ -172,7 +161,9 @@ class _Build:
         """Trace the faces through the eight darts between the copies of u
         and v, reading the new rotations over the current ones, check that
         each is a genuine quad (walks stop after five darts), and check that
-        their other darts are exactly those of the consumed faces."""
+        their other darts are exactly those of the consumed faces.  The eight
+        new darts and those old darts then make exactly three quads for a
+        tree step and four for a chord."""
         new_darts = {(x, y) for x in _copies(u) for y in _copies(v)}
         new_darts |= {(y, x) for x, y in new_darts}
         seen: set[tuple[int, int]] = set()
@@ -199,21 +190,6 @@ class _Build:
         if old_darts != {(face[i], face[(i + 1) % 4]) for face in consumed for i in range(4)}:
             raise BuildError("surgery changed faces other than the consumed witness faces")
         return created
-
-
-def _first_fit(attempt: Callable[..., None], choices: Iterable[tuple]) -> int:
-    """Apply the first choice that raises no WitnessConflict and return how
-    many conflicted before it; if all do, the last conflict propagates."""
-    conflict: WitnessConflict | None = None
-    for tried, choice in enumerate(choices):
-        try:
-            attempt(*choice)
-        except WitnessConflict as exc:
-            conflict = exc
-        else:
-            return tried
-    assert conflict is not None  # the witness table is never empty
-    raise conflict
 
 
 # ============================================================
@@ -243,8 +219,8 @@ def build_spinal_report(graph: Graph) -> BuildReport:
     spine, returning the embedding together with search statistics.
 
     Steps follow the breadth-first plan; each takes the smallest witness
-    face (or pair) that keeps every vertex witnessed, and every conflict
-    along the way counts as one backtrack.
+    face (or pair) that keeps every vertex witnessed, and every refused
+    choice along the way counts as one backtrack.
     """
     if graph.vertex_count < 2:
         raise ValueError("spine needs at least 2 vertices")
@@ -258,34 +234,28 @@ def build_spinal_report(graph: Graph) -> BuildReport:
     build = _Build()
     build.base(*tree_steps[0])
     backtracks = 0
-    try:
-        for u, v in tree_steps[1:]:
-            backtracks += _first_fit(
-                partial(build.tree_surgery, u, v), product(build.witnesses[u])
-            )
-        for u, v in chords:
-            backtracks += _first_fit(
-                partial(build.chord_surgery, u, v),
-                product(build.witnesses[u], build.witnesses[v]),
-            )
-    except WitnessConflict as exc:
-        raise BuildError(f"no witness choice completes spine edge ({u}, {v}): {exc}") from exc
-    if build.spine_edges != graph.edges:
-        raise BuildError("finished embedding is not on the interlaced spine")
+    for u, v in tree_steps[1:] + chords:
+        if v in build.witnesses:  # both ends built: a chord
+            surgery, choices = build.chord_surgery, product(build.witnesses[u], build.witnesses[v])
+        else:
+            surgery, choices = build.tree_surgery, product(build.witnesses[u])
+        tried = next((i for i, choice in enumerate(choices) if surgery(u, v, *choice)), None)
+        if tried is None:
+            raise BuildError(f"no witness choice completes spine edge ({u}, {v})")
+        backtracks += tried
+    # each spine edge was added once, and RotationSystem checks every
+    # rotation against the interlaced spine
     system = RotationSystem(
         interlace(graph), tuple(build.rotations[v] for v in range(2 * graph.vertex_count))
     )
     check = validate_quadrangulation(system)
     if not check.is_quadrangulation:
         raise BuildError(f"surgery broke the quadrangulation: {'; '.join(check.failures[:3])}")
-    genus = len(chords)  # a connected spine has one chord per independent cycle
+    # a connected spine has one chord per independent cycle; on the interlaced
+    # spine (2|V| vertices, 4|E| edges) this is Euler's count of 2|E| faces
+    genus = len(chords)
     if check.genus != genus:
         raise BuildError(f"surgery genus {check.genus} does not match spine rank {genus}")
-    if not check.face_count == len(build.faces) == 2 * graph.edge_count:
-        raise BuildError(
-            f"traced {check.face_count} faces and tracked {len(build.faces)},"
-            f" but twice the spine edge count is {2 * graph.edge_count}"
-        )
     return BuildReport(
         embedding=system,
         spine=graph,

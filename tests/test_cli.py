@@ -370,10 +370,10 @@ def test_oracle_budget_exhausted(capsys):
     assert err == "inconclusive: node budget 5 exhausted\n"
 
 
-def test_oracle_scan_cap_is_inconclusive(capsys):
-    code, _, err = run(capsys, "oracle", "-g", "2", "--max-order", "6")
-    assert code == 3
-    assert err.startswith("inconclusive: scan capped at order 6")
+def test_oracle_scan_cap_below_the_minimum_answers_more_than(capsys):
+    # every order up to the cap was searched to the end: a proof, not a budget
+    code, out, err = run(capsys, "oracle", "-g", "2", "--max-order", "6")
+    assert (code, out, err) == (1, "minimum order for genus 2: more than 6\n", "")
 
 
 def test_oracle_rejects_bad_budget(capsys):

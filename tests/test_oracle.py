@@ -5,9 +5,11 @@ import inspect
 import random
 import sys
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 
+from qforge import oracle
 from qforge.embedding import RotationSystem, embedding_to_document, validate_quadrangulation
 from qforge.formulas import order_lower_bound
 from qforge.graph import Graph, canonical_json, complete_graph, is_connected
@@ -456,6 +458,15 @@ def test_time_cap_type():
         min_order_bruteforce(2, budget=SearchBudget(max_nodes=50))
 
 
+def test_time_cap_is_read_at_every_search_node(monkeypatch):
+    # a clock that advances 1 s per reading: the first search node is past a
+    # 0.5 s cap, long before 4096 cheap steps would have read the clock
+    clock = iter(range(10**6))
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+    with pytest.raises(BudgetExhausted, match="time cap"):
+        search_quadrangulation(9, 3, SearchBudget(time_cap=0.5))
+
+
 def test_assembler_scoring_scan_obeys_time_cap():
     # the next step is the 4096th, so the clock is read before any node is
     # counted: only the first dart-scoring scan of search() can reach it
@@ -497,8 +508,10 @@ def test_min_order_scan_requires_budget_above_genus_2():
 
 
 def test_min_order_scan_with_max_order_cap():
-    with pytest.raises(BudgetExhausted, match="capped at order 6"):
-        min_order_bruteforce(2, max_order=6)
+    # order 6 is searched to the end and order 3 lies below the lower bound:
+    # either way the capped scan proves the minimum order exceeds the cap
+    assert min_order_bruteforce(2, max_order=6) is None
+    assert min_order_bruteforce(2, max_order=3) is None
     found = min_order_bruteforce(2, max_order=7)
     assert found.order == 7
 

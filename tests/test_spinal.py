@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import partial
 from itertools import product
 
 import pytest
@@ -24,13 +23,11 @@ from qforge.graph import (
 )
 from qforge.spinal import (
     BuildError,
-    WitnessConflict,
     build_for_genus,
     build_instance,
     build_spinal,
     build_spinal_report,
     _Build,
-    _first_fit,
 )
 
 
@@ -76,35 +73,39 @@ def _base(u, v):
 
 def _grow(build, u, v):
     """Add spine edge (u, v) the way the driver does: the first witness
-    face of u (or pair, for a chord) that causes no conflict."""
-    if v in build.spine_vertices:
+    face of u (or pair, for a chord) whose step commits."""
+    if v in build.witnesses:
         choices = product(build.witnesses[u], build.witnesses[v])
-        _first_fit(partial(build.chord_surgery, u, v), choices)
+        assert any(build.chord_surgery(u, v, *choice) for choice in choices)
     else:
-        _first_fit(partial(build.tree_surgery, u, v), product(build.witnesses[u]))
+        assert any(build.tree_surgery(u, v, face) for face in tuple(build.witnesses[u]))
     return build
+
+
+def _spine_edges(build):
+    """The spine edges of a build, read off its rotations."""
+    return {
+        (min(x >> 1, y >> 1), max(x >> 1, y >> 1))
+        for x, rotation in build.rotations.items()
+        for y in rotation
+    }
 
 
 def _embedding(build):
     """The embedding of a build whose spine ids run from 0."""
-    n = len(build.spine_vertices)
-    graph = interlace(Graph(n, frozenset(build.spine_edges)))
+    n = len(build.witnesses)
+    graph = interlace(Graph(n, frozenset(_spine_edges(build))))
     return RotationSystem(graph, tuple(build.rotations[v] for v in range(2 * n)))
 
 
-def _tables(build):
-    """Faces and witness table of a build, in ascending order."""
-    return tuple(sorted(build.faces)), {w: tuple(fs) for w, fs in build.witnesses.items()}
+def _witness_table(build):
+    """The witness table of a build, in ascending order."""
+    return {w: tuple(fs) for w, fs in build.witnesses.items()}
 
 
 def _snapshot(build):
-    return (
-        dict(build.rotations),
-        set(build.faces),
-        {w: list(fs) for w, fs in build.witnesses.items()},
-        set(build.spine_vertices),
-        set(build.spine_edges),
-    )
+    """Everything a build holds: its rotations and its witness table."""
+    return dict(build.rotations), {w: list(fs) for w, fs in build.witnesses.items()}
 
 
 def _retraced(build):
@@ -123,7 +124,7 @@ def _retraced(build):
     )
     report = validate_quadrangulation(system)
     assert report.is_quadrangulation, report.failures
-    assert report.genus == len(build.spine_edges) - len(build.spine_vertices) + 1
+    assert report.genus == len(_spine_edges(build)) - len(build.witnesses) + 1
     faces = []
     for walk in trace_faces(system):
         corners = [ids[k] for k in walk.vertices()]
@@ -132,7 +133,7 @@ def _retraced(build):
     faces.sort()
     witnesses = {
         w: tuple(f for f in faces if {2 * w, 2 * w + 1} in ({f[0], f[2]}, {f[1], f[3]}))
-        for w in build.spine_vertices
+        for w in build.witnesses
     }
     return tuple(faces), witnesses
 
@@ -144,12 +145,14 @@ def _retraced(build):
 
 def test_init_base():
     build = _base(0, 1)
-    assert build.spine_vertices == {0, 1}
-    assert build.spine_edges == {(0, 1)}
-    assert _tables(build) == (
+    assert set(build.witnesses) == {0, 1}
+    assert _spine_edges(build) == {(0, 1)}
+    tables = (
         ((0, 2, 1, 3), (0, 3, 1, 2)),
         {0: ((0, 2, 1, 3), (0, 3, 1, 2)), 1: ((0, 2, 1, 3), (0, 3, 1, 2))},
     )
+    assert _retraced(build) == tables
+    assert _witness_table(build) == tables[1]
     system = _embedding(build)
     assert system.graph == octahedral_graph(2)
     assert validate_quadrangulation(system).is_quadrangulation
@@ -157,9 +160,9 @@ def test_init_base():
 
 def test_tree_add_grows_a_leaf():
     build = _grow(_base(0, 1), 1, 2)
-    assert build.spine_vertices == {0, 1, 2}
-    assert build.spine_edges == {(0, 1), (1, 2)}
-    assert len(build.faces) == 4
+    assert set(build.witnesses) == {0, 1, 2}
+    assert _spine_edges(build) == {(0, 1), (1, 2)}
+    assert len(trace_faces(_embedding(build))) == 4
     for w in (0, 1, 2):
         assert build.witnesses[w]
     report = validate_quadrangulation(_embedding(build))
@@ -170,8 +173,8 @@ def test_tree_add_grows_a_leaf():
 
 def test_chord_add_raises_genus():
     build = _grow(_grow(_base(0, 1), 1, 2), 0, 2)
-    assert build.spine_edges == {(0, 1), (0, 2), (1, 2)}
-    assert len(build.faces) == 6
+    assert _spine_edges(build) == {(0, 1), (0, 2), (1, 2)}
+    assert len(trace_faces(_embedding(build))) == 6
     report = validate_quadrangulation(_embedding(build))
     assert report.is_quadrangulation
     assert report.genus == 1
@@ -192,15 +195,15 @@ def test_triangle_walkthrough_rotations():
 
 def test_every_witness_pair_fails_loudly_or_verifies():
     # Forcing explicit witness pairs must never yield a half-broken state:
-    # each choice either raises WitnessConflict or passes full validation.
+    # each choice is either refused unchanged or passes full validation.
     path = _grow(_base(0, 1), 1, 2)
     outcomes = []
     for face_u, face_v in product(path.witnesses[0], path.witnesses[2]):
         build = _grow(_base(0, 1), 1, 2)
-        try:
-            build.chord_surgery(0, 2, face_u, face_v)
-        except WitnessConflict:
+        before = _snapshot(build)
+        if not build.chord_surgery(0, 2, face_u, face_v):
             outcomes.append("conflict")
+            assert _snapshot(build) == before
             continue
         outcomes.append("ok")
         assert validate_quadrangulation(_embedding(build)).is_quadrangulation
@@ -215,7 +218,8 @@ def test_a_step_on_a_quad_that_is_no_face_is_refused_unchanged():
     u0, u1 = 2, 3
     common = sorted(set(build.rotations[u0]) & set(build.rotations[u1]))
     quads = [(u0, x, u1, y) for x in common for y in common if x != y]
-    fakes = [q for q in quads if min(q[i:] + q[:i] for i in range(4)) not in build.faces]
+    faces = set(_retraced(build)[0])
+    fakes = [q for q in quads if min(q[i:] + q[:i] for i in range(4)) not in faces]
     assert len(fakes) >= 8
     before = _snapshot(build)
     for fake in fakes:
@@ -231,7 +235,7 @@ def test_a_step_on_a_quad_that_is_no_face_is_refused_unchanged():
     # the refused steps left a state that still grows and re-traces exactly
     _grow(build, 1, 4)
     _grow(build, 1, 3)
-    assert _tables(build) == _retraced(build)
+    assert _witness_table(build) == _retraced(build)[1]
 
 
 # ============================================================
@@ -356,37 +360,43 @@ def test_random_spines_build_and_verify():
         assert check.genus == report.genus
 
 
-def test_build_error_is_distinct_from_witness_conflict():
-    assert issubclass(WitnessConflict, RuntimeError)
+def test_driver_raises_build_error_when_every_choice_is_refused(monkeypatch):
+    # a refused step is a return value inside the module; only the driver
+    # turns a spine edge that no witness choice completes into BuildError
     assert issubclass(BuildError, RuntimeError)
-    assert not issubclass(BuildError, WitnessConflict)
+    monkeypatch.setattr(_Build, "chord_surgery", lambda self, u, v, face_u, face_v: False)
+    with pytest.raises(BuildError, match=r"no witness choice completes spine edge \(1, 2\)$"):
+        build_spinal_report(complete_graph(3))
+    assert build_spinal_report(make_graph(3, [(0, 1), (1, 2)])).backtracks == 0
 
 
 def test_public_steps_match_a_full_retrace():
     # Each step traces only the faces it creates; re-trace every
     # intermediate state in full and compare faces and witness tables.
     # Random forced witnesses take the build off the default path, and a
-    # step that conflicts must leave the state exactly as it found it.
+    # refused step must leave the state exactly as it found it.
     rng = random.Random(2718)
     conflicts = 0
     for _ in range(25):
         _, tree, chords = _relabeled_spine_steps(rng, max_vertices=9, max_chords=12)
         build = _base(*tree[0])
-        assert _tables(build) == _retraced(build)
+        faces, witnesses = _retraced(build)
+        assert _witness_table(build) == witnesses
         for u, v in tree[1:] + chords:
             before = _snapshot(build)
-            try:
-                if v in build.spine_vertices:
-                    forced = (rng.choice(build.witnesses[u]), rng.choice(build.witnesses[v]))
-                    build.chord_surgery(u, v, *forced)
-                else:
-                    build.tree_surgery(u, v, rng.choice(build.witnesses[u]))
-            except WitnessConflict:
+            if v in build.witnesses:
+                forced = (rng.choice(build.witnesses[u]), rng.choice(build.witnesses[v]))
+                committed = build.chord_surgery(u, v, *forced)
+            else:
+                committed = build.tree_surgery(u, v, rng.choice(build.witnesses[u]))
+            if not committed:
                 conflicts += 1
                 assert _snapshot(build) == before
                 _grow(build, u, v)
-            assert _tables(build) == _retraced(build)
-            assert len(build.faces) == len(before[1]) + 2
+            count = len(faces)
+            faces, witnesses = _retraced(build)
+            assert _witness_table(build) == witnesses
+            assert len(faces) == count + 2
     assert conflicts > 0
 
 
