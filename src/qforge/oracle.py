@@ -113,42 +113,45 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     this is exponentially smaller than enumerating edge subsets directly.
     A pair is dropped only while both endpoints can spare an edge; each pair
     considered is a timed step of the ticker, not a search node.  The
-    combinations come from one loop over an explicit stack of dropped pair
-    indices, so the number of missing edges is not bounded by Python's
-    recursion limit.
+    combinations come from one loop over an explicit stack of dropped pairs,
+    so the number of missing edges is not bounded by Python's recursion
+    limit.  The loop walks the pairs with a cursor instead of listing them,
+    and builds the set of all C(n, 2) pairs only when the first combination
+    is complete, so a large order meets its first budget check at once.
     """
-    pairs = list(combinations(range(n), 2))
-    need = len(pairs) - edge_target
+    total = n * (n - 1) // 2
+    need = total - edge_target
     spare = [n - 1 - min_degree] * n
     if any(s < 0 for s in spare):  # even the complete graph is too sparse
         return
-    everything = frozenset(pairs)
-    dropped: list[int] = []  # indices into pairs, ascending
-    k = 0
+    everything = None  # every pair, built once the first combination is complete
+    dropped: list[tuple[int, int]] = []  # ascending
+    k, i, j = 0, 0, 1  # the pair (i, j) under consideration, and its index k
     while True:
         # consider pair k while enough pairs remain for the drops still due;
         # otherwise this combination is complete or exhausted: backtrack
         left = need - len(dropped)
-        if left and k <= len(pairs) - left:
+        if left and k <= total - left:
             ticker(node=False)
-            i, j = pairs[k]
             if spare[i] > 0 and spare[j] > 0:
                 spare[i] -= 1
                 spare[j] -= 1
-                dropped.append(k)
-            k += 1
-            continue
-        if not left:
-            graph = Graph(n, everything.difference(pairs[d] for d in dropped))
-            if is_connected(graph):
-                yield graph
-        if not dropped:
-            return
-        k = dropped.pop()
-        i, j = pairs[k]
-        spare[i] += 1
-        spare[j] += 1
+                dropped.append((i, j))
+        else:
+            if not left:
+                if everything is None:
+                    everything = frozenset(combinations(range(n), 2))
+                graph = Graph(n, everything.difference(dropped))
+                if is_connected(graph):
+                    yield graph
+            if not dropped:
+                return
+            i, j = dropped.pop()
+            spare[i] += 1
+            spare[j] += 1
+            k = i * (2 * n - i - 1) // 2 + j - i - 1  # the index of (i, j)
         k += 1
+        i, j = (i, j + 1) if j + 1 < n else (i + 1, i + 2)
 
 
 class _FaceAssembler:

@@ -9,18 +9,18 @@ and whose face count is twice the spine's edge count.
 
 Surgery happens inside witness faces: quads carrying both copies of a spine
 vertex as opposite corners.  The build keeps two records, changed in place:
-the rotation at every embedding vertex and the witness table.  A step
-computes the four rotations with the new neighbors spliced in and traces
-only the faces through the eight new darts (three quads for a tree edge,
-four for a chord).  Every new face must be a 4-cycle with distinct corners
-and edges, and the old darts on the new faces must be exactly the darts of
-the consumed witness faces, which proves that no other face changed.  If a
-step would leave some vertex without any witness, it returns False and
-writes nothing, and the next witness face (or pair, for a chord) is tried,
-smallest first; these retries are reported as backtracks rather than
-assumed to be zero.  Spine edges are added in one fixed order (tree edges
-breadth-first, then chords), and the finished embedding is validated once
-in full.
+the rotation at every embedding vertex and the witness table.  A step takes
+only faces from that table, computes the four rotations with the new
+neighbors spliced in, and names the faces those rotations make (three quads
+for a tree edge, four for a chord), read off the corners of the consumed
+faces; nothing is traced per step.  If a step would leave some vertex
+without any witness, it returns False and writes nothing, and the next
+witness face (or pair, for a chord) is tried, smallest first; these retries
+are reported as backtracks rather than assumed to be zero.  Spine edges are
+added in one fixed order (tree edges breadth-first, then chords).  The
+finished embedding is validated once in full, and that validation, with the
+genus check against the spine's cycle rank, is the proof that every step
+named its faces right.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from bisect import insort
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .embedding import RotationSystem, _quad_defect, _rotate_to_min, validate_quadrangulation
+from .embedding import RotationSystem, _rotate_to_min, validate_quadrangulation
 from .formulas import certified_minimal
 from .graph import Graph, _bfs_tree, complete_graph, delete_edges_connected, interlace
 
@@ -77,10 +77,11 @@ class _Build:
     Faces are canonical corner 4-tuples (rotated to start at the smallest
     corner, orientation kept).  The witness table maps each spine vertex of
     the build to the ascending list of faces holding its two copies as
-    opposite corners; every spine vertex keeps at least one.  A step traces
-    and checks the faces its new rotations would make before it writes
-    anything, and a step that would orphan a vertex returns False and writes
-    nothing.
+    opposite corners; every spine vertex keeps at least one.  A step accepts
+    only faces from that table, and names the faces its new rotations make
+    instead of tracing them; the finished embedding's full validation is
+    the proof that they were named right.  A step that would orphan a vertex
+    returns False and writes nothing.
     """
 
     __slots__ = ("rotations", "witnesses")
@@ -94,25 +95,27 @@ class _Build:
         sphere whose two quad faces each witness both endpoints."""
         u0, u1 = _copies(u)
         v0, v1 = _copies(v)
-        self._splice(u, v, {u0: (v0, v1), u1: (v0, v1), v0: (u0, u1), v1: (u0, u1)}, ())
+        rotations = {u0: (v0, v1), u1: (v0, v1), v0: (u0, u1), v1: (u0, u1)}
+        self._splice(rotations, (), ((u0, v0, u1, v1), (u0, v1, u1, v0)))
 
     def tree_surgery(self, u: int, v: int, face: Quad) -> bool:
         """Attach a new leaf v to u inside a witness face of u, split into three quads."""
+        self._require_witnesses((u, face))
         u0, u1 = _copies(u)
         v0, v1 = _copies(v)
-        _, x, mid, y = _align_quad(face, u0)
-        if mid != u1:
-            raise ValueError(f"face {face} does not hold {u0} and {u1} as opposite corners")
+        _, x, _, y = _align_quad(face, u0)
         rotations = {
             u0: _insert_after(self.rotations[u0], after=y, items=(v1, v0)),
             u1: _insert_after(self.rotations[u1], after=x, items=(v0, v1)),
             v0: (u0, u1),
             v1: (u0, u1),
         }
-        return self._splice(u, v, rotations, (face,))
+        created = ((u0, x, u1, v0), (u0, v1, u1, y), (u0, v0, u1, v1))
+        return self._splice(rotations, (face,), created)
 
     def chord_surgery(self, u: int, v: int, face_u: Quad, face_v: Quad) -> bool:
         """Join u and v by a handle between a witness face of each: two quads become four."""
+        self._require_witnesses((u, face_u), (v, face_v))
         u0, u1 = _copies(u)
         v0, v1 = _copies(v)
         _, a, _, b = _align_quad(face_u, u0)
@@ -123,28 +126,37 @@ class _Build:
             v0: _insert_after(self.rotations[v0], after=d, items=(u1, u0)),
             v1: _insert_after(self.rotations[v1], after=c, items=(u0, u1)),
         }
-        return self._splice(u, v, rotations, (face_u, face_v))
+        created = ((u0, a, u1, v0), (u0, v1, u1, b), (v0, c, v1, u0), (v0, u1, v1, d))
+        return self._splice(rotations, (face_u, face_v), created)
+
+    def _require_witnesses(self, *claims: tuple[int, Quad]) -> None:
+        """Raise BuildError unless each face is in the witness table of its
+        spine vertex: only a face of the build, in canonical rotation and
+        holding that vertex's copies as opposite corners, can be consumed."""
+        for w, face in claims:
+            if face not in self.witnesses.get(w, ()):
+                raise BuildError(f"{face} is not a witness face of spine vertex {w}")
 
     def _splice(
-        self, u: int, v: int, rotations: dict[int, tuple[int, ...]], consumed: tuple[Quad, ...]
+        self,
+        rotations: dict[int, tuple[int, ...]],
+        consumed: tuple[Quad, ...],
+        created: tuple[Quad, ...],
     ) -> bool:
-        """Add spine edge (u, v) by installing the new rotations at the copies
-        of u and v, which must replace exactly the consumed faces; return
-        whether the step committed.
+        """Install the new rotations, which replace the consumed faces by the
+        created ones; return whether the step committed.
 
-        Every check runs before anything is written.  Raises BuildError if a
-        new face is not a quad or the surgery reached beyond the consumed
-        faces, and returns False if some spine vertex would be left without a
-        witness face; either way the state is unchanged.  Only a vertex that
-        loses a face, or an endpoint new to the build (it has none yet), can
-        be left without one.
+        Returns False, writing nothing, if some spine vertex would be left
+        without a witness face.  Only a vertex that loses a face can: a tree
+        step's quad (u0, v0, u1, v1) witnesses the new leaf, and a chord
+        joins two vertices already in the build.
         """
-        created = self._trace_new_faces(u, v, rotations, consumed)
+        created = tuple(_rotate_to_min(face) for face in created)
         lost = [w for face in consumed for w in _witnessed(face)]
         gained = [w for face in created for w in _witnessed(face)]
         witnesses = self.witnesses
-        for w in set(lost) | {u, v}:
-            if len(witnesses.get(w, ())) - lost.count(w) + gained.count(w) == 0:
+        for w in set(lost):
+            if len(witnesses[w]) - lost.count(w) + gained.count(w) == 0:
                 return False
         self.rotations.update(rotations)
         for face in consumed:
@@ -154,42 +166,6 @@ class _Build:
             for w in _witnessed(face):
                 insort(witnesses.setdefault(w, []), face)
         return True
-
-    def _trace_new_faces(
-        self, u: int, v: int, rotations: dict[int, tuple[int, ...]], consumed: tuple[Quad, ...]
-    ) -> list[Quad]:
-        """Trace the faces through the eight darts between the copies of u
-        and v, reading the new rotations over the current ones, check that
-        each is a genuine quad (walks stop after five darts), and check that
-        their other darts are exactly those of the consumed faces.  The eight
-        new darts and those old darts then make exactly three quads for a
-        tree step and four for a chord."""
-        new_darts = {(x, y) for x in _copies(u) for y in _copies(v)}
-        new_darts |= {(y, x) for x, y in new_darts}
-        seen: set[tuple[int, int]] = set()
-        old_darts: set[tuple[int, int]] = set()
-        created: list[Quad] = []
-        for start in sorted(new_darts):
-            if start in seen:
-                continue
-            walk = [start]
-            while len(walk) <= 4:
-                x, y = walk[-1]
-                rotation = rotations[y] if y in rotations else self.rotations[y]
-                dart = (y, rotation[(rotation.index(x) + 1) % len(rotation)])
-                if dart == start:
-                    break
-                walk.append(dart)
-            corners = [x for x, _ in walk]
-            defect = "is longer than 4" if len(walk) > 4 else _quad_defect(corners)
-            if defect:
-                raise BuildError(f"surgery made a face through {start} that {defect}")
-            seen.update(walk)
-            old_darts.update(dart for dart in walk if dart not in new_darts)
-            created.append(_rotate_to_min(corners))
-        if old_darts != {(face[i], face[(i + 1) % 4]) for face in consumed for i in range(4)}:
-            raise BuildError("surgery changed faces other than the consumed witness faces")
-        return created
 
 
 # ============================================================

@@ -4,6 +4,8 @@ import hashlib
 import inspect
 import random
 import sys
+import time
+import tracemalloc
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
@@ -176,6 +178,22 @@ def test_candidate_enumeration_obeys_time_cap():
             pass
     assert ticker.nodes == 0
     assert ticker.steps == 4096
+
+
+def test_candidate_enumeration_meets_its_budget_before_listing_every_pair():
+    # order 2000 has about two million vertex pairs; the first budget check
+    # must come before anything proportional to them is allocated
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(BudgetExhausted, match="time cap"):
+            search_quadrangulation(2000, 3, SearchBudget(time_cap=0.01))
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 5 * 2**20
 
 
 def test_candidate_enumeration_depth_is_not_bounded_by_recursion_limit():

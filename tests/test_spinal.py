@@ -238,6 +238,25 @@ def test_a_step_on_a_quad_that_is_no_face_is_refused_unchanged():
     assert _witness_table(build) == _retraced(build)[1]
 
 
+def test_a_witness_face_in_another_rotation_is_refused_unchanged():
+    # the same face of the build, rotated off its canonical first corner, is
+    # not in the witness table: the step must raise BuildError before it
+    # writes a rotation or touches the table
+    build = _grow(_grow(_base(0, 1), 1, 2), 2, 3)
+    before = _snapshot(build)
+    for face in build.witnesses[1]:
+        for turn in (1, 2, 3):
+            rotated = face[turn:] + face[:turn]
+            with pytest.raises(BuildError):
+                build.tree_surgery(1, 4, rotated)
+            assert _snapshot(build) == before
+            with pytest.raises(BuildError):
+                build.chord_surgery(3, 1, build.witnesses[3][0], rotated)
+            assert _snapshot(build) == before
+    _grow(build, 1, 4)
+    assert _witness_table(build) == _retraced(build)[1]
+
+
 # ============================================================
 # Driver
 # ============================================================
@@ -371,8 +390,9 @@ def test_driver_raises_build_error_when_every_choice_is_refused(monkeypatch):
 
 
 def test_public_steps_match_a_full_retrace():
-    # Each step traces only the faces it creates; re-trace every
-    # intermediate state in full and compare faces and witness tables.
+    # Each step names the faces it creates without tracing them; re-trace
+    # every intermediate state in full and compare the witness table built
+    # from the named faces with the traced one.
     # Random forced witnesses take the build off the default path, and a
     # refused step must leave the state exactly as it found it.
     rng = random.Random(2718)
