@@ -6,9 +6,7 @@ surgery, and confirms small-genus ground truths by exhaustive search.
 """
 
 from .embedding import (
-    Dart,
     EmbeddingReport,
-    FaceWalk,
     GenusMismatchError,
     RotationSystem,
     embedding_from_document,
@@ -25,7 +23,6 @@ from .formulas import (
     certified_minimal,
     complete_spine_order,
     half_order_cap,
-    isqrt,
     min_order,
     min_order_runs,
     min_spine_size,
@@ -52,7 +49,6 @@ from .oracle import (
     BudgetExhausted,
     MinOrderWitness,
     SearchBudget,
-    exists_quadrangulation,
     min_order_bruteforce,
     quad_edge_count,
     search_quadrangulation,
@@ -62,7 +58,6 @@ from .spinal import (
     BuildReport,
     build_for_genus,
     build_instance,
-    build_spinal,
     build_spinal_report,
 )
 

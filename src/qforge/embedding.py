@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .graph import FormatError, Graph, canonical_json
 from .graph import _bfs_tree, _is_count, _read_document, _vertex_count
@@ -23,13 +23,6 @@ EMBEDDING_FORMAT = "qforge-embedding/1"
 
 class GenusMismatchError(ValueError):
     """A document's declared genus disagrees with the traced embedding."""
-
-
-class Dart(NamedTuple):
-    """One orientation of an edge."""
-
-    tail: int
-    head: int
 
 
 def _rotate_to_min(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -69,22 +62,6 @@ class RotationSystem:
 
 
 @dataclass(frozen=True)
-class FaceWalk:
-    """A closed face boundary: the full orbit of one dart under the
-    face-tracing successor map."""
-
-    darts: tuple[Dart, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.darts)
-
-    def vertices(self) -> tuple[int, ...]:
-        """Corner vertices in walk order (the tails of the darts)."""
-        return tuple(dart.tail for dart in self.darts)
-
-
-@dataclass(frozen=True)
 class EmbeddingReport:
     """Outcome of quadrangulation validation plus the embedding's counts."""
 
@@ -100,7 +77,7 @@ class EmbeddingReport:
 def _trace(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
     """The one face tracer: every face as its list of corners.
 
-    Dart (v, rotations[v][i]) has the integer id offset[v] + i, and one
+    The dart (v, rotations[v][i]) has the integer id offset[v] + i, and one
     table gives each dart's successor id.  Start darts are taken in
     ascending (tail, head) order, so each face starts at its smallest dart
     and faces come in ascending order of that dart.  Face k's darts are
@@ -136,17 +113,17 @@ def _trace(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
     return faces
 
 
-def trace_faces(system: RotationSystem) -> list[FaceWalk]:
-    """Partition all 2|E| darts into face boundary walks.
+def trace_faces(system: RotationSystem) -> list[tuple[int, ...]]:
+    """Partition all 2|E| darts into face boundary walks, each given as the
+    tuple of its corners in walk order; face c has the darts (c[i], c[i + 1]),
+    read cyclically.
 
     Each orbit of the successor map is reported exactly once, started at its
     lexicographically smallest dart, and orbits are listed in ascending order
-    of their starting dart, so identical inputs give identical output.
+    of their starting dart, so identical inputs give identical output.  A
+    quad with four distinct corners therefore starts at its smallest corner.
     """
-    return [
-        FaceWalk(tuple(map(Dart, corners, corners[1:] + corners[:1])))
-        for corners in _trace(system.rotations)
-    ]
+    return list(map(tuple, _trace(system.rotations)))
 
 
 def _euler(system: RotationSystem, face_count: int) -> tuple[int, int]:

@@ -13,7 +13,6 @@ from typing import Iterator
 
 __all__ = [
     "MinOrderResult",
-    "isqrt",
     "min_spine_size",
     "half_order_cap",
     "bounds_agree",

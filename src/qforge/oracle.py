@@ -22,8 +22,9 @@ instead of answering, and that outcome is never collapsed into "no".
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import order_lower_bound, spinal_min_order
@@ -35,7 +36,6 @@ __all__ = [
     "MinOrderWitness",
     "quad_edge_count",
     "search_quadrangulation",
-    "exists_quadrangulation",
     "min_order_bruteforce",
 ]
 
@@ -118,35 +118,43 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     limit.  The loop walks the pairs with a cursor instead of listing them,
     and builds the set of all C(n, 2) pairs only when the first combination
     is complete, so a large order meets its first budget check at once.
+    Far above the minimum order nearly every pair considered is dropped, so
+    each dropped pair (i, j) is one machine integer i * n + j, and a vertex's
+    spare count is made when the cursor first reaches it: memory grows with
+    the pairs considered, not with n, and stays small until the budget ends.
     """
     total = n * (n - 1) // 2
-    need = total - edge_target
-    spare = [n - 1 - min_degree] * n
-    if any(s < 0 for s in spare):  # even the complete graph is too sparse
+    cap = n - 1 - min_degree
+    if n and cap < 0:  # even the complete graph is too sparse
         return
+    spare = [cap]  # one entry per vertex the cursor has reached
     everything = None  # every pair, built once the first combination is complete
-    dropped: list[tuple[int, int]] = []  # ascending
+    dropped = array("q")  # ascending, the pair (i, j) as i * n + j
     k, i, j = 0, 0, 1  # the pair (i, j) under consideration, and its index k
+    left = total - edge_target  # the drops still due
     while True:
         # consider pair k while enough pairs remain for the drops still due;
         # otherwise this combination is complete or exhausted: backtrack
-        left = need - len(dropped)
         if left and k <= total - left:
             ticker(node=False)
+            if j == len(spare):  # row 0 reaches every vertex in order first
+                spare.append(cap)
             if spare[i] > 0 and spare[j] > 0:
                 spare[i] -= 1
                 spare[j] -= 1
-                dropped.append((i, j))
+                dropped.append(i * n + j)
+                left -= 1
         else:
             if not left:
                 if everything is None:
                     everything = frozenset(combinations(range(n), 2))
-                graph = Graph(n, everything.difference(dropped))
+                graph = Graph(n, everything.difference(map(divmod, dropped, repeat(n))))
                 if is_connected(graph):
                     yield graph
             if not dropped:
                 return
-            i, j = dropped.pop()
+            i, j = divmod(dropped.pop(), n)
+            left += 1
             spare[i] += 1
             spare[j] += 1
             k = i * (2 * n - i - 1) // 2 + j - i - 1  # the index of (i, j)
@@ -351,6 +359,15 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
     edge_target = quad_edge_count(n, genus)
     if edge_target is None:
         return None
+    # No quad face passes a degree-1 vertex twice, so every degree is at
+    # least 2, and the sphere needs degree 2 (the 4-cycle).  At genus >= 1 a
+    # degree-2 vertex x with neighbours a and c lies on faces (x, a, b, c)
+    # and (x, c, d, a) with b != d: b = d would leave a, b and c of degree 2
+    # too, which is the 4-cycle on the sphere.  Deleting x merges the two
+    # faces into the quad (a, b, c, d); the graph stays simple and connected
+    # and the genus is unchanged.  So a minimum-order quadrangulation of
+    # genus >= 1 has minimum degree 3, and a scan upward from the lower
+    # bound that lists only such graphs finds the minimum order.
     min_degree = 2 if genus == 0 else 3
     for graph in _candidate_graphs(n, edge_target, min_degree, ticker):
         ticker()
@@ -368,36 +385,21 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
 def search_quadrangulation(
     n: int, genus: int, budget: SearchBudget | None = None
 ) -> RotationSystem | None:
-    """Find a quadrangulation with the given order and genus, or prove that
-    none exists.  Returns a verified witness embedding, or None."""
+    """Find a quadrangulation with the given order and genus: a verified
+    witness embedding, or None.
+
+    On the sphere None proves that no quadrangulation of order n exists.
+    At genus >= 1 the search lists only graphs of minimum degree 3, so None
+    rules out only those at order n; it proves that no quadrangulation of
+    order n exists when every order from order_lower_bound(genus) up to n
+    also answers None, because deleting a degree-2 vertex leaves a
+    quadrangulation of the same genus one order lower (see _search).
+    """
     if genus < 0:
         raise ValueError("genus must be non-negative")
     if n < 0:
         raise ValueError("order must be non-negative")
     return _search(n, genus, _Ticker(budget or SearchBudget()))
-
-
-def exists_quadrangulation(
-    n: int,
-    genus: int,
-    budget: SearchBudget | None = None,
-    witness: RotationSystem | None = None,
-) -> bool:
-    """Decide whether any n-vertex quadrangulation of genus g exists.
-
-    An injected witness short-circuits the search after being verified; an
-    injected witness that fails verification raises ValueError.
-    """
-    if witness is not None:
-        report = validate_quadrangulation(witness)
-        if (
-            witness.graph.vertex_count != n
-            or not report.is_quadrangulation
-            or report.genus != genus
-        ):
-            raise ValueError("injected witness does not match the claimed order and genus")
-        return True
-    return search_quadrangulation(n, genus, budget) is not None
 
 
 @dataclass(frozen=True)

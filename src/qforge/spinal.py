@@ -242,12 +242,6 @@ def build_spinal_report(graph: Graph) -> BuildReport:
     )
 
 
-def build_spinal(graph: Graph) -> RotationSystem:
-    """A verified quadrangulation of the interlaced spine whose genus equals
-    the spine's cycle rank; deterministic for identical spines."""
-    return build_spinal_report(graph).embedding
-
-
 def build_instance(p: int, m: int) -> BuildReport:
     """Spinal quadrangulation over the spine K_p minus m edges, with the
     minimality certificate evaluated."""

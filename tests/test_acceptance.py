@@ -29,9 +29,9 @@ from qforge.formulas import (
 from qforge.graph import betti, complete_graph, interlace, make_graph, octahedral_graph
 from qforge.oracle import (
     BudgetExhausted,
-    exists_quadrangulation,
     min_order_bruteforce,
     quad_edge_count,
+    search_quadrangulation,
 )
 from qforge.spinal import build_instance, build_spinal_report
 
@@ -139,7 +139,7 @@ def test_acceptance_5_bruteforce_ground_truth():
         # impossibility below them, which needs no search at all
         degraded = True
         for genus, expected in truth:
-            assert exists_quadrangulation(expected, genus)
+            assert search_quadrangulation(expected, genus) is not None
     # impossibility below each minimum: the edge-count equation already
     # overshoots the complete graph there, so no search is involved
     assert quad_edge_count(4, 1) is None
@@ -147,7 +147,7 @@ def test_acceptance_5_bruteforce_ground_truth():
     for genus, expected in truth:
         for n in range(4, expected):
             assert quad_edge_count(n, genus) is None
-            assert exists_quadrangulation(n, genus) is False
+            assert search_quadrangulation(n, genus) is None
     elapsed = time.perf_counter() - start
     assert elapsed < 900.0
     mode = "degraded-to-witness" if degraded else "full-scan"
@@ -176,7 +176,7 @@ def test_acceptance_6_random_spine_property_suite():
         assert check.face_count == 2 * spine.edge_count
 
         faces = trace_faces(report.embedding)
-        darts = [d for walk in faces for d in walk.darts]
+        darts = [d for walk in faces for d in zip(walk, walk[1:] + walk[:1])]
         assert len(darts) == 2 * report.embedding.graph.edge_count
         assert len(set(darts)) == len(darts)
         assert check.euler_characteristic % 2 == 0

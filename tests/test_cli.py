@@ -13,7 +13,7 @@ from qforge.cli import main
 from qforge.embedding import load_embedding, save_embedding, validate_quadrangulation
 from qforge.formulas import min_order
 from qforge.graph import complete_graph, load_graph, octahedral_graph, save_graph
-from qforge.spinal import build_spinal
+from qforge.spinal import build_spinal_report
 
 
 def run(capsys, *argv):
@@ -168,7 +168,7 @@ def test_build_from_spine_file(capsys, tmp_path):
     code, out, _ = run(capsys, "build", "--spine-file", str(spine_file), "-o", str(out_file))
     assert code == 0
     assert out.splitlines()[0] == "order=6 genus=1 faces=6 minimal=unknown backtracks=0"
-    assert load_embedding(out_file) == build_spinal(complete_graph(3))
+    assert load_embedding(out_file) == build_spinal_report(complete_graph(3)).embedding
 
 
 def test_build_is_byte_stable(capsys, tmp_path):
@@ -249,7 +249,7 @@ def test_verify_genus_mismatch(capsys, tmp_path):
 
 def test_verify_traces_the_faces_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "k5.json"
-    save_embedding(build_spinal(complete_graph(5)), path, declared_genus=6)
+    save_embedding(build_spinal_report(complete_graph(5)).embedding, path, declared_genus=6)
     calls = []
     trace = embedding._trace
 

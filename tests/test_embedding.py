@@ -9,9 +9,7 @@ import pytest
 
 from qforge.embedding import (
     EMBEDDING_FORMAT,
-    Dart,
     EmbeddingReport,
-    FaceWalk,
     GenusMismatchError,
     RotationSystem,
     _trace,
@@ -32,7 +30,7 @@ from qforge.graph import (
     graph_to_document,
     make_graph,
 )
-from qforge.spinal import build_spinal
+from qforge.spinal import build_spinal_report
 
 try:
     from hypothesis import given, settings
@@ -46,6 +44,11 @@ _INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 def _system(n, edges, rotations):
     return RotationSystem(make_graph(n, edges), tuple(tuple(r) for r in rotations))
+
+
+def _darts(face):
+    """The darts of a face given by its corners in walk order."""
+    return tuple(zip(face, face[1:] + face[:1]))
 
 
 def _shuffled_system(graph: Graph, rng: random.Random) -> RotationSystem:
@@ -88,8 +91,8 @@ def test_rotation_system_rejections():
 def test_trace_triangle_sphere():
     system = _system(3, [(0, 1), (0, 2), (1, 2)], [(1, 2), (0, 2), (0, 1)])
     faces = trace_faces(system)
-    assert [f.vertices() for f in faces] == [(0, 1, 2), (0, 2, 1)]
-    assert faces[0].darts == (Dart(0, 1), Dart(1, 2), Dart(2, 0))
+    assert faces == [(0, 1, 2), (0, 2, 1)]
+    assert _darts(faces[0]) == ((0, 1), (1, 2), (2, 0))
     assert euler_genus(system) == (2, 0)
 
 
@@ -97,7 +100,7 @@ def test_trace_k4_ascending_is_torus():
     graph = complete_graph(4)
     system = RotationSystem(graph, tuple(tuple(row) for row in graph.adjacency()))
     faces = trace_faces(system)
-    assert [f.vertices() for f in faces] == [(0, 1, 2, 3), (0, 2, 1, 3, 2, 0, 3, 1)]
+    assert faces == [(0, 1, 2, 3), (0, 2, 1, 3, 2, 0, 3, 1)]
     assert euler_genus(system) == (0, 1)
 
 
@@ -111,7 +114,7 @@ def test_face_orbits_cover_all_darts():
         graph = make_graph(n, tree + extra)
         system = _shuffled_system(graph, rng)
         faces = trace_faces(system)
-        darts = [d for f in faces for d in f.darts]
+        darts = [d for f in faces for d in _darts(f)]
         assert len(darts) == 2 * graph.edge_count
         assert len(set(darts)) == len(darts)
         chi, genus = euler_genus(system)
@@ -144,7 +147,7 @@ def test_quadrangulation_rejects_degenerate_walk():
     system = _system(3, [(0, 1), (1, 2)], [(1,), (0, 2), (1,)])
     report = validate_quadrangulation(system)
     faces = trace_faces(system)
-    assert [f.vertices() for f in faces] == [(0, 1, 2, 1)]
+    assert faces == [(0, 1, 2, 1)]
     assert report.failures == ("face 0 (0-1-2-1) revisits a vertex",)
 
 
@@ -155,7 +158,7 @@ def test_quadrangulation_repeated_edge_detected():
     # graph, which is why the edge check is a backstop, not dead code.
     system = _system(2, [(0, 1)], [(1,), (0,)])
     faces = trace_faces(system)
-    assert faces[0].vertices() == (0, 1)
+    assert faces[0] == (0, 1)
     report = validate_quadrangulation(system)
     assert report.failures == ("face 0 (0-1) has length 2, not 4",)
 
@@ -164,8 +167,8 @@ def test_opposite_faces_may_share_all_edges():
     # The order-4 sphere quadrangulation: both faces use the same four edges.
     system = _system(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(1, 3), (0, 2), (1, 3), (0, 2)])
     faces = trace_faces(system)
-    first = {frozenset(d) for d in faces[0].darts}
-    second = {frozenset(d) for d in faces[1].darts}
+    first = {frozenset(d) for d in _darts(faces[0])}
+    second = {frozenset(d) for d in _darts(faces[1])}
     assert first == second
     assert validate_quadrangulation(system).is_quadrangulation
 
@@ -298,17 +301,18 @@ def test_load_rejects_integer_over_digit_limit(tmp_path):
 
 
 # ============================================================
-# The integer tracer against the Dart-based reference
+# The integer tracer against the dart-walking reference
 # ============================================================
 
 
 def _reference_trace_faces(system):
-    """The Dart-based tracer the integer one replaced, kept as reference."""
+    """The dart-walking tracer the integer one replaced, kept as reference;
+    it returns each face as its corners in walk order."""
     successor = []
     for rotation in system.rotations:
         degree = len(rotation)
         successor.append({u: rotation[(i + 1) % degree] for i, u in enumerate(rotation)})
-    all_darts = sorted(Dart(u, v) for i, j in system.graph.edges for u, v in ((i, j), (j, i)))
+    all_darts = sorted((u, v) for i, j in system.graph.edges for u, v in ((i, j), (j, i)))
     seen = set()
     faces = []
     for start in all_darts:
@@ -319,10 +323,11 @@ def _reference_trace_faces(system):
         while True:
             walk.append(dart)
             seen.add(dart)
-            dart = Dart(dart.head, successor[dart.head][dart.tail])
+            tail, head = dart
+            dart = (head, successor[head][tail])
             if dart == start:
                 break
-        faces.append(FaceWalk(tuple(walk)))
+        faces.append(tuple(tail for tail, _ in walk))
     return faces
 
 
@@ -330,13 +335,13 @@ def _reference_validate_quadrangulation(system):
     faces = _reference_trace_faces(system)
     failures = []
     for index, face in enumerate(faces):
-        if face.length != 4:
-            defect = f"has length {face.length}, not 4"
-        elif len({dart.tail for dart in face.darts}) != 4:
+        if len(face) != 4:
+            defect = f"has length {len(face)}, not 4"
+        elif len(set(face)) != 4:
             defect = "revisits a vertex"
         else:
             continue
-        label = "-".join(str(v) for v in face.vertices())
+        label = "-".join(str(v) for v in face)
         failures.append(f"face {index} ({label}) {defect}")
     chi = system.graph.vertex_count - system.graph.edge_count + len(faces)
     return EmbeddingReport(
@@ -353,7 +358,7 @@ def _reference_validate_quadrangulation(system):
 def _assert_matches_reference(system):
     faces = trace_faces(system)
     assert faces == _reference_trace_faces(system)
-    assert all(type(dart) is Dart for face in faces for dart in face.darts)
+    assert all(type(face) is tuple and all(type(v) is int for v in face) for face in faces)
     report = validate_quadrangulation(system)
     assert report == _reference_validate_quadrangulation(system)
     assert euler_genus(system) == (report.euler_characteristic, report.genus)
@@ -372,9 +377,10 @@ def test_tracer_matches_reference_on_random_systems():
 
 def test_tracer_matches_reference_on_spinal_builds(tmp_path):
     for p in range(2, 13):
-        assert _assert_matches_reference(build_spinal(complete_graph(p))).is_quadrangulation
+        system = build_spinal_report(complete_graph(p)).embedding
+        assert _assert_matches_reference(system).is_quadrangulation
     path = tmp_path / "k28.json"
-    save_embedding(build_spinal(complete_graph(28)), path, declared_genus=351)
+    save_embedding(build_spinal_report(complete_graph(28)).embedding, path, declared_genus=351)
     report = _assert_matches_reference(load_embedding(path))
     assert (report.face_count, report.genus, report.failures) == (756, 351, ())
 
@@ -410,7 +416,7 @@ if st is not None:
     @given(_rotation_systems())
     def test_faces_partition_darts_and_mirror_keeps_genus(system):
         faces = trace_faces(system)
-        darts = [dart for face in faces for dart in face.darts]
+        darts = [dart for face in faces for dart in _darts(face)]
         edges = system.graph.edges
         assert sorted(darts) == sorted(d for i, j in edges for d in ((i, j), (j, i)))
         chi = system.graph.vertex_count - len(edges) + len(faces)

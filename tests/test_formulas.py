@@ -11,7 +11,6 @@ from qforge.formulas import (
     certified_minimal,
     complete_spine_order,
     half_order_cap,
-    isqrt,
     min_order,
     min_order_runs,
     min_spine_size,
@@ -20,14 +19,6 @@ from qforge.formulas import (
     spinal_min_order,
 )
 from qforge.graph import betti, complete_graph
-
-
-def test_isqrt_examples():
-    assert isqrt(0) == 0
-    assert isqrt(425) == 20
-    assert isqrt(1681) == 41
-    with pytest.raises(ValueError):
-        isqrt(-1)
 
 
 def test_min_spine_size_examples():

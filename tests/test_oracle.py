@@ -21,12 +21,10 @@ from qforge.oracle import (
     _candidate_graphs,
     _FaceAssembler,
     _Ticker,
-    exists_quadrangulation,
     min_order_bruteforce,
     quad_edge_count,
     search_quadrangulation,
 )
-from qforge.spinal import build_spinal
 
 
 # ============================================================
@@ -122,7 +120,8 @@ def _mini_exists(n, genus):
 def test_mini_oracle_agrees_with_search():
     for n in range(3, 6):
         for genus in range(0, 5):
-            assert exists_quadrangulation(n, genus) == _mini_exists(n, genus), (n, genus)
+            found = search_quadrangulation(n, genus) is not None
+            assert found == _mini_exists(n, genus), (n, genus)
 
 
 def test_mini_oracle_small_genus_spectrum():
@@ -194,6 +193,36 @@ def test_candidate_enumeration_meets_its_budget_before_listing_every_pair():
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 5 * 2**20
+
+
+class _StepLimit:
+    """A ticker stub that ends the budget after a fixed number of cheap
+    steps, so a test can run the enumerator for a set amount of work
+    without reading the clock."""
+
+    def __init__(self, steps: int) -> None:
+        self.left = steps
+
+    def __call__(self, node: bool = True) -> None:
+        if not node:
+            self.left -= 1
+            if self.left < 0:
+                raise BudgetExhausted("step limit reached")
+
+
+def test_candidate_enumeration_memory_grows_with_steps_not_order():
+    # far above the minimum order nearly every pair considered is dropped, so
+    # the dropped pairs must be stored compactly; and the per-vertex spare
+    # counts must not be allocated for all n vertices up front
+    for n, steps, limit in ((20_000, 200_000, 5 * 2**20), (10**7, 100_000, 8 * 2**20)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExhausted, match="step limit"):
+                next(_candidate_graphs(n, quad_edge_count(n, 3), 3, _StepLimit(steps)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (n, steps, peak)
 
 
 def test_candidate_enumeration_depth_is_not_bounded_by_recursion_limit():
@@ -351,7 +380,7 @@ def test_arithmetic_never_contradicts_search():
     for n in range(4, 8):
         for genus in range(0, 4):
             if quad_edge_count(n, genus) is None:
-                assert not exists_quadrangulation(n, genus)
+                assert search_quadrangulation(n, genus) is None
 
 
 # ============================================================
@@ -372,7 +401,12 @@ def test_search_small_orders():
     assert search_quadrangulation(3, 0) is None  # below any quad face
     assert search_quadrangulation(4, 1) is None
     assert search_quadrangulation(6, 2) is None
-    for n, genus in ((5, 0), (5, 1), (6, 0), (6, 1)):
+    cases = [(5, 0), (5, 1), (6, 0), (6, 1)]
+    # a genus >= 1 search only lists graphs of minimum degree 3; from each
+    # scan's minimum order up to four orders above it, such witnesses exist
+    scan_minimum = {1: 5, 2: 7, 3: 8, 4: 8, 5: 9, 6: 10, 7: 10}
+    cases += [(n, genus) for genus, low in scan_minimum.items() for n in range(low, low + 5)]
+    for n, genus in cases:
         system = search_quadrangulation(n, genus)
         assert system is not None, (n, genus)
         report = validate_quadrangulation(system)
@@ -397,35 +431,24 @@ def test_search_is_deterministic():
     assert validate_quadrangulation(first).genus == 2
 
 
-def test_exists_with_injected_witness():
-    witness = build_spinal(complete_graph(3))
-    assert exists_quadrangulation(6, 1, witness=witness)
-    with pytest.raises(ValueError):
-        exists_quadrangulation(8, 1, witness=witness)  # wrong order
-    with pytest.raises(ValueError):
-        exists_quadrangulation(6, 2, witness=witness)  # wrong genus
-    # builder outputs are witnesses even where a fresh search would be slow
-    assert exists_quadrangulation(8, 3, witness=build_spinal(complete_graph(4)))
-
-
 def test_exists_rejects_negative_genus():
     with pytest.raises(ValueError):
-        exists_quadrangulation(6, -1)
+        search_quadrangulation(6, -1)
 
 
 def test_negative_order_is_rejected_not_answered():
     with pytest.raises(ValueError, match="order must be non-negative"):
         search_quadrangulation(-5, 0)
     with pytest.raises(ValueError, match="order must be non-negative"):
-        exists_quadrangulation(-1, 0)
+        search_quadrangulation(-1, 0)
     with pytest.raises(ValueError):
-        exists_quadrangulation(-1, 0, witness=build_spinal(complete_graph(2)))
+        search_quadrangulation(-1, 0, SearchBudget(max_nodes=1))
     with pytest.raises(ValueError, match="max_order must be non-negative"):
         min_order_bruteforce(0, max_order=-1)
     # orders 0..3 are too small for a quad face: a correct "no", not an error
     for n in range(4):
         assert search_quadrangulation(n, 0) is None
-        assert not exists_quadrangulation(n, 1)
+        assert search_quadrangulation(n, 1) is None
 
 
 def test_is_connected_agrees_with_mini_connected():
@@ -466,9 +489,9 @@ def test_budget_rejects_non_integer_max_nodes():
 
 def test_budget_exhaustion_is_an_exception_not_a_verdict():
     with pytest.raises(BudgetExhausted):
-        exists_quadrangulation(7, 2, budget=SearchBudget(max_nodes=5))
+        search_quadrangulation(7, 2, budget=SearchBudget(max_nodes=5))
     # the same question with room to breathe has a definite answer
-    assert exists_quadrangulation(7, 2) is True
+    assert search_quadrangulation(7, 2) is not None
 
 
 def test_time_cap_type():

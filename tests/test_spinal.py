@@ -25,7 +25,6 @@ from qforge.spinal import (
     BuildError,
     build_for_genus,
     build_instance,
-    build_spinal,
     build_spinal_report,
     _Build,
 )
@@ -127,7 +126,7 @@ def _retraced(build):
     assert report.genus == len(_spine_edges(build)) - len(build.witnesses) + 1
     faces = []
     for walk in trace_faces(system):
-        corners = [ids[k] for k in walk.vertices()]
+        corners = [ids[k] for k in walk]
         pivot = corners.index(min(corners))
         faces.append(tuple(corners[pivot:] + corners[:pivot]))
     faces.sort()
@@ -271,7 +270,7 @@ def test_build_single_edge_spine():
 
 
 def test_build_triangle_driver_rotations():
-    system = build_spinal(complete_graph(3))
+    system = build_spinal_report(complete_graph(3)).embedding
     assert system.rotations == (
         (2, 3, 5, 4),
         (2, 4, 5, 3),
@@ -284,7 +283,7 @@ def test_build_triangle_driver_rotations():
 
 
 def test_build_k4_driver_rotations():
-    system = build_spinal(complete_graph(4))
+    system = build_spinal_report(complete_graph(4)).embedding
     assert system.rotations == (
         (2, 3, 5, 4, 7, 6),
         (2, 6, 7, 4, 5, 3),
@@ -302,8 +301,8 @@ def test_build_k4_driver_rotations():
 
 def test_build_is_deterministic():
     graph = make_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])
-    first = build_spinal(graph)
-    second = build_spinal(graph)
+    first = build_spinal_report(graph).embedding
+    second = build_spinal_report(graph).embedding
     assert first == second
 
 
