@@ -59,10 +59,10 @@ def _cmd_minorder(args: argparse.Namespace) -> int:
     # per run or per _SCAN_CHUNK lines of it: a run near genus 10**30 spans
     # about 10**14 genera, so whole runs could not be held in memory
     for start, stop, result in min_order_runs(args.genus, last):
-        text = _format_result(result)
+        tail = f": {_format_result(result)}\n"
         for first in range(start, stop + 1, _SCAN_CHUNK):
             chunk = range(first, min(first + _SCAN_CHUNK, stop + 1))
-            sys.stdout.write("".join(f"g={g}: {text}\n" for g in chunk))
+            sys.stdout.write("g=" + (tail + "g=").join(map(str, chunk)) + tail)
     return EXIT_OK
 
 

@@ -8,7 +8,9 @@ faces dart by dart, growing the rotation at every vertex incrementally and
 abandoning a branch as soon as a face would close at the wrong length or
 revisit a vertex.  Each step places a face on the open dart with the fewest
 ways left to complete one (most-constrained first, as in Knuth's Dancing
-Links), reading each corner's options from per-vertex bitmasks of
+Links), scoring only the darts at the corners of the face placed last, where
+the options just narrowed, and every open dart only when none of those is
+open.  Each corner's options are read from per-vertex bitmasks of
 neighbours that still lack a predecessor in the rotation, so scoring a dart
 is a few integer ANDs and popcounts.  The search runs as one loop over an
 explicit stack of placed faces, so a witness of any size fits in it without
@@ -65,9 +67,10 @@ class _Ticker:
     """Counts search nodes against a budget.
 
     The clock is read at every search node (a face placement or a candidate
-    graph): one node can cost a scan over every open dart, tens of
-    milliseconds at order 200.  Cheap steps (``node=False``) read it only
-    every 4096th time.
+    graph): a node is followed by a scan of the open darts at the four
+    corners of the face it placed, or of every open dart when none of those
+    is open, and a full scan takes tens of milliseconds at order 200.  Cheap
+    steps (``node=False``) read it only every 4096th time.
     """
 
     __slots__ = ("budget", "nodes", "steps", "start")
@@ -178,11 +181,17 @@ class _FaceAssembler:
     cached per vertex as ints, -1 meaning not computed, until that vertex's
     rotation changes.
 
-    Each step branches on the open dart (a, b) with the fewest face
+    Each step branches on an open dart (a, b) with the fewest face
     completions, k(a, b) = sum over c in options(b, a) of
     popcount(options(c, b) & nmask[a]): the most-constrained-first rule.
-    Ties go to the first dart in ascending order, the scan stops at the first
-    dart with k <= 1, and k = 0 ends the branch.  The search is one loop over
+    Only the open darts out of and into the four corners of the face placed
+    last are scored, since their options are the ones that just narrowed;
+    before the first face, and when none of those darts is open, every open
+    dart is.  Any open dart is a complete choice: it lies in exactly one face
+    and every completion of that face is tried, so the rule changes the
+    search order and the witness found, never a verdict.  Ties go to the
+    first dart in ascending order, the scan stops at the first dart with
+    k <= 1, and k = 0 ends the branch.  The search is one loop over
     an explicit stack with one frame per placed face, so its depth is not
     bounded by Python's recursion limit.  The rotation at one maximum-degree
     vertex is pre-fixed to ascending order: every embedding of every isomorph
@@ -192,19 +201,23 @@ class _FaceAssembler:
 
     def __init__(self, graph: Graph, ticker: _Ticker) -> None:
         n = self.n = graph.vertex_count
-        adjacency = self.adjacency = graph.adjacency()
-        self.degree = [len(row) for row in adjacency]
-        nmask = self.nmask = [sum(1 << w for w in row) for row in adjacency]
+        nmask = self.nmask = [0] * n
+        for u, w in graph.edges:
+            nmask[u] |= 1 << w
+            nmask[w] |= 1 << u
+        degree = self.degree = [mask.bit_count() for mask in nmask]
         self.free = nmask[:]
         self.open = nmask[:]
-        self.succ = [[-1] * n for _ in range(n)]
-        self.pred = [[-1] * n for _ in range(n)]
+        succ = self.succ = [[-1] * n for _ in range(n)]
+        pred = self.pred = [[-1] * n for _ in range(n)]
         self.cache = [[-1] * n for _ in range(n)]
         self.ticker = ticker
-        anchor = min(range(n), key=lambda v: (-self.degree[v], v))
-        ring = adjacency[anchor]
-        for i, u in enumerate(ring):
-            self._assign(anchor, u, ring[(i + 1) % len(ring)])
+        anchor = degree.index(max(degree))
+        ring = list(_bits(nmask[anchor]))
+        for u, w in zip(ring, ring[1:] + ring[:1]):
+            succ[anchor][u] = w
+            pred[anchor][w] = u
+        self.free[anchor] = 0
 
     # ---- successor-map bookkeeping ----
 
@@ -247,7 +260,12 @@ class _FaceAssembler:
         stack: list[list] = []
         while True:
             ticker(node=False)
-            dart = self._most_constrained()
+            corners = -1  # every vertex, until a face is placed
+            if stack:
+                a, b, completions, index, _ = stack[-1]
+                c, d = completions[index - 1]
+                corners = 1 << a | 1 << b | 1 << c | 1 << d
+            dart = self._most_constrained(corners)
             if dart is None:
                 return tuple(self._rotation_of(v) for v in range(self.n))
             frame = [*dart, self._completions(*dart), 0, []]
@@ -260,18 +278,22 @@ class _FaceAssembler:
                 self._lift(frame)
 
     def _rotation_of(self, v: int) -> tuple[int, ...]:
-        start = self.adjacency[v][0]
+        start = (self.nmask[v] & -self.nmask[v]).bit_length() - 1
         succ = self.succ[v]
         out = [start]
         while len(out) < self.degree[v]:
             out.append(succ[out[-1]])
         return tuple(out)
 
-    def _most_constrained(self) -> tuple[int, int] | None:
-        """The open dart to branch on, or None when every dart is in a face."""
+    def _most_constrained(self, corners: int = -1) -> tuple[int, int] | None:
+        """The open dart to branch on among those out of or into the corners
+        mask, or over all open darts when none of those is open; None when
+        every dart is in a face."""
         cache, nmask, options = self.cache, self.nmask, self._options
         best, fewest = None, 1 << 62
         for a, darts in enumerate(self.open):
+            if not corners >> a & 1:
+                darts &= corners
             near_a = nmask[a]
             while darts:
                 low = darts & -darts
@@ -295,6 +317,8 @@ class _FaceAssembler:
                     best, fewest = (a, b), count
                     if count <= 1:
                         return best
+        if best is None and corners != -1:
+            return self._most_constrained()
         return best
 
     def _completions(self, a: int, b: int) -> list[tuple[int, int]]:

@@ -357,6 +357,77 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
 
 
 # ============================================================
+# Branching rule: local to the face placed last
+# ============================================================
+
+
+def _k44():
+    return Graph(8, frozenset((i, j) for i in range(4) for j in range(4, 8)))
+
+
+def _first_most_constrained(assembler, darts):
+    """The scan's choice among darts in ascending order: the first with at
+    most one completion, else the first with the fewest."""
+    best, fewest = None, None
+    for dart in darts:
+        k = len(assembler._completions(*dart))
+        if k <= 1:
+            return dart
+        if fewest is None or k < fewest:
+            best, fewest = dart, k
+    return best
+
+
+class _BranchSpy(_FaceAssembler):
+    """Checks every branching dart against the rule, tracking placed faces."""
+
+    def __init__(self, graph, ticker):
+        super().__init__(graph, ticker)
+        self.faces, self.local_differs = [], 0
+
+    def _toggle_face(self, a, b, c, d):
+        super()._toggle_face(a, b, c, d)
+        if self.open[a] >> b & 1:
+            self.faces.remove((a, b, c, d))
+        else:
+            self.faces.append((a, b, c, d))
+
+    def _most_constrained(self, *args):
+        dart = super()._most_constrained(*args)
+        darts = [(a, b) for a in range(self.n) for b in range(self.n) if self.open[a] >> b & 1]
+        corners = set(self.faces[-1]) if self.faces else set(range(self.n))
+        local = [(a, b) for a, b in darts if a in corners or b in corners]
+        expected = _first_most_constrained(self, local or darts)
+        assert dart == expected, (self.faces, dart, expected)
+        self.local_differs += expected != _first_most_constrained(self, darts)
+        return dart
+
+
+def test_assembler_branches_at_the_face_placed_last():
+    # K_{4,4} quadrangulates the torus; at one step of its search the
+    # fewest-completion dart over all open darts is away from the last face
+    spy = _BranchSpy(_k44(), _Ticker(SearchBudget()))
+    rotations = spy.search()
+    assert validate_quadrangulation(RotationSystem(_k44(), rotations)).genus == 1
+    assert spy.local_differs == 1
+
+
+def test_assembler_falls_back_to_the_full_scan_when_the_last_face_is_closed():
+    assembler = _FaceAssembler(_k44(), _Ticker(SearchBudget()))
+    frame = [0, 4, assembler._completions(0, 4), 0, []]
+    assert assembler._place_next(frame)
+    c, d = frame[2][0]
+    corners = 1 << 0 | 1 << 4 | 1 << c | 1 << d
+    # mark every dart out of or into a corner as used
+    for v in range(assembler.n):
+        assembler.open[v] &= 0 if corners >> v & 1 else ~corners
+    full = assembler._most_constrained()
+    assert full is not None
+    assert not corners >> full[0] & 1 and not corners >> full[1] & 1
+    assert assembler._most_constrained(corners) == full
+
+
+# ============================================================
 # Arithmetic filter
 # ============================================================
 
@@ -561,8 +632,8 @@ def test_min_order_scan_reaches_lower_bound_at_former_holdouts():
     # the first-open-dart assembler left genus 17 open after millions of nodes;
     # node counts and digests pin the branching decisions beyond order 19
     for genus, order, nodes, digest in (
-        (17, 15, 200, "ab79266b8b973e2dce943782b7d5e18c7a03bbf38af81bc288a923dce7c25a88"),
-        (48, 23, 974, "f1db8f74bc2fd0f8a00036f9ceabcc3f0fc7369fd141d37d4319ef56f455f5cb"),
+        (17, 15, 65, "8b4fcd8a8931cd8d7862864f3a10729a95c14d3ebc7ebd8082399ee3ebc88f31"),
+        (48, 23, 327, "65e823e928cf34546790ab440a85e732f6028767ae14ec6fb414e978a8e9edc5"),
     ):
         assert order_lower_bound(genus) == order
         found = min_order_bruteforce(
@@ -584,7 +655,7 @@ def test_assembler_depth_is_not_bounded_by_recursion_limit():
         found = min_order_bruteforce(34, SearchBudget(max_nodes=100_000), max_order=19)
     finally:
         sys.setrecursionlimit(limit)
-    assert (found.order, found.nodes) == (19, 921)
+    assert (found.order, found.nodes) == (19, 172)
 
 
 def test_min_order_scan_rejects_negative_genus():
@@ -596,8 +667,9 @@ def test_min_order_scan_rejects_negative_genus():
 # Golden outputs
 # ============================================================
 #
-# Generated with the most-constrained-first assembler: orders, node counts
-# and SHA-256 digests of the canonical witness documents.  Any change to the
+# Generated with the most-constrained-first assembler that scores the darts
+# at the face placed last: orders, node counts and SHA-256 digests of the
+# canonical witness documents.  Any change to the
 # enumeration order or to the assembler's branching shows up here.
 
 # (genus, order, nodes, digest); genus >= 3 runs under 100k nodes and is
@@ -605,39 +677,39 @@ def test_min_order_scan_rejects_negative_genus():
 SCAN_GOLDENS = (
     (0, 4, 3, "f1cf8ec5c4be558a825dd99c3f9a8d6846b2c3a37eff1edae73afc782c042e3d"),
     (1, 5, 6, "9ce258fb02da46a592010490083548b2a960cc8d61056cde53a2128cd6e2fe95"),
-    (2, 7, 90, "305852d58efcc4215027745414abf3042539c3ff9b7328da1a5edf738f44936d"),
-    (3, 8, 57, "ce712d0581d6293931ec87d76665f8b8bd72aed7d97cf32ba01e4cff96b6baff"),
-    (4, 8, 427, "8bf9089c996d6a32c5dd3239ca69567f32545dd66839203867b1d16cb823a624"),
-    (5, 9, 79, "0e1526aabac1cfdeed331e7b3d8ecc599d2535a14b2fec2d2f2bae524074f0f6"),
-    (6, 10, 122, "6a61b1a1d8fbb0c7a36f80f742e2de2474d8edd86c627729d75dfc84c4798815"),
+    (2, 7, 93, "305852d58efcc4215027745414abf3042539c3ff9b7328da1a5edf738f44936d"),
+    (3, 8, 69, "ce712d0581d6293931ec87d76665f8b8bd72aed7d97cf32ba01e4cff96b6baff"),
+    (4, 8, 432, "8bf9089c996d6a32c5dd3239ca69567f32545dd66839203867b1d16cb823a624"),
+    (5, 9, 83, "0e1526aabac1cfdeed331e7b3d8ecc599d2535a14b2fec2d2f2bae524074f0f6"),
+    (6, 10, 124, "78323b9cdf26102ebc54174468bb7766629954a7f877f266d47bd2d2d8d12495"),
     (7, 10, 73, "fe25f4f7a7d0b38fff6ae7dfb5f58528540c09f1ab6180141ad88978a2f16eea"),
-    (8, 11, 35, "84d4b3adaaafa3105a620ecf3d7b485cc8aed67e0ee818c8eeeba274f87bad59"),
-    (9, 11, 65, "d0c4a0e8ef21513750b3cc072ec1cfa40ea9cbcf9fa47ea783aa0f3536d71a53"),
-    (10, 12, 47, "40ef08203f80ab0c04d899ef0c28df0d793404b35e8dfb7a04b50a5f47dfe16a"),
+    (8, 11, 44, "bd09663e82db2b6d895f82a78d1620d6952d546ee3de403a60c69a63172b3ddf"),
+    (9, 11, 419, "482519b22b8ae803b1645c821c1fbbb5cb5488ff13dcdb14781b913163a5f973"),
+    (10, 12, 254, "604a560c31586fa6c49a14339971806fb98cf3c86791d550bfb7e345f37627a7"),
     (11, 12, 98, "afd4678f46e5297520bea285619c379c5b6ed19a251184190740dabe6881a38b"),
-    (12, 13, 656, "57859bd33eb411cd513ab3fe35d96c789cedc9b18bbf590572e9d36feed9bae0"),
-    (13, 13, 56, "462ca3a9728ef34a45ac7f4dc9ed59610398b33c7d913441d4d38c840ccd9b14"),
-    (14, 13, 279, "e4a66207a9e5f872466a687ddeaaadef7c28649d3dc34451da9e07eb3ab93884"),
-    (15, 14, 179, "491aaed78f60f1521c686ec982d2cd0434f514243850103ccd2420c0d4a6d2e5"),
-    (16, 14, 64, "a18f36ad55dd8eb4dfc72c2c4d8135b2c092dd4baf98f96bc927c09d4eaf6656"),
-    (17, 15, 200, "ab79266b8b973e2dce943782b7d5e18c7a03bbf38af81bc288a923dce7c25a88"),
-    (18, 15, 178, "3aedcb188b13a3c133831d77d19fda4bab367c19bf567cac879f78820d22fe77"),
-    (19, 15, 273, "4b3da12836b3617aaf1b35b101ce68ea9bcf0bb59de3683c0762e6f4e5d628ec"),
-    (20, 16, 249, "4d626d9eed8621cd1351cb175f300baa89e7764bee9a6ddbdf3047cb337e7c73"),
-    (21, 16, 256, "0e1583a6a8432ba7be40a6ebfcdaa1c02c7da032d6bf4f1301ee67031e089a0c"),
-    (22, 16, 102, "3713fbe28d130f4f9a14f535b9de7f8002453faf3d60dda321e48f803a1ef1f7"),
-    (23, 16, 447, "656dd9ed216e652511a058ddb4c03c4556ff4751f649038084c965a9936233b1"),
-    (24, 17, 142, "d8d5c9fada9df321ac77a3c97fbfd98ec5a863678df8068709f6a4ed62ff6644"),
-    (25, 17, 93, "031adab6398d052869c168828995d1a616ba23af31cf73330d0c9e7e0859a68f"),
-    (26, 17, 92, "1b9d915fea977c89a8b376a61b02d03679fec882988cc803add08cd762de1ee1"),
-    (27, 18, 394, "7f90fdb8a51ba2d48e4cc3685665aff08c3dfd32bf0373d9ae3c7b3f51c42806"),
-    (28, 18, 390, "981e408ed1f6f1bd9155cf448a7292cf5f4d3e1c3c186b28271f04cdab9a6438"),
-    (29, 18, 96, "8bbf392ae284090223786cf38c5b026497dcdf8dc159b4865d262b607e7f94c2"),
-    (30, 18, 119, "07c30764fe8d870ce979b458bc920c44b73e8771cd6f04fe63131e3ac268541a"),
-    (31, 19, 111, "c2a708d3c22ddd59225c122fed7cc972ab4c0da191ab4aae027f2bf8b9ec20ec"),
-    (32, 19, 465, "2816e9c903af222dd90b344ae0b500a04efd670fda9893af962d8cd80c6aa5a3"),
-    (33, 19, 160, "4c9d744466b771df3df3beaabb808c311ec8f87e5305af35304f864d2335a91c"),
-    (34, 19, 921, "8bdb9129db3c1b4760eb6f59b02a791e6f78942c93117f1d33d0524047cda939"),
+    (12, 13, 79, "a835534827aef9be1f7d577cb152aeb34417c6251a1eac790b4f38f52f4d5ffe"),
+    (13, 13, 199, "b69b8a42906e8e69d893db29dd34610c8562818ef6dc71490f5bb504b5a5ce44"),
+    (14, 13, 145, "4c3473c48b82fa1d2e414daf1aa131f5aa90d95673413b88b781aedaed407462"),
+    (15, 14, 401, "b776beb5289ebf205e59d2c165d171c00b9a2a39b703fbf03ab299b194c1d999"),
+    (16, 14, 62, "c6143c5799eab2b576aff59a781c85141e345b46e6473abdde75276a7a0aa678"),
+    (17, 15, 65, "8b4fcd8a8931cd8d7862864f3a10729a95c14d3ebc7ebd8082399ee3ebc88f31"),
+    (18, 15, 597, "762059976744d2400708490589012944dce41a3eaa00a44e0e2aeac5a148c6d7"),
+    (19, 15, 862, "b12db2fac0f3ce6310b2861ee430def8ed8287b3c83a5a9de21fbd12759534ee"),
+    (20, 16, 97, "b81cf8bf66f63b20891d1f311811d447f1bcd5d410a2f895320108bdfeb755b9"),
+    (21, 16, 430, "4fe82d5f121b17702d816235d4a21549bb1eb7bf6ca5c254d43acf8b6743c8b1"),
+    (22, 16, 112, "2abada43fc346fced5c462115d41f1df0d30c1e19e99e03ad92ad51816fa893b"),
+    (23, 16, 128, "8a934e40b11f08eaf49e0a723f33a1833c26ba6539037da89f7744ed5019b99b"),
+    (24, 17, 512, "5309e699f9c26e7f3f1b327174f7f577c5fe74b0310b14ae430754460db653f9"),
+    (25, 17, 126, "fbf20f82332e46817347f658ab39849d110e5f8baeddc343c5e9ae67515efcfc"),
+    (26, 17, 100, "1fe5239dd82fa8b531d2146c1b2d13d75dee890179a4967556ad290f7e0eb4c3"),
+    (27, 18, 1141, "a043fcb51f0e66723a29e7fcf1125e1eb479ba8948a2a2323eba900667583d35"),
+    (28, 18, 117, "acd32893b1081756f28b58fdea8a791072d3cb8e9efd77e780fa798fdcfecd71"),
+    (29, 18, 96, "6ed8f4cc7d7a35086705381974f78bdce82561dcd1fbb1c04dbbc6674464e5eb"),
+    (30, 18, 630, "7e3f2801c019f274abdc34ce07938bfc30d93c26985daecb268f9dbc41ef1e5b"),
+    (31, 19, 132, "32212a6b55db02250db2a31780f426b8cc92f9df9f74e84fc44a56e1eaf45103"),
+    (32, 19, 723, "fcda90c8b7fd0befcb61d9476aebc733a71f8d43b9611374f957470c881bfe58"),
+    (33, 19, 182, "b2d9d70cf924fcc7d3118f9e2a7fbe070b36c02c9b2a4d3bcd80c762dc51ce32"),
+    (34, 19, 172, "90b80e63b85a7c626f37ccbc1daf45da6790a7a179d7d5677d94a7e99c2968bc"),
 )
 
 # (order, genus, digest) for existence searches above the minimum order
@@ -653,7 +725,7 @@ SEARCH_GOLDENS = (
     (9, 3, "39f45f0a8253be47dc31f0769fff65ded10f1df90c4d6279f66a23ff7c96a7f4"),
     (9, 4, "861ca3d8f87e4f51c57910e8baad767854b34d21ecdaf48d8f965addadbd46e6"),
     (10, 5, "7ea26dc314d4e3efd5f5d8c43e7f10e737f22be8ae17215269ce50a7bdbcc43b"),
-    (11, 7, "525cd901e8ad173e8c251b97efba852dcbb4f684ca21ed50e11d7249286f9d82"),
+    (11, 7, "04a3c9d960d0453d295a5fb0338fa39244a6973c743855b90390fd9513032ee1"),
 )
 
 
