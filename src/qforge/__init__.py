@@ -11,7 +11,6 @@ from .embedding import (
     RotationSystem,
     embedding_from_document,
     embedding_to_document,
-    euler_genus,
     load_embedding,
     save_embedding,
     trace_faces,
@@ -19,10 +18,7 @@ from .embedding import (
 )
 from .formulas import (
     MinOrderResult,
-    bounds_agree,
     certified_minimal,
-    complete_spine_order,
-    half_order_cap,
     min_order,
     min_order_runs,
     min_spine_size,
@@ -42,7 +38,6 @@ from .graph import (
     is_connected,
     load_graph,
     make_graph,
-    octahedral_graph,
     save_graph,
 )
 from .oracle import (
@@ -56,7 +51,6 @@ from .oracle import (
 from .spinal import (
     BuildError,
     BuildReport,
-    build_for_genus,
     build_instance,
     build_spinal_report,
 )

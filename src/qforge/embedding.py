@@ -126,19 +126,6 @@ def trace_faces(system: RotationSystem) -> list[tuple[int, ...]]:
     return list(map(tuple, _trace(system.rotations)))
 
 
-def _euler(system: RotationSystem, face_count: int) -> tuple[int, int]:
-    chi = system.graph.vertex_count - system.graph.edge_count + face_count
-    if chi % 2 or chi > 2:
-        raise RuntimeError(f"impossible Euler characteristic {chi} for an oriented embedding")
-    return chi, (2 - chi) // 2
-
-
-def euler_genus(system: RotationSystem) -> tuple[int, int]:
-    """Euler characteristic |V| - |E| + |F| and genus (2 - chi) / 2 of the
-    closed orientable surface the rotation system describes."""
-    return _euler(system, len(_trace(system.rotations)))
-
-
 def _quad_defect(corners: Sequence[int]) -> str | None:
     """Why a closed face walk, given by its corners in walk order, is not a
     genuine quad, or None if it is one.  A quad walk has length four and
@@ -158,7 +145,8 @@ def validate_quadrangulation(system: RotationSystem) -> EmbeddingReport:
     four distinct vertices and four distinct edges.  Two distinct faces may
     share all four edges; that genuinely happens on the sphere at order 4.
     The underlying graph is simple and connected by construction.
-    Violations are reported per face, never raised.
+    Violations are reported per face, never raised; the Euler characteristic
+    |V| - |E| + |F| and genus (2 - chi) / 2 are reported for any embedding.
     """
     faces = _trace(system.rotations)
     failures: list[str] = []
@@ -167,13 +155,15 @@ def validate_quadrangulation(system: RotationSystem) -> EmbeddingReport:
         if defect:
             label = "-".join(map(str, corners))
             failures.append(f"face {index} ({label}) {defect}")
-    chi, genus = _euler(system, len(faces))
+    chi = system.graph.vertex_count - system.graph.edge_count + len(faces)
+    if chi % 2 or chi > 2:
+        raise RuntimeError(f"impossible Euler characteristic {chi} for an oriented embedding")
     return EmbeddingReport(
         vertex_count=system.graph.vertex_count,
         edge_count=system.graph.edge_count,
         face_count=len(faces),
         euler_characteristic=chi,
-        genus=genus,
+        genus=(2 - chi) // 2,
         is_quadrangulation=not failures,
         failures=tuple(failures),
     )
@@ -205,7 +195,7 @@ def embedding_from_document(doc: object) -> RotationSystem:
     """
     system, declared = _parse_document(doc)
     if declared is not None:
-        _check_declared_genus(declared, euler_genus(system)[1])
+        _check_declared_genus(declared, validate_quadrangulation(system).genus)
     return system
 
 

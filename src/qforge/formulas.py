@@ -14,9 +14,6 @@ from typing import Iterator
 __all__ = [
     "MinOrderResult",
     "min_spine_size",
-    "half_order_cap",
-    "bounds_agree",
-    "complete_spine_order",
     "order_lower_bound",
     "spinal_min_order",
     "certified_minimal",
@@ -75,40 +72,6 @@ def min_spine_size(genus: int) -> int:
         raise ValueError("genus must be non-negative")
     s = _ceil_sqrt(8 * genus + 1)
     return max((s + 4) // 2, 2)
-
-
-def half_order_cap(genus: int) -> int:
-    """Largest q with (4q-7)^2 <= 32*genus-15.
-
-    This is the biggest half-order an even-order quadrangulation of genus g
-    can have while the vertex-count lower bound still reaches it; when it
-    meets min_spine_size, the minimum order is pinned exactly.
-    """
-    if genus < 1:
-        raise ValueError("genus must be at least 1")
-    return (isqrt(32 * genus - 15) + 7) // 4
-
-
-def bounds_agree(genus: int) -> bool:
-    """True when the spinal upper bound meets the vertex-count lower bound,
-    pinning the minimum order at genus g; defined for genus >= 3."""
-    if genus < 3:
-        raise ValueError("bounds_agree applies to genus >= 3 only")
-    return min_spine_size(genus) == half_order_cap(genus)
-
-
-def complete_spine_order(genus: int) -> tuple[int, int] | None:
-    """If g equals the cycle rank of a complete graph K_p with p >= 4,
-    return (2p, p): that spinal quadrangulation is minimal.  Else None."""
-    if genus < 1:
-        raise ValueError("genus must be at least 1")
-    s = isqrt(8 * genus + 1)
-    if s * s != 8 * genus + 1:
-        return None
-    p = (3 + s) // 2
-    if p < 4:
-        return None
-    return (2 * p, p)
 
 
 def order_lower_bound(genus: int) -> int:

@@ -1,7 +1,7 @@
 """Simple undirected graphs and the handful of constructions the rest of the
-package builds on: complete and octahedral graphs, cycle rank, connectivity-
-preserving edge deletion, 2-fold interlacement, and the file reader and
-header check that graph and embedding documents share.
+package builds on: complete graphs, cycle rank, connectivity-preserving edge
+deletion, 2-fold interlacement, and the file reader and header check that
+graph and embedding documents share.
 
 ``_bfs_tree`` is the package's one graph search: connectivity here, the
 connectivity check of a rotation system, and the spinal builder's order of
@@ -53,9 +53,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists in ascending order, indexed by vertex."""
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -90,20 +87,6 @@ def complete_graph(p: int) -> Graph:
     if p < 1:
         raise ValueError("complete graph needs at least 1 vertex")
     return Graph(p, frozenset((i, j) for i in range(p) for j in range(i + 1, p)))
-
-
-def octahedral_graph(p: int) -> Graph:
-    """The complete graph on 2p vertices minus the perfect matching that
-    pairs vertex 2k with 2k+1; this is also the interlacement of K_p."""
-    if p < 2:
-        raise ValueError("octahedral graph needs p >= 2")
-    edges = set()
-    for i in range(2 * p):
-        for j in range(i + 1, 2 * p):
-            if j == i + 1 and i % 2 == 0:
-                continue
-            edges.add((i, j))
-    return Graph(2 * p, frozenset(edges))
 
 
 def _bfs_tree(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -182,8 +165,8 @@ def interlace(graph: Graph) -> Graph:
 
     Copies of the same vertex stay non-adjacent, so the result has 2|V|
     vertices and 4|E| edges.  The fixed labeling makes the interlacement of
-    the complete graph literally equal to octahedral_graph(p), not merely
-    isomorphic to it.
+    K_p literally equal to K_2p minus the matching {2k, 2k+1}, the octahedral
+    graph, not merely isomorphic to it; tests/_reference.py checks that.
     """
     doubled: set[Edge] = set()
     for u, v in graph.edges:
@@ -208,7 +191,7 @@ def graph_to_document(graph: Graph) -> dict:
     return {
         "format": GRAPH_FORMAT,
         "vertex_count": graph.vertex_count,
-        "edges": [list(edge) for edge in graph.sorted_edges()],
+        "edges": [list(edge) for edge in sorted(graph.edges)],
     }
 
 

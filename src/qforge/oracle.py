@@ -70,7 +70,9 @@ class _Ticker:
     graph): a node is followed by a scan of the open darts at the four
     corners of the face it placed, or of every open dart when none of those
     is open, and a full scan takes tens of milliseconds at order 200.  Cheap
-    steps (``node=False``) read it only every 4096th time.
+    steps (``node=False``) are the candidate enumerator's pairs and the one
+    step before an assembler's first scan; they read it only every 4096th
+    time.
     """
 
     __slots__ = ("budget", "nodes", "steps", "start")
@@ -258,8 +260,9 @@ class _FaceAssembler:
         ticker = self.ticker
         # one frame per placed face: [a, b, (c, d) completions, next index, assignments]
         stack: list[list] = []
+        # every later scan follows a node that _place_next counted
+        ticker(node=False)
         while True:
-            ticker(node=False)
             corners = -1  # every vertex, until a face is placed
             if stack:
                 a, b, completions, index, _ = stack[-1]

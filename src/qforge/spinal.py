@@ -251,15 +251,3 @@ def build_instance(p: int, m: int) -> BuildReport:
     report = build_spinal_report(spine)
     return replace(report, minimal=certified_minimal(p, m))
 
-
-def build_for_genus(genus: int, p: int) -> BuildReport:
-    """Spinal quadrangulation of the given genus with order 2p, for any p
-    whose complete graph has cycle rank at least the genus."""
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
-    if p < 2:
-        raise ValueError("spine needs at least 2 vertices")
-    rank = (p - 1) * (p - 2) // 2
-    if genus > rank:
-        raise ValueError(f"genus {genus} exceeds the cycle rank {rank} of a {p}-vertex spine")
-    return build_instance(p, rank - genus)

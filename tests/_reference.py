@@ -1,0 +1,62 @@
+"""Independent references the tests check the library against.
+
+Each restates a fact the package computes another way: the octahedral graph
+that interlace(complete_graph(p)) must equal, and the closed forms of the
+bounds whose meeting formulas._classify decides.  They are kept here, not in
+the package, so an assertion against them compares two derivations.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+from qforge.formulas import min_spine_size
+from qforge.graph import Graph
+
+
+def octahedral_graph(p: int) -> Graph:
+    """The complete graph on 2p vertices minus the perfect matching that
+    pairs vertex 2k with 2k+1; this is also the interlacement of K_p."""
+    if p < 2:
+        raise ValueError("octahedral graph needs p >= 2")
+    edges = set()
+    for i in range(2 * p):
+        for j in range(i + 1, 2 * p):
+            if j == i + 1 and i % 2 == 0:
+                continue
+            edges.add((i, j))
+    return Graph(2 * p, frozenset(edges))
+
+
+def half_order_cap(genus: int) -> int:
+    """Largest q with (4q-7)^2 <= 32*genus-15.
+
+    This is the biggest half-order an even-order quadrangulation of genus g
+    can have while the vertex-count lower bound still reaches it; when it
+    meets min_spine_size, the minimum order is pinned exactly.
+    """
+    if genus < 1:
+        raise ValueError("genus must be at least 1")
+    return (isqrt(32 * genus - 15) + 7) // 4
+
+
+def bounds_agree(genus: int) -> bool:
+    """True when the spinal upper bound meets the vertex-count lower bound,
+    pinning the minimum order at genus g; defined for genus >= 3."""
+    if genus < 3:
+        raise ValueError("bounds_agree applies to genus >= 3 only")
+    return min_spine_size(genus) == half_order_cap(genus)
+
+
+def complete_spine_order(genus: int) -> tuple[int, int] | None:
+    """If g equals the cycle rank of a complete graph K_p with p >= 4,
+    return (2p, p): that spinal quadrangulation is minimal.  Else None."""
+    if genus < 1:
+        raise ValueError("genus must be at least 1")
+    s = isqrt(8 * genus + 1)
+    if s * s != 8 * genus + 1:
+        return None
+    p = (3 + s) // 2
+    if p < 4:
+        return None
+    return (2 * p, p)

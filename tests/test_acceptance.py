@@ -20,13 +20,11 @@ from qforge.embedding import (
     validate_quadrangulation,
 )
 from qforge.formulas import (
-    bounds_agree,
-    complete_spine_order,
     min_order,
     order_lower_bound,
     spinal_min_order,
 )
-from qforge.graph import betti, complete_graph, interlace, make_graph, octahedral_graph
+from qforge.graph import betti, complete_graph, interlace, make_graph
 from qforge.oracle import (
     BudgetExhausted,
     min_order_bruteforce,
@@ -34,6 +32,8 @@ from qforge.oracle import (
     search_quadrangulation,
 )
 from qforge.spinal import build_instance, build_spinal_report
+
+from _reference import bounds_agree, complete_spine_order, octahedral_graph
 
 
 def test_acceptance_1_minimum_order_table():

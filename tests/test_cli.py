@@ -12,8 +12,10 @@ from qforge import embedding
 from qforge.cli import main
 from qforge.embedding import load_embedding, save_embedding, validate_quadrangulation
 from qforge.formulas import min_order
-from qforge.graph import complete_graph, load_graph, octahedral_graph, save_graph
+from qforge.graph import complete_graph, load_graph, save_graph
 from qforge.spinal import build_spinal_report
+
+from _reference import octahedral_graph
 
 
 def run(capsys, *argv):

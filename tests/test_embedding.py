@@ -15,7 +15,6 @@ from qforge.embedding import (
     _trace,
     embedding_from_document,
     embedding_to_document,
-    euler_genus,
     load_embedding,
     save_embedding,
     trace_faces,
@@ -222,6 +221,17 @@ def test_declared_genus_mismatch(tmp_path):
         load_embedding(path)
 
 
+def test_declared_genus_is_checked_on_any_embedding(tmp_path):
+    # K_3 on the sphere: two triangle faces, so no quadrangulation
+    triangle = _system(3, [(0, 1), (0, 2), (1, 2)], [(1, 2), (0, 2), (0, 1)])
+    path = tmp_path / "triangle.json"
+    save_embedding(triangle, path, declared_genus=0)
+    assert load_embedding(path) == triangle
+    save_embedding(triangle, path, declared_genus=1)
+    with pytest.raises(GenusMismatchError, match="declared genus 1 but traced genus is 0"):
+        load_embedding(path)
+
+
 def test_document_rejections():
     good = embedding_to_document(_square_system())
 
@@ -329,6 +339,13 @@ def _reference_trace_faces(system):
                 break
         faces.append(tuple(tail for tail, _ in walk))
     return faces
+
+
+def euler_genus(system):
+    """Euler characteristic |V| - |E| + |F| and genus (2 - chi) / 2, with the
+    faces counted by the reference tracer, not by the library."""
+    chi = system.graph.vertex_count - system.graph.edge_count + len(_reference_trace_faces(system))
+    return chi, (2 - chi) // 2
 
 
 def _reference_validate_quadrangulation(system):

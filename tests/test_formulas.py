@@ -7,10 +7,7 @@ import pytest
 
 from qforge.formulas import (
     MinOrderResult,
-    bounds_agree,
     certified_minimal,
-    complete_spine_order,
-    half_order_cap,
     min_order,
     min_order_runs,
     min_spine_size,
@@ -19,6 +16,8 @@ from qforge.formulas import (
     spinal_min_order,
 )
 from qforge.graph import betti, complete_graph
+
+from _reference import bounds_agree, complete_spine_order, half_order_cap
 
 
 def test_min_spine_size_examples():
@@ -222,8 +221,8 @@ def _large_genus_sample(first, near=50):
 
 @pytest.mark.parametrize("first", [3, 10**6, 10**12, 10**30])
 def test_min_order_matches_the_public_exactness_rules(first):
-    # min_order decides exactness and source on its own; the public rules
-    # are the independent references it must agree with
+    # min_order decides exactness and source on its own; the closed forms
+    # in _reference are the independent references it must agree with
     kinds = set()
     for g in _large_genus_sample(first):
         result = min_order(g)

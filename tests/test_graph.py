@@ -18,9 +18,10 @@ from qforge.graph import (
     is_connected,
     load_graph,
     make_graph,
-    octahedral_graph,
     save_graph,
 )
+
+from _reference import octahedral_graph
 
 # CPython's limit on decimal digits in int(str); 0 when there is none
 _INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -1,13 +1,17 @@
 """Every name a module imports must be used in that module.
 
 Package re-exports in __init__.py, names listed in __all__ and __future__
-imports are exempt.
+imports are exempt.  Every name a module lists in __all__ must exist there
+and be re-exported by the package.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+
+import qforge
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "qforge"
 
@@ -39,3 +43,19 @@ def test_no_unused_imports():
         if (found := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert unused == {}
+
+
+def test_all_names_are_defined_and_reexported():
+    stale = {}
+    for name in ("formulas", "oracle"):
+        module = importlib.import_module(f"qforge.{name}")
+        assert module.__all__
+        missing = [
+            entry
+            for entry in module.__all__
+            if not hasattr(module, entry)
+            or getattr(qforge, entry, None) is not getattr(module, entry)
+        ]
+        if missing:
+            stale[name] = missing
+    assert stale == {}

@@ -19,15 +19,15 @@ from qforge.graph import (
     complete_graph,
     interlace,
     make_graph,
-    octahedral_graph,
 )
 from qforge.spinal import (
     BuildError,
-    build_for_genus,
     build_instance,
     build_spinal_report,
     _Build,
 )
+
+from _reference import octahedral_graph
 
 
 def _random_connected(rng, max_vertices=10, max_edges=20):
@@ -349,20 +349,14 @@ def test_build_instance_certificates():
 
 
 def test_build_for_genus():
-    report = build_for_genus(5, 5)
+    # genus g at order 2p is the spine K_p minus rank - g edges; K_5 has rank 6
+    report = build_instance(5, 1)
     assert (report.order, report.genus, report.face_count) == (10, 5, 18)
     assert validate_quadrangulation(report.embedding).genus == 5
 
-    exact = build_for_genus(6, 5)
+    exact = build_instance(5, 0)
     assert (exact.order, exact.genus) == (10, 6)
     assert exact.minimal is True
-
-    with pytest.raises(ValueError):
-        build_for_genus(7, 5)  # K_5 rank is only 6
-    with pytest.raises(ValueError):
-        build_for_genus(-1, 5)
-    with pytest.raises(ValueError):
-        build_for_genus(0, 1)
 
 
 def test_random_spines_build_and_verify():
