@@ -3,18 +3,26 @@
 Euler's equation forces the edge count of any quadrangulation, and near the
 minimum order that count sits close to the complete graph, so candidate
 graphs are enumerated as complements of a few missing edges that keep the
-minimum degree.  For each connected candidate the search assembles quad
-faces dart by dart, growing the rotation at every vertex incrementally and
-abandoning a branch as soon as a face would close at the wrong length or
-revisit a vertex.  Each step places a face on the open dart with the fewest
-ways left to complete one (most-constrained first, as in Knuth's Dancing
-Links), scoring only the darts at the corners of the face placed last, where
-the options just narrowed, and every open dart only when none of those is
-open.  Each corner's options are read from per-vertex bitmasks of
-neighbours that still lack a predecessor in the rotation, so scoring a dart
-is a few integer ANDs and popcounts.  The search runs as one loop over an
-explicit stack of placed faces, so a witness of any size fits in it without
-touching Python's recursion limit.
+minimum degree, each as per-vertex neighbour bitmasks.  At genus >= 1 each
+connected candidate first meets the corner-link test: two neighbours
+consecutive in the rotation at a vertex share a quad face, so they have a
+second common neighbour, and a graph in which some neighbour of a vertex
+has fewer than two such partners among that vertex's other neighbours (one
+at degree 2) has no quadrangulation.  The test costs O(n) operations on
+n^2-bit integers and reads no labels, so it composes with the assembler's
+symmetry break.  A candidate that passes goes to the assembler, which
+places quad faces dart by dart, growing the rotation at every vertex
+incrementally and abandoning a branch as soon as a face would close at the
+wrong length or revisit a vertex.  Each step places a face on the open dart
+with the fewest ways left to complete one (most-constrained first, as in
+Knuth's Dancing Links), scoring only the darts at the corners of the face
+placed last, where the options just narrowed, and every open dart only when
+none of those is open.  Each corner's options are read from per-vertex
+bitmasks of neighbours that still lack a predecessor in the rotation, so
+scoring a dart is a few integer ANDs and popcounts.  The search runs as one
+loop over an explicit stack of placed faces, so a witness of any size fits
+in it without touching Python's recursion limit.  A ``Graph`` is built only
+for a witness, which is validated in full before it is returned.
 
 Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration and assembly; running out of it raises BudgetExhausted
@@ -26,11 +34,11 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import order_lower_bound, spinal_min_order
-from .graph import Graph, is_connected
+from .graph import Graph, _bfs_tree
 
 __all__ = [
     "SearchBudget",
@@ -69,10 +77,10 @@ class _Ticker:
     The clock is read at every search node (a face placement or a candidate
     graph): a node is followed by a scan of the open darts at the four
     corners of the face it placed, or of every open dart when none of those
-    is open, and a full scan takes tens of milliseconds at order 200.  Cheap
-    steps (``node=False``) are the candidate enumerator's pairs and the one
-    step before an assembler's first scan; they read it only every 4096th
-    time.
+    is open, and a full scan takes tens of milliseconds at order 200.  A
+    candidate's node comes before its corner-link test and its assembler's
+    first scan.  Cheap steps (``node=False``) are the candidate enumerator's
+    pairs; they read it only every 4096th time.
     """
 
     __slots__ = ("budget", "nodes", "steps", "start")
@@ -111,7 +119,8 @@ def quad_edge_count(n: int, genus: int) -> int | None:
 
 def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker):
     """All connected labeled graphs on n vertices with the target edge count
-    and minimum degree, in a fixed order.
+    and minimum degree, in a fixed order, each as its neighbour masks: bit w
+    of ``nmask[v]`` is the edge vw.
 
     Enumeration runs over the complement: lexicographic combinations of the
     missing edges.  Near the minimum order very few edges are missing, so
@@ -121,19 +130,26 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     combinations come from one loop over an explicit stack of dropped pairs,
     so the number of missing edges is not bounded by Python's recursion
     limit.  The loop walks the pairs with a cursor instead of listing them,
-    and builds the set of all C(n, 2) pairs only when the first combination
-    is complete, so a large order meets its first budget check at once.
-    Far above the minimum order nearly every pair considered is dropped, so
-    each dropped pair (i, j) is one machine integer i * n + j, and a vertex's
-    spare count is made when the cursor first reaches it: memory grows with
-    the pairs considered, not with n, and stays small until the budget ends.
+    and builds masks only when a combination is complete, so a large order
+    meets its first budget check at once.  Far above the minimum order
+    nearly every pair considered is dropped, so each dropped pair (i, j) is
+    one machine integer i * n + j, and a vertex's spare count is made when
+    the cursor first reaches it: memory grows with the pairs considered, not
+    with n, and stays small until the budget ends.
+
+    Connectivity needs no search when the missing edges are too few to cut
+    the graph: every part of a disconnected graph of minimum degree d holds
+    at least d + 1 vertices, so a part of s vertices misses all s(n - s)
+    pairs across, at least (d + 1)(n - d - 1) of them.  Otherwise each
+    combination goes through the package's one graph search.
     """
     total = n * (n - 1) // 2
     cap = n - 1 - min_degree
     if n and cap < 0:  # even the complete graph is too sparse
         return
+    search_needed = total - edge_target >= (min_degree + 1) * cap  # cap = n - d - 1
     spare = [cap]  # one entry per vertex the cursor has reached
-    everything = None  # every pair, built once the first combination is complete
+    complete = None  # every vertex's mask in K_n, built once the first combination is complete
     dropped = array("q")  # ascending, the pair (i, j) as i * n + j
     k, i, j = 0, 0, 1  # the pair (i, j) under consideration, and its index k
     left = total - edge_target  # the drops still due
@@ -151,11 +167,16 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
                 left -= 1
         else:
             if not left:
-                if everything is None:
-                    everything = frozenset(combinations(range(n), 2))
-                graph = Graph(n, everything.difference(map(divmod, dropped, repeat(n))))
-                if is_connected(graph):
-                    yield graph
+                if complete is None:
+                    complete = [((1 << n) - 1) ^ 1 << v for v in range(n)]
+                nmask = complete[:]
+                for pair in dropped:
+                    u, w = divmod(pair, n)
+                    nmask[u] ^= 1 << w
+                    nmask[w] ^= 1 << u
+                # a spanning tree has n - 1 edges
+                if not search_needed or len(_bfs_tree([list(_bits(m)) for m in nmask])) >= n - 1:
+                    yield nmask
             if not dropped:
                 return
             i, j = divmod(dropped.pop(), n)
@@ -168,9 +189,14 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
 
 
 class _FaceAssembler:
-    """Backtracking assembly of quad faces over one candidate graph.
+    """Backtracking assembly of quad faces over one candidate graph, given
+    by the neighbour masks ``_candidate_graphs`` yields: bit w of
+    ``nmask[v]`` is the edge vw.  At genus >= 1 the caller runs the
+    corner-link test (``_corners_linked``) first, so the n x n state below
+    is allocated only for graphs that test cannot rule out.  The test is
+    sound: it only restates what the quad faces around any vertex force, so
+    it never withholds a graph this search could complete.
 
-    Vertex sets are integer bitmasks: bit w of ``nmask[v]`` is the edge vw.
     State is a partial successor map at every vertex (the rotation under
     construction, as "w follows u at v", -1 where unset), per vertex the mask
     ``free[v]`` of neighbours that have no predecessor there yet, and per
@@ -201,12 +227,9 @@ class _FaceAssembler:
     caller, so no witness is lost while the symmetry factor drops out.
     """
 
-    def __init__(self, graph: Graph, ticker: _Ticker) -> None:
-        n = self.n = graph.vertex_count
-        nmask = self.nmask = [0] * n
-        for u, w in graph.edges:
-            nmask[u] |= 1 << w
-            nmask[w] |= 1 << u
+    def __init__(self, nmask: list[int], ticker: _Ticker) -> None:
+        n = self.n = len(nmask)
+        self.nmask = nmask
         degree = self.degree = [mask.bit_count() for mask in nmask]
         self.free = nmask[:]
         self.open = nmask[:]
@@ -257,11 +280,8 @@ class _FaceAssembler:
 
     def search(self) -> tuple[tuple[int, ...], ...] | None:
         """Complete rotations with all faces of length 4, or None."""
-        ticker = self.ticker
         # one frame per placed face: [a, b, (c, d) completions, next index, assignments]
         stack: list[list] = []
-        # every later scan follows a node that _place_next counted
-        ticker(node=False)
         while True:
             corners = -1  # every vertex, until a face is placed
             if stack:
@@ -379,6 +399,59 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
+def _corners_linked(nmask: list[int]) -> bool:
+    """The corner-link test on a graph given by its neighbour masks: False
+    proves that the graph has no quadrangulation.
+
+    Call two vertices linked when they have at least two common neighbours.
+    Two neighbours u and w consecutive in the rotation at v lie on one quad
+    face (u, v, w, x) with x != v, so they are linked through v and x.  Each
+    neighbour u of v has two such rotation neighbours at v, or one when v
+    has degree 2, so in a quadrangulation u is linked to at least
+    min(2, deg v - 1) other neighbours of v.  The test reads no labels and
+    no rotation, so it rejects only graphs that every labelling and every
+    embedding would fail on.
+
+    Both counts run on the adjacency matrix packed into one integer, row v
+    at bits v*n .. v*n + n - 1 (see ``_tally``): O(n) operations on n^2-bit
+    integers instead of a Python loop over the O(n^2) vertex pairs.
+    """
+    n = len(nmask)
+    matrix = column = wide = narrow = 0
+    for v, near in enumerate(nmask):
+        matrix |= near << v * n
+        column |= 1 << v * n
+        degree = near.bit_count()
+        if degree > 2:
+            wide |= near << v * n  # neighbours that need two linked partners
+        elif degree == 2:
+            narrow |= near << v * n  # neighbours that need one
+    # row u of common: every w with two common neighbours, u itself included
+    common = _tally(matrix, column, nmask)[1]
+    full = (1 << n) - 1
+    linked = [common >> u * n & full & ~(1 << u) for u in range(n)]
+    # bit u of row v: u has one, or two, partners among the neighbours of v
+    once, twice = _tally(matrix, column, linked)
+    return not (wide & ~twice or narrow & ~once)
+
+
+def _tally(matrix: int, column: int, masks: list[int]) -> tuple[int, int]:
+    """Row v of the results: the bits set in at least one, and in at least
+    two, of the masks[x] with x a neighbour of v.
+
+    ``matrix >> x & column`` keeps bit 0 of the rows v with x in N(v), and
+    multiplying it by an n-bit mask writes the mask into each of those rows
+    without a carry into the next, so one product adds masks[x] to every
+    row at once; the two bit-sliced counters saturate at two.
+    """
+    once = twice = 0
+    for x, mask in enumerate(masks):
+        placed = (matrix >> x & column) * mask
+        twice |= once & placed
+        once |= placed
+    return once, twice
+
+
 def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
     """search_quadrangulation for a non-negative genus, charged to ticker."""
     if n < 4:
@@ -396,12 +469,20 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
     # genus >= 1 has minimum degree 3, and a scan upward from the lower
     # bound that lists only such graphs finds the minimum order.
     min_degree = 2 if genus == 0 else 3
-    for graph in _candidate_graphs(n, edge_target, min_degree, ticker):
-        ticker()
-        rotations = _FaceAssembler(graph, ticker).search()
+    # The sphere's first candidate is K_{2,n-2}: the enumerator drops every
+    # pair below n - 2 and then the pair (n - 2, n - 1).  K_{2,n-2}
+    # quadrangulates the sphere, so every sphere search ends at it, and the
+    # corner-link test would only add its cost there.
+    screened = genus > 0
+    for nmask in _candidate_graphs(n, edge_target, min_degree, ticker):
+        ticker()  # before the test, so a stream of rejected candidates meets the clock
+        if screened and not _corners_linked(nmask):
+            continue
+        rotations = _FaceAssembler(nmask, ticker).search()
         if rotations is None:
             continue
-        system = RotationSystem(graph, rotations)
+        edges = frozenset((u, w) for u, w in combinations(range(n), 2) if nmask[u] >> w & 1)
+        system = RotationSystem(Graph(n, edges), rotations)
         report = validate_quadrangulation(system)
         if not report.is_quadrangulation or report.genus != genus:
             raise RuntimeError("assembler produced an invalid witness; search defect")

@@ -6,7 +6,7 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -14,17 +14,19 @@ import pytest
 from qforge import oracle
 from qforge.embedding import RotationSystem, embedding_to_document, validate_quadrangulation
 from qforge.formulas import order_lower_bound
-from qforge.graph import Graph, canonical_json, complete_graph, is_connected
+from qforge.graph import Graph, canonical_json, is_connected
 from qforge.oracle import (
     BudgetExhausted,
     SearchBudget,
     _candidate_graphs,
+    _corners_linked,
     _FaceAssembler,
     _Ticker,
     min_order_bruteforce,
     quad_edge_count,
     search_quadrangulation,
 )
+from qforge.spinal import build_instance
 
 
 # ============================================================
@@ -117,6 +119,19 @@ def _mini_exists(n, genus):
     return False
 
 
+def _masks(graph):
+    """The neighbour masks the oracle's internals take: bit w of entry v is the edge vw."""
+    nmask = [0] * graph.vertex_count
+    for u, w in graph.edges:
+        nmask[u] |= 1 << w
+        nmask[w] |= 1 << u
+    return nmask
+
+
+def _edges(nmask):
+    return frozenset((u, w) for u, w in combinations(range(len(nmask)), 2) if nmask[u] >> w & 1)
+
+
 def test_mini_oracle_agrees_with_search():
     for n in range(3, 6):
         for genus in range(0, 5):
@@ -159,7 +174,7 @@ def test_candidate_graphs_match_reference_enumerator():
         for edge_target in range(n * (n - 1) // 2 + 1):
             for min_degree in (2, 3):
                 ticker = _Ticker(SearchBudget())
-                pruned = [g.edges for g in _candidate_graphs(n, edge_target, min_degree, ticker)]
+                pruned = [_edges(m) for m in _candidate_graphs(n, edge_target, min_degree, ticker)]
                 assert pruned == list(_reference_candidates(n, edge_target, min_degree)), (
                     n,
                     edge_target,
@@ -235,8 +250,9 @@ def test_candidate_enumeration_depth_is_not_bounded_by_recursion_limit():
         first = next(_candidate_graphs(50, quad_edge_count(50, 0), 2, ticker))
     finally:
         sys.setrecursionlimit(limit)
-    assert (first.vertex_count, first.edge_count) == (50, 96)
-    assert min(len(row) for row in first.adjacency()) >= 2
+    degrees = [near.bit_count() for near in first]
+    assert (len(first), sum(degrees) // 2) == (50, 96)
+    assert min(degrees) >= 2
     assert ticker.nodes == 0
 
 
@@ -338,7 +354,7 @@ class _ReferenceAssembler:
 
 def test_assembler_verdicts_match_reference_on_graph_atlas():
     nx = pytest.importorskip("networkx")
-    verdicts = []
+    verdicts, rejected = [], 0
     for small in nx.graph_atlas_g():
         n, m = small.number_of_nodes(), small.number_of_edges()
         if not 4 <= n <= 7 or m % 2 or min(d for _, d in small.degree()) < 2:
@@ -346,14 +362,76 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
         if not nx.is_connected(small):
             continue
         graph = Graph(n, frozenset(tuple(sorted(e)) for e in small.edges()))
-        found = _FaceAssembler(graph, _Ticker(SearchBudget())).search()
+        found = _FaceAssembler(_masks(graph), _Ticker(SearchBudget())).search()
         reference = _ReferenceAssembler(graph).search()
         assert (found is None) == (reference is None), sorted(graph.edges)
+        # the corner-link test never rejects a graph that quadrangulates
+        if not _corners_linked(_masks(graph)):
+            assert reference is None, sorted(graph.edges)
+            rejected += 1
         for rotations in (found, reference):
             if rotations is not None:
                 assert validate_quadrangulation(RotationSystem(graph, rotations)).is_quadrangulation
         verdicts.append(found is not None)
     assert (verdicts.count(True), verdicts.count(False)) == (10, 281)
+    assert rejected == 177  # of the 281 that do not quadrangulate
+
+
+def _reference_corners_linked(nmask):
+    """The corner-link test pair by pair: every neighbour u of every vertex
+    v has min(2, deg v - 1) other neighbours w of v with two common
+    neighbours."""
+    n = len(nmask)
+    neighbours = [[w for w in range(n) if near >> w & 1] for near in nmask]
+    for v, around in enumerate(neighbours):
+        for u in around:
+            partners = [w for w in around if w != u and (nmask[u] & nmask[w]).bit_count() >= 2]
+            if len(partners) < min(2, len(around) - 1):
+                return False
+    return True
+
+
+def test_corner_link_test_matches_the_pairwise_reference():
+    rng = random.Random(1717)
+    for _ in range(3000):
+        n = rng.randint(0, 13)
+        density = rng.random()
+        edges = [(u, w) for u, w in combinations(range(n), 2) if rng.random() < density]
+        nmask = _masks(Graph(n, frozenset(edges)))
+        assert _corners_linked(nmask) == _reference_corners_linked(nmask), (n, edges)
+    for n, genus in ((6, 0), (8, 1), (9, 3)):
+        ticker = _Ticker(SearchBudget())
+        candidates = _candidate_graphs(n, quad_edge_count(n, genus), 3 if genus else 2, ticker)
+        for nmask in islice(candidates, 500):
+            assert _corners_linked(nmask) == _reference_corners_linked(nmask), (n, genus, nmask)
+
+
+def test_corner_link_rejections_are_sound_at_small_orders():
+    # every candidate of every search up to order 6, with the minimum degree
+    # the search uses, and every candidate order 8, genus 1 lists before its
+    # first witness: no graph the test rejects has a quadrangulation
+    searches = [(n, genus, None) for n in range(4, 7) for genus in range(3)] + [(8, 1, 1691)]
+    rejected = 0
+    for n, genus, count in searches:
+        edge_target = quad_edge_count(n, genus)
+        if edge_target is None:
+            continue
+        ticker = _Ticker(SearchBudget())
+        candidates = _candidate_graphs(n, edge_target, 2 if genus == 0 else 3, ticker)
+        for nmask in islice(candidates, count):
+            if not _corners_linked(nmask):
+                assert _FaceAssembler(nmask, ticker).search() is None, sorted(_edges(nmask))
+                rejected += 1
+    assert rejected == 2775 + 1125
+
+
+def test_known_quadrangulations_pass_the_corner_link_test():
+    graphs = [_k44()]
+    graphs += [build_instance(p, m).embedding.graph for p, m in ((4, 0), (6, 0), (8, 2), (12, 0))]
+    graphs += [min_order_bruteforce(genus).witness.graph for genus in range(3)]
+    graphs += [search_quadrangulation(n, genus).graph for n, genus, _ in SEARCH_GOLDENS[:8]]
+    for graph in graphs:
+        assert _corners_linked(_masks(graph)), sorted(graph.edges)
 
 
 # ============================================================
@@ -381,8 +459,8 @@ def _first_most_constrained(assembler, darts):
 class _BranchSpy(_FaceAssembler):
     """Checks every branching dart against the rule, tracking placed faces."""
 
-    def __init__(self, graph, ticker):
-        super().__init__(graph, ticker)
+    def __init__(self, nmask, ticker):
+        super().__init__(nmask, ticker)
         self.faces, self.local_differs = [], 0
 
     def _toggle_face(self, a, b, c, d):
@@ -406,14 +484,14 @@ class _BranchSpy(_FaceAssembler):
 def test_assembler_branches_at_the_face_placed_last():
     # K_{4,4} quadrangulates the torus; at one step of its search the
     # fewest-completion dart over all open darts is away from the last face
-    spy = _BranchSpy(_k44(), _Ticker(SearchBudget()))
+    spy = _BranchSpy(_masks(_k44()), _Ticker(SearchBudget()))
     rotations = spy.search()
     assert validate_quadrangulation(RotationSystem(_k44(), rotations)).genus == 1
     assert spy.local_differs == 1
 
 
 def test_assembler_falls_back_to_the_full_scan_when_the_last_face_is_closed():
-    assembler = _FaceAssembler(_k44(), _Ticker(SearchBudget()))
+    assembler = _FaceAssembler(_masks(_k44()), _Ticker(SearchBudget()))
     frame = [0, 4, assembler._completions(0, 4), 0, []]
     assert assembler._place_next(frame)
     c, d = frame[2][0]
@@ -577,16 +655,28 @@ def test_time_cap_is_read_at_every_search_node(monkeypatch):
     monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
     with pytest.raises(BudgetExhausted, match="time cap"):
         search_quadrangulation(9, 3, SearchBudget(time_cap=0.5))
-
-
-def test_assembler_scoring_scan_obeys_time_cap():
-    # the next step is the 4096th, so the clock is read before any node is
-    # counted: only the first dart-scoring scan of search() can reach it
-    ticker = _Ticker(SearchBudget(time_cap=1e-9))
-    ticker.steps = 4095
+    # a candidate the corner-link test rejects is a node too, read before the
+    # test: the ticker starts at 1 s, candidates 1 and 2 read 2 s and 3 s and
+    # are rejected, and candidate 3 reads 4 s, past the 2.5 s cap
+    clock = iter(range(1, 10**6))
+    tested = []
+    monkeypatch.setattr(oracle, "_corners_linked", lambda nmask: tested.append(nmask) and False)
     with pytest.raises(BudgetExhausted, match="time cap"):
-        _FaceAssembler(complete_graph(7), ticker).search()
-    assert ticker.nodes == 0
+        search_quadrangulation(8, 1, SearchBudget(time_cap=2.5))
+    assert len(tested) == 2
+
+
+def test_assembler_scoring_scan_obeys_time_cap(monkeypatch):
+    # the candidate's node tick reads the clock before the assembler runs, so
+    # an exhausted clock stops the search before any dart-scoring scan
+    def scan(self, corners=-1):
+        raise AssertionError("a dart-scoring scan ran past the time cap")
+
+    monkeypatch.setattr(_FaceAssembler, "_most_constrained", scan)
+    ticker = _Ticker(SearchBudget(time_cap=1e-9))
+    with pytest.raises(BudgetExhausted, match="time cap"):
+        oracle._search(7, 2, ticker)
+    assert ticker.nodes == 1
 
 
 # ============================================================
