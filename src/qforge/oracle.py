@@ -20,13 +20,18 @@ placed last, where the options just narrowed, and every open dart only when
 none of those is open.  Each corner's options are read from per-vertex
 bitmasks of neighbours that still lack a predecessor in the rotation, so
 scoring a dart is a few integer ANDs and popcounts.  The search runs as one
-loop over an explicit stack of placed faces, so a witness of any size fits
-in it without touching Python's recursion limit.  A ``Graph`` is built only
-for a witness, which is validated in full before it is returned.
+loop over an explicit stack of placed faces: it pushes a frame for the
+chosen dart and advances it, and advancing a frame takes back the face it
+placed and places its next completion that fits, so a witness of any size
+fits in it without touching Python's recursion limit.  A ``Graph`` is built
+only for a witness, which is validated in full before it is returned.
 
 Verdicts are deterministic and independent of traversal order.  One budget
-covers enumeration and assembly; running out of it raises BudgetExhausted
-instead of answering, and that outcome is never collapsed into "no".
+covers enumeration, the corner-link test and assembly; running out of it
+raises BudgetExhausted instead of answering, and that outcome is never
+collapsed into "no".  The time cap is read at every search node, and every
+16th pass of the loops whose passes cost O(n^2) bit operations: the
+corner-link test's and the rows of a scan over every open dart.
 """
 
 from __future__ import annotations
@@ -77,10 +82,14 @@ class _Ticker:
     The clock is read at every search node (a face placement or a candidate
     graph): a node is followed by a scan of the open darts at the four
     corners of the face it placed, or of every open dart when none of those
-    is open, and a full scan takes tens of milliseconds at order 200.  A
-    candidate's node comes before its corner-link test and its assembler's
-    first scan.  Cheap steps (``node=False``) are the candidate enumerator's
-    pairs; they read it only every 4096th time.
+    is open.  A candidate's node comes before its corner-link test and its
+    assembler's first scan.  Cheap steps (``node=False``) are the candidate
+    enumerator's pairs; they read it only every 4096th time.  The work
+    between two nodes can still be long at a large order: the corner-link
+    test makes O(n) passes over n^2-bit integers, and a full scan's row
+    scores about n darts at about n options each, so at n = 900 the test
+    takes seconds and the first full scan longer.  Those loops call
+    ``clock``, which reads the clock and counts nothing, every 16th pass.
     """
 
     __slots__ = ("budget", "nodes", "steps", "start")
@@ -100,6 +109,10 @@ class _Ticker:
             self.steps += 1
             if self.steps % 4096:
                 return
+        self.clock()
+
+    def clock(self) -> None:
+        """Read the clock against the time cap, counting nothing."""
         if time.monotonic() - self.start > self.budget.time_cap:
             raise BudgetExhausted(f"time cap {self.budget.time_cap}s exhausted")
 
@@ -211,40 +224,45 @@ class _FaceAssembler:
 
     Each step branches on an open dart (a, b) with the fewest face
     completions, k(a, b) = sum over c in options(b, a) of
-    popcount(options(c, b) & nmask[a]): the most-constrained-first rule.
-    Only the open darts out of and into the four corners of the face placed
-    last are scored, since their options are the ones that just narrowed;
-    before the first face, and when none of those darts is open, every open
-    dart is.  Any open dart is a complete choice: it lies in exactly one face
-    and every completion of that face is tried, so the rule changes the
-    search order and the witness found, never a verdict.  Ties go to the
-    first dart in ascending order, the scan stops at the first dart with
-    k <= 1, and k = 0 ends the branch.  The search is one loop over
-    an explicit stack with one frame per placed face, so its depth is not
-    bounded by Python's recursion limit.  The rotation at one maximum-degree
-    vertex is pre-fixed to ascending order: every embedding of every isomorph
-    can be relabeled to respect that, and all labelings are enumerated by the
-    caller, so no witness is lost while the symmetry factor drops out.
+    popcount(options(c, b) & nmask[a]): the most-constrained-first rule.  Only
+    the open darts out of and into the four corners of the face placed last
+    are scored, since their options are the ones that just narrowed; before
+    the first face, and when none of those darts is open, every open dart is,
+    and such a full scan reads the clock every 16th row.  Any open dart is a
+    complete choice: it lies in exactly one face and every completion of that
+    face is tried, so the rule changes the search order and the witness found,
+    never a verdict.  Ties go to the first dart in ascending order, the scan
+    stops at the first dart with k <= 1, and k = 0 ends the branch.  The
+    search is one loop over an explicit stack with one frame per placed face,
+    so its depth is not bounded by Python's recursion limit.  ``_advance`` is
+    the only routine that changes a frame's face: it takes back the face the
+    frame placed, then tries the frame's remaining completions in order,
+    undoing a refused one at once, and returns the corner mask of the face it
+    placed (0 when none is left, and the search pops the frame).  The
+    successors a face sets are recorded in its frame, so taking the face back
+    restores the successor map, ``free`` and ``open`` exactly and clears the
+    cached options of every vertex whose rotation it changes.  The rotation at
+    one maximum-degree vertex is pre-fixed to ascending order: every embedding
+    of every isomorph can be relabeled to respect that, and all labelings are
+    enumerated by the caller, so no witness is lost while the symmetry factor
+    drops out.
     """
 
     def __init__(self, nmask: list[int], ticker: _Ticker) -> None:
         n = self.n = len(nmask)
         self.nmask = nmask
-        degree = self.degree = [mask.bit_count() for mask in nmask]
         self.free = nmask[:]
         self.open = nmask[:]
         succ = self.succ = [[-1] * n for _ in range(n)]
         pred = self.pred = [[-1] * n for _ in range(n)]
         self.cache = [[-1] * n for _ in range(n)]
         self.ticker = ticker
-        anchor = degree.index(max(degree))
+        anchor = max(range(n), key=lambda v: nmask[v].bit_count())  # the first of largest degree
         ring = list(_bits(nmask[anchor]))
         for u, w in zip(ring, ring[1:] + ring[:1]):
             succ[anchor][u] = w
             pred[anchor][w] = u
         self.free[anchor] = 0
-
-    # ---- successor-map bookkeeping ----
 
     def _options(self, v: int, u: int) -> int:
         """Mask of every w that "w follows u at v" may take; fills the cache."""
@@ -263,48 +281,26 @@ class _FaceAssembler:
         self.cache[v][u] = options
         return options
 
-    def _assign(self, v: int, u: int, w: int) -> None:
-        self.succ[v][u] = w
-        self.pred[v][w] = u
-        self.free[v] ^= 1 << w
-        self.cache[v] = [-1] * self.n
-
-    def _unassign(self, v: int, u: int) -> None:
-        w = self.succ[v][u]
-        self.succ[v][u] = -1
-        self.pred[v][w] = -1
-        self.free[v] |= 1 << w
-        self.cache[v] = [-1] * self.n
-
-    # ---- face assembly ----
-
     def search(self) -> tuple[tuple[int, ...], ...] | None:
         """Complete rotations with all faces of length 4, or None."""
         # one frame per placed face: [a, b, (c, d) completions, next index, assignments]
         stack: list[list] = []
+        corners = -1  # every vertex, until a face is placed
         while True:
-            corners = -1  # every vertex, until a face is placed
-            if stack:
-                a, b, completions, index, _ = stack[-1]
-                c, d = completions[index - 1]
-                corners = 1 << a | 1 << b | 1 << c | 1 << d
             dart = self._most_constrained(corners)
             if dart is None:
                 return tuple(self._rotation_of(v) for v in range(self.n))
-            frame = [*dart, self._completions(*dart), 0, []]
-            stack.append(frame)
-            while not self._place_next(frame):
+            stack.append([*dart, self._completions(*dart), 0, []])
+            while not (corners := self._advance(stack[-1])):
                 stack.pop()
                 if not stack:
                     return None
-                frame = stack[-1]
-                self._lift(frame)
 
     def _rotation_of(self, v: int) -> tuple[int, ...]:
         start = (self.nmask[v] & -self.nmask[v]).bit_length() - 1
         succ = self.succ[v]
         out = [start]
-        while len(out) < self.degree[v]:
+        while succ[out[-1]] != start:
             out.append(succ[out[-1]])
         return tuple(out)
 
@@ -314,9 +310,12 @@ class _FaceAssembler:
         every dart is in a face."""
         cache, nmask, options = self.cache, self.nmask, self._options
         best, fewest = None, 1 << 62
+        full = corners == -1
         for a, darts in enumerate(self.open):
             if not corners >> a & 1:
                 darts &= corners
+            elif full and a & 15 == 15:
+                self.ticker.clock()  # a full scan's row costs O(n^2) at a dense graph
             near_a = nmask[a]
             while darts:
                 low = darts & -darts
@@ -340,7 +339,7 @@ class _FaceAssembler:
                     best, fewest = (a, b), count
                     if count <= 1:
                         return best
-        if best is None and corners != -1:
+        if best is None and not full:
             return self._most_constrained()
         return best
 
@@ -353,30 +352,39 @@ class _FaceAssembler:
             for d in _bits(self._options(c, b) & near_a)
         ]
 
-    def _place_next(self, frame: list) -> bool:
-        """Place the frame's next completion that fits; False once none is left."""
-        a, b, completions, _, placed = frame
-        while frame[3] < len(completions):
-            c, d = completions[frame[3]]
-            frame[3] += 1
+    def _advance(self, frame: list) -> int:
+        """Take back the face the frame placed, if any, and place its next
+        completion that fits: the mask of its four corners, or 0 once none
+        is left.  The frame's assignments are the successors its face set;
+        a completion refused part way is undone at once."""
+        a, b, completions, index, placed = frame
+        succ, pred, free, cache = self.succ, self.pred, self.free, self.cache
+        if index:
+            self._toggle_face(a, b, *completions[index - 1])
+        while True:
+            while placed:
+                v, u = placed.pop()
+                w = succ[v][u]
+                succ[v][u] = pred[v][w] = -1
+                free[v] |= 1 << w
+                cache[v] = [-1] * self.n
+            if index == len(completions):
+                return 0
+            c, d = completions[index]
+            index = frame[3] = index + 1
             self.ticker()
             for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
                 if not self._options(v, u) >> w & 1:
                     break
-                if self.succ[v][u] < 0:
-                    self._assign(v, u, w)
+                if succ[v][u] < 0:
+                    succ[v][u] = w
+                    pred[v][w] = u
+                    free[v] ^= 1 << w
+                    cache[v] = [-1] * self.n
                     placed.append((v, u))
             else:
                 self._toggle_face(a, b, c, d)
-                return True
-            self._undo(placed)
-        return False
-
-    def _lift(self, frame: list) -> None:
-        """Take back the face the frame placed last."""
-        a, b, completions, index, placed = frame
-        self._toggle_face(a, b, *completions[index - 1])
-        self._undo(placed)
+                return 1 << a | 1 << b | 1 << c | 1 << d
 
     def _toggle_face(self, a: int, b: int, c: int, d: int) -> None:
         """Flip the open bits of the face's four darts, which are all open or all used."""
@@ -385,10 +393,6 @@ class _FaceAssembler:
         opened[b] ^= 1 << c
         opened[c] ^= 1 << d
         opened[d] ^= 1 << a
-
-    def _undo(self, placed: list[tuple[int, int]]) -> None:
-        while placed:
-            self._unassign(*placed.pop())
 
 
 def _bits(mask: int):
@@ -399,7 +403,7 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _corners_linked(nmask: list[int]) -> bool:
+def _corners_linked(nmask: list[int], ticker: _Ticker) -> bool:
     """The corner-link test on a graph given by its neighbour masks: False
     proves that the graph has no quadrangulation.
 
@@ -414,11 +418,15 @@ def _corners_linked(nmask: list[int]) -> bool:
 
     Both counts run on the adjacency matrix packed into one integer, row v
     at bits v*n .. v*n + n - 1 (see ``_tally``): O(n) operations on n^2-bit
-    integers instead of a Python loop over the O(n^2) vertex pairs.
+    integers instead of a Python loop over the O(n^2) vertex pairs.  Each
+    of its three loops (the packing, both tallies and the ``linked`` rows)
+    reads the ticker's clock every 16th pass.
     """
     n = len(nmask)
     matrix = column = wide = narrow = 0
     for v, near in enumerate(nmask):
+        if v & 15 == 15:
+            ticker.clock()
         matrix |= near << v * n
         column |= 1 << v * n
         degree = near.bit_count()
@@ -427,15 +435,19 @@ def _corners_linked(nmask: list[int]) -> bool:
         elif degree == 2:
             narrow |= near << v * n  # neighbours that need one
     # row u of common: every w with two common neighbours, u itself included
-    common = _tally(matrix, column, nmask)[1]
+    common = _tally(matrix, column, nmask, ticker)[1]
     full = (1 << n) - 1
-    linked = [common >> u * n & full & ~(1 << u) for u in range(n)]
+    linked = []
+    for u in range(n):
+        if u & 15 == 15:
+            ticker.clock()
+        linked.append(common >> u * n & full & ~(1 << u))
     # bit u of row v: u has one, or two, partners among the neighbours of v
-    once, twice = _tally(matrix, column, linked)
+    once, twice = _tally(matrix, column, linked, ticker)
     return not (wide & ~twice or narrow & ~once)
 
 
-def _tally(matrix: int, column: int, masks: list[int]) -> tuple[int, int]:
+def _tally(matrix: int, column: int, masks: list[int], ticker: _Ticker) -> tuple[int, int]:
     """Row v of the results: the bits set in at least one, and in at least
     two, of the masks[x] with x a neighbour of v.
 
@@ -446,6 +458,8 @@ def _tally(matrix: int, column: int, masks: list[int]) -> tuple[int, int]:
     """
     once = twice = 0
     for x, mask in enumerate(masks):
+        if x & 15 == 15:
+            ticker.clock()
         placed = (matrix >> x & column) * mask
         twice |= once & placed
         once |= placed
@@ -476,7 +490,7 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
     screened = genus > 0
     for nmask in _candidate_graphs(n, edge_target, min_degree, ticker):
         ticker()  # before the test, so a stream of rejected candidates meets the clock
-        if screened and not _corners_linked(nmask):
+        if screened and not _corners_linked(nmask, ticker):
             continue
         rotations = _FaceAssembler(nmask, ticker).search()
         if rotations is None:

@@ -366,7 +366,7 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
         reference = _ReferenceAssembler(graph).search()
         assert (found is None) == (reference is None), sorted(graph.edges)
         # the corner-link test never rejects a graph that quadrangulates
-        if not _corners_linked(_masks(graph)):
+        if not _corners_linked(_masks(graph), _Ticker(SearchBudget())):
             assert reference is None, sorted(graph.edges)
             rejected += 1
         for rotations in (found, reference):
@@ -393,17 +393,18 @@ def _reference_corners_linked(nmask):
 
 def test_corner_link_test_matches_the_pairwise_reference():
     rng = random.Random(1717)
+    ticker = _Ticker(SearchBudget())
     for _ in range(3000):
         n = rng.randint(0, 13)
         density = rng.random()
         edges = [(u, w) for u, w in combinations(range(n), 2) if rng.random() < density]
         nmask = _masks(Graph(n, frozenset(edges)))
-        assert _corners_linked(nmask) == _reference_corners_linked(nmask), (n, edges)
+        assert _corners_linked(nmask, ticker) == _reference_corners_linked(nmask), (n, edges)
     for n, genus in ((6, 0), (8, 1), (9, 3)):
-        ticker = _Ticker(SearchBudget())
         candidates = _candidate_graphs(n, quad_edge_count(n, genus), 3 if genus else 2, ticker)
         for nmask in islice(candidates, 500):
-            assert _corners_linked(nmask) == _reference_corners_linked(nmask), (n, genus, nmask)
+            expected = _reference_corners_linked(nmask)
+            assert _corners_linked(nmask, ticker) == expected, (n, genus, nmask)
 
 
 def test_corner_link_rejections_are_sound_at_small_orders():
@@ -419,7 +420,7 @@ def test_corner_link_rejections_are_sound_at_small_orders():
         ticker = _Ticker(SearchBudget())
         candidates = _candidate_graphs(n, edge_target, 2 if genus == 0 else 3, ticker)
         for nmask in islice(candidates, count):
-            if not _corners_linked(nmask):
+            if not _corners_linked(nmask, ticker):
                 assert _FaceAssembler(nmask, ticker).search() is None, sorted(_edges(nmask))
                 rejected += 1
     assert rejected == 2775 + 1125
@@ -430,8 +431,9 @@ def test_known_quadrangulations_pass_the_corner_link_test():
     graphs += [build_instance(p, m).embedding.graph for p, m in ((4, 0), (6, 0), (8, 2), (12, 0))]
     graphs += [min_order_bruteforce(genus).witness.graph for genus in range(3)]
     graphs += [search_quadrangulation(n, genus).graph for n, genus, _ in SEARCH_GOLDENS[:8]]
+    ticker = _Ticker(SearchBudget())
     for graph in graphs:
-        assert _corners_linked(_masks(graph)), sorted(graph.edges)
+        assert _corners_linked(_masks(graph), ticker), sorted(graph.edges)
 
 
 # ============================================================
@@ -493,7 +495,7 @@ def test_assembler_branches_at_the_face_placed_last():
 def test_assembler_falls_back_to_the_full_scan_when_the_last_face_is_closed():
     assembler = _FaceAssembler(_masks(_k44()), _Ticker(SearchBudget()))
     frame = [0, 4, assembler._completions(0, 4), 0, []]
-    assert assembler._place_next(frame)
+    assert assembler._advance(frame)
     c, d = frame[2][0]
     corners = 1 << 0 | 1 << 4 | 1 << c | 1 << d
     # mark every dart out of or into a corner as used
@@ -503,6 +505,52 @@ def test_assembler_falls_back_to_the_full_scan_when_the_last_face_is_closed():
     assert full is not None
     assert not corners >> full[0] & 1 and not corners >> full[1] & 1
     assert assembler._most_constrained(corners) == full
+
+
+# Graphs on which the search finishes with no witness after placing faces:
+# K_4, and one labelling of each of the three 6-vertex, 12-edge graphs of
+# minimum degree 3 that pass the corner-link test but do not quadrangulate.
+_DEAD_ENDS = [
+    "01 02 03 12 13 23",
+    "01 02 03 04 05 12 13 14 15 23 24 25",
+    "03 04 05 12 14 15 23 24 25 34 35 45",
+    "03 04 05 12 13 14 15 23 24 25 35 45",
+]
+
+
+def _dead_end_masks():
+    graphs = [[(int(edge[0]), int(edge[1])) for edge in edges.split()] for edges in _DEAD_ENDS]
+    return [_masks(Graph(1 + max(w for _, w in edges), frozenset(edges))) for edges in graphs]
+
+
+def test_assembler_takes_back_every_face_of_a_finished_search():
+    for nmask in _dead_end_masks():
+        ticker = _Ticker(SearchBudget())
+        assembler = _FaceAssembler(nmask, ticker)
+        assert assembler.search() is None
+        assert ticker.nodes > 0  # at least one completion was tried
+        fresh = _FaceAssembler(nmask, _Ticker(SearchBudget()))
+        for table in ("succ", "pred", "free", "open"):
+            assert getattr(assembler, table) == getattr(fresh, table), (table, nmask)
+        # a cached option is never stale: it is what the restored state gives
+        for v, row in enumerate(assembler.cache):
+            for u, options in enumerate(row):
+                assert options in (-1, fresh._options(v, u)), (v, u, nmask)
+
+
+def test_search_answers_none_after_a_finished_enumeration(monkeypatch):
+    candidates = _dead_end_masks()[1:]
+    assert all(_corners_linked(nmask, _Ticker(SearchBudget())) for nmask in candidates)
+    assembled = 0
+    for nmask in candidates:
+        ticker = _Ticker(SearchBudget())
+        _FaceAssembler(nmask, ticker).search()
+        assembled += ticker.nodes
+    monkeypatch.setattr(oracle, "_candidate_graphs", lambda *args: iter(candidates))
+    ticker = _Ticker(SearchBudget())
+    assert oracle._search(6, 1, ticker) is None
+    # one node per candidate, and the assembler's own
+    assert ticker.nodes == len(candidates) + assembled
 
 
 # ============================================================
@@ -660,7 +708,12 @@ def test_time_cap_is_read_at_every_search_node(monkeypatch):
     # are rejected, and candidate 3 reads 4 s, past the 2.5 s cap
     clock = iter(range(1, 10**6))
     tested = []
-    monkeypatch.setattr(oracle, "_corners_linked", lambda nmask: tested.append(nmask) and False)
+
+    def reject(nmask, ticker):
+        tested.append(nmask)
+        return False
+
+    monkeypatch.setattr(oracle, "_corners_linked", reject)
     with pytest.raises(BudgetExhausted, match="time cap"):
         search_quadrangulation(8, 1, SearchBudget(time_cap=2.5))
     assert len(tested) == 2
@@ -677,6 +730,38 @@ def test_assembler_scoring_scan_obeys_time_cap(monkeypatch):
     with pytest.raises(BudgetExhausted, match="time cap"):
         oracle._search(7, 2, ticker)
     assert ticker.nodes == 1
+
+
+def _raised_inside(excinfo, name):
+    return any(entry.name == name for entry in excinfo.traceback)
+
+
+def test_time_cap_is_read_inside_the_corner_link_test_and_the_first_full_scan(monkeypatch):
+    # the clock passes the cap right after the candidate's node tick: the
+    # ticker's start and that tick read 0 s, every later reading 1 s.  At
+    # order 16 and genus 23 the only candidate is K_16, and both loops read
+    # the clock after their 16th pass.
+    def expire_after_the_node_tick():
+        readings = iter([0.0, 0.0])
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(readings, 1.0)))
+
+    def unreachable(*args):
+        raise AssertionError("the search ran past the time cap")
+
+    monkeypatch.setattr(_FaceAssembler, "__init__", unreachable)
+    expire_after_the_node_tick()
+    with pytest.raises(BudgetExhausted, match="time cap") as excinfo:
+        search_quadrangulation(16, 23, SearchBudget(time_cap=0.5))
+    assert _raised_inside(excinfo, "_corners_linked")
+    monkeypatch.undo()
+
+    # past the corner-link test, the first full scan reads the clock
+    monkeypatch.setattr(oracle, "_corners_linked", lambda *args: True)
+    monkeypatch.setattr(_FaceAssembler, "_completions", unreachable)
+    expire_after_the_node_tick()
+    with pytest.raises(BudgetExhausted, match="time cap") as excinfo:
+        search_quadrangulation(16, 23, SearchBudget(time_cap=0.5))
+    assert _raised_inside(excinfo, "_most_constrained")
 
 
 # ============================================================
