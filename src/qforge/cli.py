@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 from typing import Sequence
 
 from .embedding import (
@@ -40,7 +41,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-# most minorder lines written at once
+# most minorder lines, or spectrum orders, written at once
 _SCAN_CHUNK = 4096
 
 
@@ -142,8 +143,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    orders = spectrum(args.genus, args.max_p)
-    print(" ".join(str(order) for order in orders))
+    # one write per _SCAN_CHUNK orders: a large --max-p spans more orders
+    # than one string could hold
+    orders = map(str, spectrum(args.genus, args.max_p))
+    separator = ""
+    while chunk := list(islice(orders, _SCAN_CHUNK)):
+        sys.stdout.write(separator + " ".join(chunk))
+        separator = " "
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

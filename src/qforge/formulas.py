@@ -164,10 +164,11 @@ def min_order_runs(first: int, last: int) -> Iterator[tuple[int, int, MinOrderRe
         start = stop + 1
 
 
-def spectrum(genus: int, p_max: int) -> list[int]:
+def spectrum(genus: int, p_max: int) -> range:
     """All orders 2p with 2 <= p <= p_max realizable by a spinal
-    quadrangulation of genus g, ascending."""
+    quadrangulation of genus g, ascending, as a range: its size does not
+    grow with p_max."""
     smallest = min_spine_size(genus)  # rejects a negative genus
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
-    return [2 * p for p in range(smallest, p_max + 1)]
+    return range(2 * smallest, 2 * p_max + 1, 2)

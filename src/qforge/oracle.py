@@ -3,7 +3,11 @@
 Euler's equation forces the edge count of any quadrangulation, and near the
 minimum order that count sits close to the complete graph, so candidate
 graphs are enumerated as complements of a few missing edges that keep the
-minimum degree, each as per-vertex neighbour bitmasks.  At genus >= 1 each
+minimum degree, each as per-vertex neighbour bitmasks.  Only one labelling
+rule's graphs are listed: vertex n - 1 has the largest degree d and is
+adjacent to exactly 0..d-1, and the assembler fixes the rotation there to
+(0, 1, ..., d-1); every quadrangulation has such a labelling and embedding
+(see ``_candidate_graphs``).  At genus >= 1 each
 connected candidate first meets the corner-link test: two neighbours
 consecutive in the rotation at a vertex share a quad face, so they have a
 second common neighbour, and a graph in which some neighbour of a vertex
@@ -131,9 +135,18 @@ def quad_edge_count(n: int, genus: int) -> int | None:
 
 
 def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker):
-    """All connected labeled graphs on n vertices with the target edge count
-    and minimum degree, in a fixed order, each as its neighbour masks: bit w
-    of ``nmask[v]`` is the edge vw.
+    """The connected labeled graphs on n vertices with the target edge count
+    and minimum degree whose vertex n - 1 has the largest degree d and is
+    adjacent to exactly 0..d-1, in a fixed order, each as its neighbour
+    masks: bit w of ``nmask[v]`` is the edge vw.
+
+    The labelling rule loses no quadrangulation.  Take any quadrangulation
+    of such a graph and a vertex x of largest degree d in it.  Label x as
+    n - 1, its neighbours 0..d-1 in the order of x's rotation, and the other
+    vertices d..n-2.  That labelled graph is listed, and on it the rotation
+    at n - 1 is (0, 1, ..., d-1), the one ``_FaceAssembler`` fixes at its
+    anchor, so the assembler can find this embedding.  A "no" over the
+    listed graphs is still a proof.
 
     Enumeration runs over the complement: lexicographic combinations of the
     missing edges.  Near the minimum order very few edges are missing, so
@@ -150,6 +163,20 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     the cursor first reaches it: memory grows with the pairs considered, not
     with n, and stays small until the budget ends.
 
+    The rule runs inside the same loop.  The pairs (i, n - 1) are the last
+    of each row, and the first one dropped fixes d = i: every later
+    (i', n - 1) is forced to drop, backtracking never takes the keep branch
+    of a forced pair, and a forced pair that cannot drop ends the
+    combination.  Two bounds make every complete combination obey the rule
+    with no check of its own.  A drop is refused when the drops still due
+    could not cover the forced pairs ahead, so no combination completes
+    before its last forced pair.  And a pair (i, n - 1) drops only while
+    vertices 0..i, whose degrees are settled once the cursor leaves row i,
+    keep degree at most d; a degree is ``min_degree`` plus the vertex's
+    spare count.  When no pair (i, n - 1) drops, n - 1 has degree n - 1.
+    The sphere's first candidate is still K_{2,n-2}, whose hub n - 1 is
+    adjacent to 0..n-3.
+
     Connectivity needs no search when the missing edges are too few to cut
     the graph: every part of a disconnected graph of minimum degree d holds
     at least d + 1 vertices, so a part of s vertices misses all s(n - s)
@@ -161,6 +188,8 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     if n and cap < 0:  # even the complete graph is too sparse
         return
     search_needed = total - edge_target >= (min_degree + 1) * cap  # cap = n - d - 1
+    last = n - 1  # the anchor
+    hub = n  # the first i whose pair (i, last) is dropped; every later one must drop too
     spare = [cap]  # one entry per vertex the cursor has reached
     complete = None  # every vertex's mask in K_n, built once the first combination is complete
     dropped = array("q")  # ascending, the pair (i, j) as i * n + j
@@ -173,7 +202,25 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
             ticker(node=False)
             if j == len(spare):  # row 0 reaches every vertex in order first
                 spare.append(cap)
-            if spare[i] > 0 and spare[j] > 0:
+            if j < last:
+                # the drops still due must cover the forced pairs ahead
+                drop = spare[i] > 0 and spare[j] > 0 and (hub == n or left > last - i)
+            else:
+                # after dropping (i, last) and the last - i - 1 pairs it
+                # forces, the anchor keeps final spare edges; vertices 0..i,
+                # settled after this pair, may keep no more than that
+                final = spare[j] - (last - i)
+                drop = (
+                    0 < spare[i] <= final + 1
+                    and left >= last - i
+                    and max(spare[:i], default=0) <= final
+                )
+                if drop:
+                    hub = min(hub, i)
+                elif hub < i:
+                    k = total  # a forced pair cannot drop: this combination is dead
+                    continue
+            if drop:
                 spare[i] -= 1
                 spare[j] -= 1
                 dropped.append(i * n + j)
@@ -190,12 +237,17 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
                 # a spanning tree has n - 1 edges
                 if not search_needed or len(_bfs_tree([list(_bits(m)) for m in nmask])) >= n - 1:
                     yield nmask
-            if not dropped:
-                return
-            i, j = divmod(dropped.pop(), n)
-            left += 1
-            spare[i] += 1
-            spare[j] += 1
+            while True:  # take back the last dropped pair that may be kept instead
+                if not dropped:
+                    return
+                i, j = divmod(dropped.pop(), n)
+                left += 1
+                spare[i] += 1
+                spare[j] += 1
+                if j != last or hub == i:  # never the keep branch of a forced pair
+                    break
+            if j == last:
+                hub = n
             k = i * (2 * n - i - 1) // 2 + j - i - 1  # the index of (i, j)
         k += 1
         i, j = (i, j + 1) if j + 1 < n else (i + 1, i + 2)
@@ -241,14 +293,20 @@ class _FaceAssembler:
     placed (0 when none is left, and the search pops the frame).  The
     successors a face sets are recorded in its frame, so taking the face back
     restores the successor map, ``free`` and ``open`` exactly and clears the
-    cached options of every vertex whose rotation it changes.  The rotation at
-    one maximum-degree vertex is pre-fixed to ascending order: every embedding
-    of every isomorph can be relabeled to respect that, and all labelings are
-    enumerated by the caller, so no witness is lost while the symmetry factor
-    drops out.
+    cached options of every vertex whose rotation it changes.  The anchor,
+    the last vertex of largest degree, has its rotation pre-fixed to
+    ascending order.  On a graph ``_candidate_graphs`` lists, the anchor is
+    n - 1 and its neighbours are 0..d-1, so the fixed rotation is
+    (0, 1, ..., d-1).  Relabelling any quadrangulation at a largest-degree
+    vertex x (x becomes n - 1, its neighbours 0..d-1 in rotation order, the
+    rest d..n-2) gives a listed graph with exactly that rotation at n - 1,
+    so no witness is lost while the symmetry factor drops out.  The tables
+    are allocated after one clock read, so a spent time cap stops a large
+    order before it pays for them.
     """
 
     def __init__(self, nmask: list[int], ticker: _Ticker) -> None:
+        ticker.clock()  # the tables take seconds and 570 MiB at order 4,902
         n = self.n = len(nmask)
         self.nmask = nmask
         self.free = nmask[:]
@@ -257,7 +315,8 @@ class _FaceAssembler:
         pred = self.pred = [[-1] * n for _ in range(n)]
         self.cache = [[-1] * n for _ in range(n)]
         self.ticker = ticker
-        anchor = max(range(n), key=lambda v: nmask[v].bit_count())  # the first of largest degree
+        # the last vertex of largest degree: max keeps the first it meets
+        anchor = max(reversed(range(n)), key=lambda v: nmask[v].bit_count())
         ring = list(_bits(nmask[anchor]))
         for u, w in zip(ring, ring[1:] + ring[:1]):
             succ[anchor][u] = w

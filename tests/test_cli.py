@@ -479,6 +479,43 @@ def test_spectrum_empty(capsys):
     assert out == "\n"
 
 
+def test_spectrum_writes_long_ranges_in_chunks(monkeypatch):
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["spectrum", "-g", "0", "--max-p", "10000"]) == 0
+    assert "".join(writes) == " ".join(str(2 * p) for p in range(2, 10_001)) + "\n"
+    assert max(len(w.split()) for w in writes) == 4096
+
+
+def test_spectrum_streams_to_a_reader_that_stops():
+    # `qforge spectrum -g 0 --max-p 100000000000 | head -c 64` under a 1 GiB
+    # address-space limit: the reader's close ends the run, not a MemoryError
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qforge.cli", "spectrum", "-g", "0", "--max-p", str(10**11)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_buffered_env(),
+        preexec_fn=limit_address_space,
+    )
+    head = proc.stdout.read(64)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head == " ".join(str(2 * p) for p in range(2, 40)).encode()[:64]
+    assert err == b""
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2

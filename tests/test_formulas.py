@@ -244,10 +244,11 @@ def test_min_order_runs_edge_cases():
 
 
 def test_spectrum():
-    assert spectrum(0, 5) == [4, 6, 8, 10]
-    assert spectrum(5, 10) == [10, 12, 14, 16, 18, 20]
-    assert spectrum(55, 12) == [24]
-    assert spectrum(56, 12) == []
+    assert list(spectrum(0, 5)) == [4, 6, 8, 10]
+    assert list(spectrum(5, 10)) == [10, 12, 14, 16, 18, 20]
+    assert list(spectrum(55, 12)) == [24]
+    assert list(spectrum(56, 12)) == []
+    assert spectrum(0, 10**30)[-1] == 2 * 10**30  # the orders are never listed
     with pytest.raises(ValueError):
         spectrum(1, 1)
 

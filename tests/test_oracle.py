@@ -151,7 +151,8 @@ def test_mini_oracle_small_genus_spectrum():
 #
 # The generate-and-filter enumerator that _candidate_graphs replaced.  It
 # lists all combinations and only then applies the degree and connectivity
-# tests, so it is slow but obviously complete.
+# tests, so it is slow but obviously complete, and it keeps every labelling;
+# _candidate_graphs lists only those that obey its labelling rule.
 
 
 def _reference_candidates(n, edge_target, min_degree):
@@ -169,18 +170,89 @@ def _reference_candidates(n, edge_target, min_degree):
             yield frozenset(edges)
 
 
+def _anchor_canonical(n, edges):
+    """The labelling rule: vertex n - 1 has the largest degree d and is
+    adjacent to exactly 0..d-1 (vacuous on the empty graph)."""
+    if not n:
+        return True
+    degree = [0] * n
+    for u, w in edges:
+        degree[u] += 1
+        degree[w] += 1
+    d = degree[-1]
+    near = {u for u, w in edges if w == n - 1}
+    return max(degree) == d and near == set(range(d))
+
+
 def test_candidate_graphs_match_reference_enumerator():
     for n in range(7):
         for edge_target in range(n * (n - 1) // 2 + 1):
             for min_degree in (2, 3):
                 ticker = _Ticker(SearchBudget())
                 pruned = [_edges(m) for m in _candidate_graphs(n, edge_target, min_degree, ticker)]
-                assert pruned == list(_reference_candidates(n, edge_target, min_degree)), (
-                    n,
-                    edge_target,
-                    min_degree,
-                )
+                reference = _reference_candidates(n, edge_target, min_degree)
+                expected = [edges for edges in reference if _anchor_canonical(n, edges)]
+                assert pruned == expected, (n, edge_target, min_degree)
                 assert ticker.nodes == 0  # enumeration steps are not search nodes
+
+
+def _relabelled_at_anchor(graph, rotations):
+    """The relabelling of the soundness argument: a largest-degree vertex x
+    becomes n - 1, its neighbours 0..d-1 in rotation order, and the other
+    vertices d..n-2 in ascending order.  Returns the graph and rotations."""
+    n = graph.vertex_count
+    x = max(range(n), key=lambda v: len(rotations[v]))
+    ring = rotations[x]
+    order = list(ring) + [v for v in range(n) if v != x and v not in ring] + [x]
+    label = {v: i for i, v in enumerate(order)}
+    edges = frozenset(tuple(sorted((label[u], label[w]))) for u, w in graph.edges)
+    relabelled = [None] * n
+    for v, rotation in enumerate(rotations):
+        relabelled[label[v]] = tuple(label[u] for u in rotation)
+    return Graph(n, edges), tuple(relabelled)
+
+
+def test_anchor_canonical_candidates_lose_no_quadrangulation():
+    # every order up to 7 and every genus whose edge count fits, and order 8
+    # at genus 1: the search answers None exactly when the assembler embeds
+    # no graph the reference enumerator lists, every labelling included.
+    # Order 8 is sliced to the first 1,691 reference graphs (which include
+    # the first that embeds); its reference at genus 0 is slow to start.
+    searches = [(n, genus, None) for n in range(4, 8) for genus in range(3)] + [(8, 1, 1691)]
+    for n, genus, count in searches:
+        edge_target = quad_edge_count(n, genus)
+        if edge_target is None:
+            continue
+        reference = islice(_reference_candidates(n, edge_target, 2 if genus == 0 else 3), count)
+        ticker = _Ticker(SearchBudget())
+        embeds = any(
+            _FaceAssembler(_masks(Graph(n, edges)), ticker).search() is not None
+            for edges in reference
+        )
+        assert (search_quadrangulation(n, genus) is None) == (not embeds), (n, genus)
+    # the argument itself, graph by graph: every labelled graph up to order 6
+    # and at order 7, genus 2 that the assembler embeds, relabelled at a
+    # largest-degree vertex, is a listed candidate that the assembler embeds
+    # with the relabelled rotation at its anchor
+    embedded = 0
+    for n, genus in ((4, 0), (5, 0), (5, 1), (6, 0), (6, 1), (7, 2)):
+        edge_target = quad_edge_count(n, genus)
+        min_degree = 2 if genus == 0 else 3
+        ticker = _Ticker(SearchBudget())
+        listed = {_edges(m) for m in _candidate_graphs(n, edge_target, min_degree, ticker)}
+        for edges in _reference_candidates(n, edge_target, min_degree):
+            graph = Graph(n, edges)
+            rotations = _FaceAssembler(_masks(graph), ticker).search()
+            if rotations is None:
+                continue
+            embedded += 1
+            canonical, relabelled = _relabelled_at_anchor(graph, rotations)
+            assert validate_quadrangulation(RotationSystem(canonical, relabelled)).genus == genus
+            assert canonical.edges in listed, (n, genus, sorted(edges))
+            assert relabelled[-1] == tuple(range(len(relabelled[-1])))
+            found = _FaceAssembler(_masks(canonical), ticker).search()
+            assert found is not None, (n, genus, sorted(canonical.edges))
+    assert embedded == 3 + 10 + 1 + 105 + 40 + 54
 
 
 def test_candidate_enumeration_obeys_time_cap():
@@ -276,7 +348,7 @@ class _ReferenceAssembler:
         self.pred = [{} for _ in range(n)]
         self.used = set()
         self.darts = [(u, v) for u in range(n) for v in adjacency[u]]
-        anchor = min(range(n), key=lambda v: (-self.degree[v], v))
+        anchor = min(range(n), key=lambda v: (-self.degree[v], -v))  # the last of largest degree
         ring = adjacency[anchor]
         for i, u in enumerate(ring):
             self._assign(anchor, u, ring[(i + 1) % len(ring)])
@@ -408,9 +480,10 @@ def test_corner_link_test_matches_the_pairwise_reference():
 
 
 def test_corner_link_rejections_are_sound_at_small_orders():
-    # every candidate of every search up to order 6, with the minimum degree
-    # the search uses, and every candidate order 8, genus 1 lists before its
-    # first witness: no graph the test rejects has a quadrangulation
+    # every labelled graph of every search up to order 6, with the minimum
+    # degree the search uses, and the first 1,691 labelled graphs of order 8,
+    # genus 1: no graph the test rejects has a quadrangulation.  The graphs
+    # come from the reference enumerator, which keeps every labelling.
     searches = [(n, genus, None) for n in range(4, 7) for genus in range(3)] + [(8, 1, 1691)]
     rejected = 0
     for n, genus, count in searches:
@@ -418,12 +491,30 @@ def test_corner_link_rejections_are_sound_at_small_orders():
         if edge_target is None:
             continue
         ticker = _Ticker(SearchBudget())
-        candidates = _candidate_graphs(n, edge_target, 2 if genus == 0 else 3, ticker)
-        for nmask in islice(candidates, count):
+        candidates = _reference_candidates(n, edge_target, 2 if genus == 0 else 3)
+        for edges in islice(candidates, count):
+            nmask = _masks(Graph(n, edges))
             if not _corners_linked(nmask, ticker):
                 assert _FaceAssembler(nmask, ticker).search() is None, sorted(_edges(nmask))
                 rejected += 1
     assert rejected == 2775 + 1125
+
+
+def test_order_8_genus_1_lists_only_anchor_canonical_candidates(monkeypatch):
+    # listing every labelling, the search took 1,691 candidates and 2,940
+    # nodes to its first witness
+    listed = []
+    enumerate_all = oracle._candidate_graphs
+
+    def counted(*args):
+        for nmask in enumerate_all(*args):
+            listed.append(nmask)
+            yield nmask
+
+    monkeypatch.setattr(oracle, "_candidate_graphs", counted)
+    ticker = _Ticker(SearchBudget())
+    assert oracle._search(8, 1, ticker) is not None
+    assert (len(listed), ticker.nodes) == (542, 1073)
 
 
 def test_known_quadrangulations_pass_the_corner_link_test():
@@ -617,13 +708,13 @@ def test_search_is_deterministic():
     second = search_quadrangulation(7, 2)
     assert first == second
     assert first.rotations == (
-        (3, 4, 6, 5),
-        (3, 5, 6, 4),
-        (3, 4, 6, 5),
-        (0, 1, 2, 4, 5, 6),
-        (0, 6, 3, 5, 2, 1),
-        (0, 3, 6, 4, 2, 1),
-        (0, 1, 2, 5, 4, 3),
+        (3, 5, 4, 6),
+        (3, 6, 4, 5),
+        (3, 5, 4, 6),
+        (0, 5, 6, 4, 2, 1),
+        (0, 6, 5, 3, 2, 1),
+        (0, 1, 2, 4, 3, 6),
+        (0, 1, 2, 3, 4, 5),
     )
     assert validate_quadrangulation(first).genus == 2
 
@@ -732,24 +823,41 @@ def test_assembler_scoring_scan_obeys_time_cap(monkeypatch):
     assert ticker.nodes == 1
 
 
+def test_assembler_reads_the_clock_before_allocating_its_tables():
+    # three n x n tables at order 3,000 are about 200 MiB of list slots; with
+    # the time cap already spent, building the assembler must stop first
+    nmask = [((1 << 3000) - 1) ^ 1 << v for v in range(3000)]
+    ticker = _Ticker(SearchBudget(time_cap=1e-9))
+    time.sleep(0.001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted, match="time cap"):
+            _FaceAssembler(nmask, ticker)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def _raised_inside(excinfo, name):
     return any(entry.name == name for entry in excinfo.traceback)
 
 
 def test_time_cap_is_read_inside_the_corner_link_test_and_the_first_full_scan(monkeypatch):
-    # the clock passes the cap right after the candidate's node tick: the
-    # ticker's start and that tick read 0 s, every later reading 1 s.  At
-    # order 16 and genus 23 the only candidate is K_16, and both loops read
-    # the clock after their 16th pass.
-    def expire_after_the_node_tick():
-        readings = iter([0.0, 0.0])
+    # the clock passes the cap right after the given number of readings: the
+    # ticker's start and the candidate's node tick, and in the second half the
+    # assembler's own reading before its tables; every later reading is 1 s.
+    # At order 16 and genus 23 the only candidate is K_16, and both loops
+    # read the clock after their 16th pass.
+    def expire_after(readings):
+        readings = iter([0.0] * readings)
         monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(readings, 1.0)))
 
     def unreachable(*args):
         raise AssertionError("the search ran past the time cap")
 
     monkeypatch.setattr(_FaceAssembler, "__init__", unreachable)
-    expire_after_the_node_tick()
+    expire_after(2)
     with pytest.raises(BudgetExhausted, match="time cap") as excinfo:
         search_quadrangulation(16, 23, SearchBudget(time_cap=0.5))
     assert _raised_inside(excinfo, "_corners_linked")
@@ -758,7 +866,7 @@ def test_time_cap_is_read_inside_the_corner_link_test_and_the_first_full_scan(mo
     # past the corner-link test, the first full scan reads the clock
     monkeypatch.setattr(oracle, "_corners_linked", lambda *args: True)
     monkeypatch.setattr(_FaceAssembler, "_completions", unreachable)
-    expire_after_the_node_tick()
+    expire_after(3)
     with pytest.raises(BudgetExhausted, match="time cap") as excinfo:
         search_quadrangulation(16, 23, SearchBudget(time_cap=0.5))
     assert _raised_inside(excinfo, "_most_constrained")
@@ -807,8 +915,8 @@ def test_min_order_scan_reaches_lower_bound_at_former_holdouts():
     # the first-open-dart assembler left genus 17 open after millions of nodes;
     # node counts and digests pin the branching decisions beyond order 19
     for genus, order, nodes, digest in (
-        (17, 15, 65, "8b4fcd8a8931cd8d7862864f3a10729a95c14d3ebc7ebd8082399ee3ebc88f31"),
-        (48, 23, 327, "65e823e928cf34546790ab440a85e732f6028767ae14ec6fb414e978a8e9edc5"),
+        (17, 15, 65, "0c152d6816b6310c01f5596cb59277662e7b5eee50c87a2d39bab924e3bea9d3"),
+        (48, 23, 327, "db9398a89f68365c7598ae682c28d0882af99a4d2f886763cb7d94ece98ea140"),
     ):
         assert order_lower_bound(genus) == order
         found = min_order_bruteforce(
@@ -843,64 +951,65 @@ def test_min_order_scan_rejects_negative_genus():
 # ============================================================
 #
 # Generated with the most-constrained-first assembler that scores the darts
-# at the face placed last: orders, node counts and SHA-256 digests of the
-# canonical witness documents.  Any change to the
+# at the face placed last, anchored at the last vertex of largest degree, over
+# the anchor-canonical candidates: orders, node counts and SHA-256 digests of
+# the canonical witness documents.  Any change to the
 # enumeration order or to the assembler's branching shows up here.
 
 # (genus, order, nodes, digest); genus >= 3 runs under 100k nodes and is
 # capped at the arithmetic lower bound, which every scan reaches
 SCAN_GOLDENS = (
     (0, 4, 3, "f1cf8ec5c4be558a825dd99c3f9a8d6846b2c3a37eff1edae73afc782c042e3d"),
-    (1, 5, 6, "9ce258fb02da46a592010490083548b2a960cc8d61056cde53a2128cd6e2fe95"),
-    (2, 7, 93, "305852d58efcc4215027745414abf3042539c3ff9b7328da1a5edf738f44936d"),
-    (3, 8, 69, "ce712d0581d6293931ec87d76665f8b8bd72aed7d97cf32ba01e4cff96b6baff"),
-    (4, 8, 432, "8bf9089c996d6a32c5dd3239ca69567f32545dd66839203867b1d16cb823a624"),
-    (5, 9, 83, "0e1526aabac1cfdeed331e7b3d8ecc599d2535a14b2fec2d2f2bae524074f0f6"),
-    (6, 10, 124, "78323b9cdf26102ebc54174468bb7766629954a7f877f266d47bd2d2d8d12495"),
-    (7, 10, 73, "fe25f4f7a7d0b38fff6ae7dfb5f58528540c09f1ab6180141ad88978a2f16eea"),
-    (8, 11, 44, "bd09663e82db2b6d895f82a78d1620d6952d546ee3de403a60c69a63172b3ddf"),
-    (9, 11, 419, "482519b22b8ae803b1645c821c1fbbb5cb5488ff13dcdb14781b913163a5f973"),
-    (10, 12, 254, "604a560c31586fa6c49a14339971806fb98cf3c86791d550bfb7e345f37627a7"),
-    (11, 12, 98, "afd4678f46e5297520bea285619c379c5b6ed19a251184190740dabe6881a38b"),
-    (12, 13, 79, "a835534827aef9be1f7d577cb152aeb34417c6251a1eac790b4f38f52f4d5ffe"),
-    (13, 13, 199, "b69b8a42906e8e69d893db29dd34610c8562818ef6dc71490f5bb504b5a5ce44"),
-    (14, 13, 145, "4c3473c48b82fa1d2e414daf1aa131f5aa90d95673413b88b781aedaed407462"),
-    (15, 14, 401, "b776beb5289ebf205e59d2c165d171c00b9a2a39b703fbf03ab299b194c1d999"),
-    (16, 14, 62, "c6143c5799eab2b576aff59a781c85141e345b46e6473abdde75276a7a0aa678"),
-    (17, 15, 65, "8b4fcd8a8931cd8d7862864f3a10729a95c14d3ebc7ebd8082399ee3ebc88f31"),
-    (18, 15, 597, "762059976744d2400708490589012944dce41a3eaa00a44e0e2aeac5a148c6d7"),
-    (19, 15, 862, "b12db2fac0f3ce6310b2861ee430def8ed8287b3c83a5a9de21fbd12759534ee"),
-    (20, 16, 97, "b81cf8bf66f63b20891d1f311811d447f1bcd5d410a2f895320108bdfeb755b9"),
-    (21, 16, 430, "4fe82d5f121b17702d816235d4a21549bb1eb7bf6ca5c254d43acf8b6743c8b1"),
-    (22, 16, 112, "2abada43fc346fced5c462115d41f1df0d30c1e19e99e03ad92ad51816fa893b"),
-    (23, 16, 128, "8a934e40b11f08eaf49e0a723f33a1833c26ba6539037da89f7744ed5019b99b"),
-    (24, 17, 512, "5309e699f9c26e7f3f1b327174f7f577c5fe74b0310b14ae430754460db653f9"),
-    (25, 17, 126, "fbf20f82332e46817347f658ab39849d110e5f8baeddc343c5e9ae67515efcfc"),
-    (26, 17, 100, "1fe5239dd82fa8b531d2146c1b2d13d75dee890179a4967556ad290f7e0eb4c3"),
-    (27, 18, 1141, "a043fcb51f0e66723a29e7fcf1125e1eb479ba8948a2a2323eba900667583d35"),
-    (28, 18, 117, "acd32893b1081756f28b58fdea8a791072d3cb8e9efd77e780fa798fdcfecd71"),
-    (29, 18, 96, "6ed8f4cc7d7a35086705381974f78bdce82561dcd1fbb1c04dbbc6674464e5eb"),
-    (30, 18, 630, "7e3f2801c019f274abdc34ce07938bfc30d93c26985daecb268f9dbc41ef1e5b"),
-    (31, 19, 132, "32212a6b55db02250db2a31780f426b8cc92f9df9f74e84fc44a56e1eaf45103"),
-    (32, 19, 723, "fcda90c8b7fd0befcb61d9476aebc733a71f8d43b9611374f957470c881bfe58"),
-    (33, 19, 182, "b2d9d70cf924fcc7d3118f9e2a7fbe070b36c02c9b2a4d3bcd80c762dc51ce32"),
-    (34, 19, 172, "90b80e63b85a7c626f37ccbc1daf45da6790a7a179d7d5677d94a7e99c2968bc"),
+    (1, 5, 6, "d835d03632897ed0363c598732b53d07f1755f207ae7e2909be3fd1e0eb8c2b2"),
+    (2, 7, 78, "7c239732d62bcdb81144a132e67d785c8be73221d0c9d36199aeadc49f93861a"),
+    (3, 8, 69, "ffdc659656e2780f2d3a4036c27242c57225ae08684eef90d305d79ecf3f0cab"),
+    (4, 8, 433, "3a7f1f5a4ccacc1d2af0cd5fab18bcf2b43e6deb06660096e6c2b9360bbe700a"),
+    (5, 9, 83, "fd97a3ff438f81105d0006c26e018d9fe3b61cddb7dd32dd4a9b3741f0982051"),
+    (6, 10, 124, "bbfe29bf7394ae634d51ab0ea4dcded971535b28a580e65794605fdd830a0f58"),
+    (7, 10, 73, "e693c1c2208afb2e8098d082f7b653a206a37a8e7752969a8bb26b226147983a"),
+    (8, 11, 44, "c0162e3691c7bb3825df72f34f9a858e97d123741a18917278efd4359e621ca6"),
+    (9, 11, 419, "21654397fed62731f1970075378b023e255accabf0dc48751d3f4113f264c0a2"),
+    (10, 12, 254, "954245fdf9c5d84160f2b0ab5db4ce643b53e066c727c1d11b28a87d1591d6a9"),
+    (11, 12, 98, "51fc26dc1594d1ed01f8666439b67fe610a42b5a3bae3130092f3989936b4967"),
+    (12, 13, 79, "da0a21cb7084a13b4c9eec790a80234b42b8a1241e0fb4d306a2f2de7017efd4"),
+    (13, 13, 199, "3d562ee4324bdcdfbdcef9cf4fface5deec37f922cc259a1490c3946dbac1b69"),
+    (14, 13, 145, "c117abb24df05c39cacaf4a1fefbbdb48785ea097784bf956e2a0cdae4bc199e"),
+    (15, 14, 401, "6eefcdab194a75ecc85e2140e1024e203b9ae0ba4ab9a971ee9e1ed220f98812"),
+    (16, 14, 62, "9e532e7283c3e4e1ce465d1fbb4c619a281abcd568a3c33086c468f8e11be87c"),
+    (17, 15, 65, "0c152d6816b6310c01f5596cb59277662e7b5eee50c87a2d39bab924e3bea9d3"),
+    (18, 15, 597, "cc77dc89d991c4c292a4709304a54ad20c9a66a0f471f9cb9c8246e96dfd6ec2"),
+    (19, 15, 862, "d5a994dc3030a62dcdbbdbbfa054b3d6634cee228b0a7b7d186e031a3acd1cd9"),
+    (20, 16, 97, "7e445d491419dee3540ccc0de131c9c77c18d49091eecedb5b5b893e637d2fd7"),
+    (21, 16, 430, "64a9a3241aa0e119ccce4349a337261a3340ed4f839bfceef80738bce5c66068"),
+    (22, 16, 112, "2f0ccb129eee92412816871d771b168e57279336da2c8412d2ea48e3db1cbd3d"),
+    (23, 16, 128, "f0f1b170213682967908e2d5fe1297c045bc721f7d6d1b8fbd6ddebce1ed7527"),
+    (24, 17, 512, "0e9279aded47adf6adeeec15480c51e2d46379c15ff20b8212160a4a892262c9"),
+    (25, 17, 126, "3f3853a0d8babb0909eaadad5c29c228287baea02705a83fc0ea2b276804c13a"),
+    (26, 17, 100, "c548acf103c352279ce5b98e1350ed993a1fbd156e8265ff2049ef2794838c08"),
+    (27, 18, 1141, "a0ce2a7e4ad3ee73e9dca3e7140e94d43ff3953106523967bb6cd9e188f4d2d4"),
+    (28, 18, 117, "ca965f784c840fd0265525982627e6b8934afd5777a85ea48ac3d9f494ff4cd5"),
+    (29, 18, 96, "8839925fad4524bbf93b0cdd043396f578fa5ed2e4d71f382f0bafd8e0bec976"),
+    (30, 18, 630, "596242b37757bafa1bf8e72afbbd5e7a36ab9eb2c96bcdcf52674744f475d2a2"),
+    (31, 19, 132, "112ab8f46a90751fcdd5b5cfbc3566f88c01a082cf1102c88c879d2c3654f150"),
+    (32, 19, 723, "60ad1ec688758bc36be4a87dbb134e4d581eda04804efa2a6011d43565135c60"),
+    (33, 19, 182, "10d76d2dc523541ad611bad4a85041b52fabf504ebd7b513dc6506933358a252"),
+    (34, 19, 172, "766af63bc0b6ae6244a467732346c49ff44bd8b0103640b9f9c0f9b8c905ef20"),
 )
 
 # (order, genus, digest) for existence searches above the minimum order
 SEARCH_GOLDENS = (
-    (5, 0, "5a15cbf55476df4bce42bc038c65286b5cfeb668bc6c3c0885c2199dc7007cd4"),
-    (6, 0, "417045bb9bc30424f1e35bf10c683a0f421c3b86e3ba12d4512fa67a053825fe"),
-    (7, 0, "920ea8683080f91cfe3b5dbcabd9dc66a6ae72f1249aad54ffaa9dcc6f136a51"),
-    (8, 0, "ea9c3326bda49b0696496a6ef136b8e7d3af9d2dc1b322ee61b27e345e8e5988"),
-    (6, 1, "00f4318fd579168a2fc00d5fc107d4bc1cb2db7136e83d00aa950e81d590f2ca"),
-    (7, 1, "219c5304b2ed82971ca8177e237ae5fe532870564065d3fd89c68a3b148c605a"),
-    (8, 1, "07b949513c0a08a12735c5bbe10aea1dfbfdf288c6c70c6934ecc833ac13e5cb"),
-    (8, 2, "103f9001194ac456f0d5f0641e1f0c8184dfea018307f61caf871b3e02bae8e4"),
-    (9, 3, "39f45f0a8253be47dc31f0769fff65ded10f1df90c4d6279f66a23ff7c96a7f4"),
-    (9, 4, "861ca3d8f87e4f51c57910e8baad767854b34d21ecdaf48d8f965addadbd46e6"),
-    (10, 5, "7ea26dc314d4e3efd5f5d8c43e7f10e737f22be8ae17215269ce50a7bdbcc43b"),
-    (11, 7, "04a3c9d960d0453d295a5fb0338fa39244a6973c743855b90390fd9513032ee1"),
+    (5, 0, "e3b5145a71214aee14a1114d5cb1ee89dd869db176235b7e1b12744611d0810f"),
+    (6, 0, "09e792eead2b81e68a6c46c2dcfee48bdaedcb86ccde46ed828143009f25257d"),
+    (7, 0, "985c3901f0f9dba2b7381ea18751c834e7716bed1f85bfbe5acdf9fef06a5c3d"),
+    (8, 0, "e735cf02c11e8bcceae7fa1584513f67963b81bc7393b8997dabda832da8a576"),
+    (6, 1, "7dd25017225be9d32408f3ccc1ee648b156504ca201620f7f21ead77f3173385"),
+    (7, 1, "198d283f99ec1b2c6a76a4b65790f5a15c2c65e7f4df093ec4e70202732fbdb0"),
+    (8, 1, "10ad96e9f219430b12e434a2bbf60c0054217a10024ff608f911e2d99d57e955"),
+    (8, 2, "9ec25bfd04d342beee918403a56dfba51a79c56227bd3b9883292ab8223a4f39"),
+    (9, 3, "cf8f1b52ec528843ecb829ff506e5f0d528a89ecdd27e563d67ca82ad00c8a97"),
+    (9, 4, "76771b760e6a1c9fef1177dce65774f78df322e275bec05bc21af46344a96e26"),
+    (10, 5, "d997dbf307f04a26b20c706d229f2c25c20e8c97aefc04c83cb8d09b47b236f8"),
+    (11, 7, "dbc679bceae294eb6ca0cd09f1f99c91b8254acb5059a5b7feba38d2036b731e"),
 )
 
 
