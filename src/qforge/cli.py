@@ -14,6 +14,7 @@ exhausted).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from itertools import islice
@@ -123,6 +124,10 @@ def _cmd_interlace(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     budget = SearchBudget(max_nodes=args.max_nodes, time_cap=args.time_cap)
+    # a search may run for its whole time cap: refuse a witness path that
+    # cannot be written before it starts, not after
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     if args.order is not None:
         system = search_quadrangulation(args.order, args.genus, budget)
         if system is None:

@@ -21,8 +21,10 @@ wrong length or revisit a vertex.  Each step places a face on the open dart
 with the fewest ways left to complete one (most-constrained first, as in
 Knuth's Dancing Links), scoring only the darts at the corners of the face
 placed last, where the options just narrowed, and every open dart only when
-none of those is open.  Each corner's options are read from per-vertex
-bitmasks of neighbours that still lack a predecessor in the rotation, so
+none of those is open.  Each corner's options are one AND of two maintained
+per-vertex entries, the corner's rule (its forced successor, or the
+neighbours it must not take) and the mask of neighbours that still lack a
+predecessor in the rotation, with no walk along a partial rotation, so
 scoring a dart is a few integer ANDs and popcounts.  The search runs as one
 loop over an explicit stack of placed faces: it pushes a frame for the
 chosen dart and advances it, and advancing a frame takes back the face it
@@ -262,17 +264,24 @@ class _FaceAssembler:
     sound: it only restates what the quad faces around any vertex force, so
     it never withholds a graph this search could complete.
 
-    State is a partial successor map at every vertex (the rotation under
-    construction, as "w follows u at v", -1 where unset), per vertex the mask
-    ``free[v]`` of neighbours that have no predecessor there yet, and per
-    vertex the mask ``open[v]`` of neighbours w whose dart (v, w) is not yet
-    in a face.  A face walk arriving at v from u continues to
-    ``options(v, u)``: the forced successor of u at v if there is one, else
-    ``free[v]`` minus u and minus the head of u's partial rotation path,
-    whose choice would close a rotation cycle that misses a neighbour (the
-    head stays when the assignment completes the rotation).  Options are
-    cached per vertex as ints, -1 meaning not computed, until that vertex's
-    rotation changes.
+    The rotation under construction at v is a set of partial paths of
+    neighbours, "w follows u at v" joining the path that ends at u to the
+    path that starts at w; each neighbour starts as a path of its own.
+    State is three n x n tables and two masks per vertex.  ``rule[v][u]`` is
+    ``1 << w`` once w follows u, and otherwise the negative
+    ``~(1 << u | 1 << h)``, with h the head of the path that ends at u,
+    whose choice would close a rotation cycle that misses a neighbour; once
+    that path is the only one left, closing it completes the rotation and
+    the rule is ``~(1 << u)``.  ``ends[v][x]`` is the other end of the path
+    that starts or ends at x.  The mask ``free[v]`` holds the neighbours
+    with no predecessor at v yet, and ``open[v]`` the neighbours w whose
+    dart (v, w) is not yet in a face.  A face walk arriving at v from u
+    continues to ``options(v, u)``, which is r if r >= 0 else
+    ``free[v] & r`` for r = ``rule[v][u]``.  Setting u -> w at v joins the
+    path h..u to w..t: it rewrites ``ends`` at h and t and ``rule`` at u
+    and t, and nothing else.  Options are cached per vertex in the third
+    table as ints, -1 meaning not read yet, until that vertex's rotation
+    changes.
 
     Each step branches on an open dart (a, b) with the fewest face
     completions, k(a, b) = sum over c in options(b, a) of
@@ -290,10 +299,11 @@ class _FaceAssembler:
     the only routine that changes a frame's face: it takes back the face the
     frame placed, then tries the frame's remaining completions in order,
     undoing a refused one at once, and returns the corner mask of the face it
-    placed (0 when none is left, and the search pops the frame).  The
-    successors a face sets are recorded in its frame, so taking the face back
-    restores the successor map, ``free`` and ``open`` exactly and clears the
-    cached options of every vertex whose rotation it changes.  The anchor,
+    placed (0 when none is left, and the search pops the frame).  Each
+    successor a face sets is recorded in its frame with the two rule entries
+    it rewrote, so taking the face back restores ``rule``, ``ends``, ``free``
+    and ``open`` exactly and clears the cached options of every vertex whose
+    rotation it changes.  The anchor,
     the last vertex of largest degree, has its rotation pre-fixed to
     ascending order.  On a graph ``_candidate_graphs`` lists, the anchor is
     n - 1 and its neighbours are 0..d-1, so the fixed rotation is
@@ -306,39 +316,29 @@ class _FaceAssembler:
     """
 
     def __init__(self, nmask: list[int], ticker: _Ticker) -> None:
-        ticker.clock()  # the tables take seconds and 570 MiB at order 4,902
+        ticker.clock()  # the tables take about a second and 573 MiB at order 4,902
         n = self.n = len(nmask)
         self.nmask = nmask
         self.free = nmask[:]
         self.open = nmask[:]
-        succ = self.succ = [[-1] * n for _ in range(n)]
-        pred = self.pred = [[-1] * n for _ in range(n)]
+        # every neighbour starts as a path of its own; each row copies one
+        # template, so a table holds n distinct ints, not n^2
+        alone, itself = [~(1 << u) for u in range(n)], list(range(n))
+        rule = self.rule = [alone[:] for _ in range(n)]
+        self.ends = [itself[:] for _ in range(n)]
         self.cache = [[-1] * n for _ in range(n)]
         self.ticker = ticker
         # the last vertex of largest degree: max keeps the first it meets
         anchor = max(reversed(range(n)), key=lambda v: nmask[v].bit_count())
         ring = list(_bits(nmask[anchor]))
         for u, w in zip(ring, ring[1:] + ring[:1]):
-            succ[anchor][u] = w
-            pred[anchor][w] = u
+            rule[anchor][u] = 1 << w
         self.free[anchor] = 0
 
     def _options(self, v: int, u: int) -> int:
-        """Mask of every w that "w follows u at v" may take; fills the cache."""
-        forced = self.succ[v][u]
-        if forced >= 0:
-            options = 1 << forced
-        else:
-            free = self.free[v]
-            options = free & ~(1 << u)
-            if free & (free - 1):  # the assignment leaves the rotation open
-                pred = self.pred[v]
-                head = u
-                while pred[head] >= 0:
-                    head = pred[head]
-                options &= ~(1 << head)
-        self.cache[v][u] = options
-        return options
+        """Mask of every w that "w follows u at v" may take."""
+        rule = self.rule[v][u]
+        return rule if rule >= 0 else self.free[v] & rule
 
     def search(self) -> tuple[tuple[int, ...], ...] | None:
         """Complete rotations with all faces of length 4, or None."""
@@ -357,17 +357,17 @@ class _FaceAssembler:
 
     def _rotation_of(self, v: int) -> tuple[int, ...]:
         start = (self.nmask[v] & -self.nmask[v]).bit_length() - 1
-        succ = self.succ[v]
+        rule = self.rule[v]
         out = [start]
-        while succ[out[-1]] != start:
-            out.append(succ[out[-1]])
+        while (w := rule[out[-1]].bit_length() - 1) != start:
+            out.append(w)
         return tuple(out)
 
     def _most_constrained(self, corners: int = -1) -> tuple[int, int] | None:
         """The open dart to branch on among those out of or into the corners
         mask, or over all open darts when none of those is open; None when
         every dart is in a face."""
-        cache, nmask, options = self.cache, self.nmask, self._options
+        cache, nmask, rule, free = self.cache, self.nmask, self.rule, self.free
         best, fewest = None, 1 << 62
         full = corners == -1
         for a, darts in enumerate(self.open):
@@ -382,7 +382,10 @@ class _FaceAssembler:
                 b = low.bit_length() - 1
                 after_b = cache[b][a]
                 if after_b < 0:
-                    after_b = options(b, a)
+                    after_b = rule[b][a]
+                    if after_b < 0:
+                        after_b &= free[b]
+                    cache[b][a] = after_b
                 count = 0
                 while after_b:
                     low = after_b & -after_b
@@ -390,7 +393,10 @@ class _FaceAssembler:
                     c = low.bit_length() - 1
                     after_c = cache[c][b]
                     if after_c < 0:
-                        after_c = options(c, b)
+                        after_c = rule[c][b]
+                        if after_c < 0:
+                            after_c &= free[c]
+                        cache[c][b] = after_c
                     count += (after_c & near_a).bit_count()
                     if count >= fewest:
                         break
@@ -414,17 +420,22 @@ class _FaceAssembler:
     def _advance(self, frame: list) -> int:
         """Take back the face the frame placed, if any, and place its next
         completion that fits: the mask of its four corners, or 0 once none
-        is left.  The frame's assignments are the successors its face set;
-        a completion refused part way is undone at once."""
+        is left.  The frame's assignments are the successors its face set,
+        each with the two rule entries it rewrote; a completion refused part
+        way is undone at once."""
         a, b, completions, index, placed = frame
-        succ, pred, free, cache = self.succ, self.pred, self.free, self.cache
+        rule, ends, free, cache = self.rule, self.ends, self.free, self.cache
         if index:
             self._toggle_face(a, b, *completions[index - 1])
         while True:
             while placed:
-                v, u = placed.pop()
-                w = succ[v][u]
-                succ[v][u] = pred[v][w] = -1
+                v, u, t, rule_u, rule_t = placed.pop()
+                rule_v, ends_v = rule[v], ends[v]
+                w = rule_v[u].bit_length() - 1
+                h = ends_v[t]
+                # split the path h..u w..t back in two
+                ends_v[h], ends_v[u], ends_v[w], ends_v[t] = u, h, t, w
+                rule_v[t], rule_v[u] = rule_t, rule_u
                 free[v] |= 1 << w
                 cache[v] = [-1] * self.n
             if index == len(completions):
@@ -433,14 +444,21 @@ class _FaceAssembler:
             index = frame[3] = index + 1
             self.ticker()
             for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
-                if not self._options(v, u) >> w & 1:
+                rule_v = rule[v]
+                rule_u = rule_v[u]
+                if not (rule_u if rule_u >= 0 else free[v] & rule_u) >> w & 1:
                     break
-                if succ[v][u] < 0:
-                    succ[v][u] = w
-                    pred[v][w] = u
-                    free[v] ^= 1 << w
-                    cache[v] = [-1] * self.n
-                    placed.append((v, u))
+                if rule_u >= 0:
+                    continue  # the successor is already set
+                # join the path h..u to the path w..t
+                ends_v = ends[v]
+                h, t = ends_v[u], ends_v[w]
+                ends_v[h], ends_v[t] = t, h
+                rest = free[v] = free[v] ^ 1 << w
+                placed.append((v, u, t, rule_u, rule_v[t]))
+                rule_v[t] = ~(1 << t | 1 << h) if rest & (rest - 1) else ~(1 << t)
+                rule_v[u] = 1 << w
+                cache[v] = [-1] * self.n
             else:
                 self._toggle_face(a, b, c, d)
                 return 1 << a | 1 << b | 1 << c | 1 << d

@@ -1,9 +1,11 @@
 """Independent references the tests check the library against.
 
 Each restates a fact the package computes another way: the octahedral graph
-that interlace(complete_graph(p)) must equal, and the closed forms of the
-bounds whose meeting formulas._classify decides.  They are kept here, not in
-the package, so an assertion against them compares two derivations.
+that interlace(complete_graph(p)) must equal, the closed forms of the
+bounds whose meeting formulas._classify decides, and the corner options the
+oracle's face assembler reads from its maintained tables.  They are kept
+here, not in the package, so an assertion against them compares two
+derivations.
 """
 
 from __future__ import annotations
@@ -60,3 +62,30 @@ def complete_spine_order(genus: int) -> tuple[int, int] | None:
     if p < 4:
         return None
     return (2 * p, p)
+
+
+def rotation_options(neighbours: int, successor: dict[int, int]) -> dict[int, int]:
+    """For each neighbour u of a vertex, the mask of the neighbours w that
+    "w follows u" may still take in the vertex's rotation, given its
+    neighbour mask and its partial rotation as a successor map.
+
+    A set successor is the only option.  Otherwise w must have no
+    predecessor yet, must not be u, and must not be the head of the partial
+    path that ends at u, found by walking predecessors back from u: closing
+    that path would make a rotation cycle that misses a neighbour.  When that
+    path is the only one left, closing it completes the rotation, so the
+    head is allowed.
+    """
+    near = [u for u in range(neighbours.bit_length()) if neighbours >> u & 1]
+    predecessor = {w: u for u, w in successor.items()}
+    free = [w for w in near if w not in predecessor]
+    options = {}
+    for u in near:
+        if u in successor:
+            options[u] = 1 << successor[u]
+            continue
+        head = u
+        while head in predecessor:
+            head = predecessor[head]
+        options[u] = sum(1 << w for w in free if w != u and (w != head or len(free) == 1))
+    return options

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qforge import embedding
+from qforge import cli, embedding
 from qforge.cli import main
 from qforge.embedding import load_embedding, save_embedding, validate_quadrangulation
 from qforge.formulas import min_order
@@ -352,6 +352,20 @@ def test_oracle_exists_yes(capsys, tmp_path):
     report = validate_quadrangulation(system)
     assert report.is_quadrangulation
     assert (report.vertex_count, report.genus) == (5, 1)
+
+
+def test_oracle_missing_output_directory_fails_before_the_search(capsys, monkeypatch, tmp_path):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "min_order_bruteforce", unreachable)
+    monkeypatch.setattr(cli, "search_quadrangulation", unreachable)
+    missing = tmp_path / "missing" / "w.json"
+    for scope in ((), ("--order", "7")):
+        code, out, err = run(capsys, "oracle", "-g", "2", *scope, "-o", str(missing))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    assert not missing.parent.exists()
 
 
 def test_oracle_exists_no(capsys):

@@ -28,6 +28,8 @@ from qforge.oracle import (
 )
 from qforge.spinal import build_instance
 
+from _reference import rotation_options
+
 
 # ============================================================
 # Mini oracle: a from-scratch cross-check for tiny orders
@@ -621,12 +623,65 @@ def test_assembler_takes_back_every_face_of_a_finished_search():
         assert assembler.search() is None
         assert ticker.nodes > 0  # at least one completion was tried
         fresh = _FaceAssembler(nmask, _Ticker(SearchBudget()))
-        for table in ("succ", "pred", "free", "open"):
+        # the maintained rule and path-end tables, the free predecessors and
+        # the open darts all return to their state before the first face
+        for table in ("rule", "ends", "free", "open"):
             assert getattr(assembler, table) == getattr(fresh, table), (table, nmask)
         # a cached option is never stale: it is what the restored state gives
         for v, row in enumerate(assembler.cache):
             for u, options in enumerate(row):
                 assert options in (-1, fresh._options(v, u)), (v, u, nmask)
+
+
+class _OptionsSpy(_FaceAssembler):
+    """After every search step, checks each corner's options, and every
+    cached one, against the reference recomputed by a predecessor walk over
+    the successors that the anchor's fixed ring and the placed faces set."""
+
+    def __init__(self, nmask, ticker):
+        super().__init__(nmask, ticker)
+        self.faces, self.checks = [], 0
+        # the anchor is the last vertex of largest degree, its ring ascending
+        anchor = max(reversed(range(self.n)), key=lambda v: nmask[v].bit_count())
+        ring = [u for u in range(self.n) if nmask[anchor] >> u & 1]
+        self.ring = (anchor, dict(zip(ring, ring[1:] + ring[:1])))
+        self._check()
+
+    def _toggle_face(self, a, b, c, d):
+        super()._toggle_face(a, b, c, d)
+        if self.open[a] >> b & 1:
+            self.faces.remove((a, b, c, d))
+        else:
+            self.faces.append((a, b, c, d))
+
+    def _advance(self, frame):
+        corners = super()._advance(frame)
+        self._check()
+        return corners
+
+    def _check(self):
+        successor = [{} for _ in range(self.n)]
+        anchor, ring = self.ring
+        successor[anchor].update(ring)
+        for a, b, c, d in self.faces:
+            for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
+                assert successor[v].setdefault(u, w) == w, (v, u, self.faces)
+        for v, near in enumerate(self.nmask):
+            for u, options in rotation_options(near, successor[v]).items():
+                assert self._options(v, u) == options, (v, u, self.faces)
+                assert self.cache[v][u] in (-1, options), (v, u, self.faces)
+        self.checks += 1
+
+
+def test_assembler_options_match_a_predecessor_walk_at_every_step():
+    graphs = [(nmask, False) for nmask in _dead_end_masks()]
+    graphs.append((_masks(_k44()), True))
+    for n, genus, _ in SEARCH_GOLDENS[:8]:
+        graphs.append((_masks(search_quadrangulation(n, genus).graph), True))
+    for nmask, embeds in graphs:
+        spy = _OptionsSpy(nmask, _Ticker(SearchBudget()))
+        assert (spy.search() is not None) == embeds, nmask
+        assert spy.checks > 1, nmask
 
 
 def test_search_answers_none_after_a_finished_enumeration(monkeypatch):
