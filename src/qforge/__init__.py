@@ -13,7 +13,6 @@ from .embedding import (
     embedding_to_document,
     load_embedding,
     save_embedding,
-    trace_faces,
     validate_quadrangulation,
 )
 from .formulas import (

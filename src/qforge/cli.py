@@ -79,7 +79,16 @@ def _parse_spine_spec(spec: str) -> int:
     return p
 
 
+def _require_out_dir(path: str | None) -> None:
+    """Refuse an output path whose directory is missing before any work
+    starts: a build or a search may run long, and its result could not be
+    written after it."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
+    _require_out_dir(args.out)
     if args.spine is not None:
         p = _parse_spine_spec(args.spine)
         report = build_instance(p, args.minus)
@@ -116,6 +125,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_interlace(args: argparse.Namespace) -> int:
+    _require_out_dir(args.out)
     doubled = interlace(load_graph(args.graph_file))
     save_graph(doubled, args.out)
     print(f"wrote {args.out}: vertices={doubled.vertex_count} edges={doubled.edge_count}")
@@ -124,10 +134,7 @@ def _cmd_interlace(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     budget = SearchBudget(max_nodes=args.max_nodes, time_cap=args.time_cap)
-    # a search may run for its whole time cap: refuse a witness path that
-    # cannot be written before it starts, not after
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    _require_out_dir(args.out)
     if args.order is not None:
         system = search_quadrangulation(args.order, args.genus, budget)
         if system is None:

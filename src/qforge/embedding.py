@@ -3,15 +3,17 @@ characteristic and genus, quadrangulation validation, and a canonical JSON
 file format.
 
 A rotation system fixes a cyclic neighbor order at every vertex and thereby
-an oriented cellular embedding.  Rotations are read counterclockwise; the
-face-tracing successor of a dart (u, v) is (v, w) where w is the neighbor
-after u in the rotation at v.  Any consistent convention would do; this one
-is fixed so face lists are reproducible.
+an oriented cellular embedding.  The rotations alone fix the graph, so
+``RotationSystem(rotations)`` takes nothing else: it validates the rotation
+lists and derives the graph from them.  Rotations are read
+counterclockwise; the face-tracing successor of a dart (u, v) is (v, w)
+where w is the neighbor after u in the rotation at v.  Any consistent
+convention would do; this one is fixed so face lists are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -33,32 +35,45 @@ def _rotate_to_min(cycle: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """A cyclic neighbor order at every vertex of a connected simple graph.
+    """A cyclic neighbor order at every vertex of a connected simple graph,
+    given by the rotations alone: u and v are adjacent exactly when each is
+    listed at the other.
 
-    Construction checks that each rotation is a permutation of the vertex's
-    neighborhood and that the graph is connected with at least one edge.
-    Each rotation is then stored starting from the vertex's smallest
-    neighbor, so equal embeddings compare and serialize identically.
-    Instances are immutable; tracing and validation are pure.
+    Construction is the one structural check of a rotation list: every
+    entry is a vertex id other than the vertex itself and appears once, the
+    listing is symmetric, and the graph it describes has at least one edge
+    and is connected.  That graph is kept as the derived ``graph``.  Each
+    rotation is stored starting from the vertex's smallest neighbor, so
+    equal embeddings compare and serialize identically.  Instances are
+    immutable; tracing and validation are pure.
     """
 
-    graph: Graph
     rotations: tuple[tuple[int, ...], ...]
+    graph: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.graph.edge_count == 0:
-            raise ValueError("rotation system needs a graph with at least one edge")
-        adjacency = self.graph.adjacency()
-        if len(_bfs_tree(adjacency)) != self.graph.vertex_count - 1:
-            raise ValueError("rotation system needs a connected graph")
-        if len(self.rotations) != self.graph.vertex_count:
-            raise ValueError("exactly one rotation per vertex required")
-        canonical = []
+        n = len(self.rotations)
+        neighbours: list[set[int]] = []
         for v, rotation in enumerate(self.rotations):
-            if sorted(rotation) != adjacency[v]:
-                raise ValueError(f"rotation at vertex {v} is not a permutation of its neighbors")
-            canonical.append(_rotate_to_min(tuple(rotation)))
-        object.__setattr__(self, "rotations", tuple(canonical))
+            near = set(rotation)
+            if any(not 0 <= u < n for u in near):
+                raise ValueError(f"rotation at vertex {v} mentions an out-of-range vertex")
+            if len(near) != len(rotation):
+                raise ValueError(f"rotation at vertex {v} repeats a neighbor")
+            if v in near:
+                raise ValueError(f"rotation at vertex {v} lists the vertex itself")
+            neighbours.append(near)
+        for v, rotation in enumerate(self.rotations):
+            for u in rotation:
+                if v not in neighbours[u]:
+                    raise ValueError(f"rotation asymmetry: {u} listed at {v} but not {v} at {u}")
+        edges = frozenset((v, u) for v, near in enumerate(neighbours) for u in near if v < u)
+        if not edges:
+            raise ValueError("rotation system needs a graph with at least one edge")
+        if len(_bfs_tree(self.rotations)) != n - 1:
+            raise ValueError("rotation system needs a connected graph")
+        object.__setattr__(self, "graph", Graph(n, edges))
+        object.__setattr__(self, "rotations", tuple(map(_rotate_to_min, self.rotations)))
 
 
 @dataclass(frozen=True)
@@ -111,19 +126,6 @@ def _trace(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
                 dart = successor[dart]
             faces.append(face)
     return faces
-
-
-def trace_faces(system: RotationSystem) -> list[tuple[int, ...]]:
-    """Partition all 2|E| darts into face boundary walks, each given as the
-    tuple of its corners in walk order; face c has the darts (c[i], c[i + 1]),
-    read cyclically.
-
-    Each orbit of the successor map is reported exactly once, started at its
-    lexicographically smallest dart, and orbits are listed in ascending order
-    of their starting dart, so identical inputs give identical output.  A
-    quad with four distinct corners therefore starts at its smallest corner.
-    """
-    return list(map(tuple, _trace(system.rotations)))
 
 
 def _quad_defect(corners: Sequence[int]) -> str | None:
@@ -186,10 +188,10 @@ def embedding_to_document(system: RotationSystem, declared_genus: int | None = N
 
 
 def embedding_from_document(doc: object) -> RotationSystem:
-    """Parse an embedding document, rebuilding the graph from the rotations.
+    """Parse an embedding document into its rotation system.
 
-    The rotations must be mutually symmetric (u listed at v exactly when v
-    is listed at u) and every rotation-system invariant is re-checked.  If
+    RotationSystem checks the rotations, which must be mutually symmetric
+    (u listed at v exactly when v is listed at u), and derives the graph.  If
     the document declares a genus, it is compared against the traced genus
     and a mismatch raises GenusMismatchError.
     """
@@ -206,32 +208,20 @@ def _check_declared_genus(declared: int | None, genus: int) -> None:
 
 def _parse_document(doc: object) -> tuple[RotationSystem, int | None]:
     """Everything embedding_from_document checks except the traced genus:
-    the rotation system and the declared genus, if any, still unchecked."""
+    the rotation system and the declared genus, if any, still unchecked.
+    The document's JSON shape is checked here; every structural check of
+    the rotations is RotationSystem's, its ValueError becoming FormatError."""
     vertex_count = _vertex_count(doc, EMBEDDING_FORMAT)
     raw = doc.get("rotations")
     if not isinstance(raw, list) or len(raw) != vertex_count:
         raise FormatError("rotations must list one neighbor cycle per vertex")
-    rotations: list[tuple[int, ...]] = []
     for v, row in enumerate(raw):
         if not isinstance(row, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in row
         ):
             raise FormatError(f"rotation at vertex {v} must be a list of vertex ids")
-        if any(not 0 <= x < vertex_count for x in row):
-            raise FormatError(f"rotation at vertex {v} mentions an out-of-range vertex")
-        if len(set(row)) != len(row):
-            raise FormatError(f"rotation at vertex {v} repeats a neighbor")
-        if v in row:
-            raise FormatError(f"rotation at vertex {v} lists the vertex itself")
-        rotations.append(tuple(row))
-    darts = {(v, u) for v, row in enumerate(rotations) for u in row}
-    for v, row in enumerate(rotations):
-        for u in row:
-            if (u, v) not in darts:
-                raise FormatError(f"rotation asymmetry: {u} listed at {v} but not {v} at {u}")
-    edges = frozenset(dart for dart in darts if dart[0] < dart[1])
     try:
-        system = RotationSystem(Graph(vertex_count, edges), tuple(rotations))
+        system = RotationSystem(tuple(map(tuple, raw)))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     declared = doc.get("declared_genus")

@@ -7,30 +7,31 @@ minimum degree, each as per-vertex neighbour bitmasks.  Only one labelling
 rule's graphs are listed: vertex n - 1 has the largest degree d and is
 adjacent to exactly 0..d-1, and the assembler fixes the rotation there to
 (0, 1, ..., d-1); every quadrangulation has such a labelling and embedding
-(see ``_candidate_graphs``).  At genus >= 1 each
-connected candidate first meets the corner-link test: two neighbours
-consecutive in the rotation at a vertex share a quad face, so they have a
-second common neighbour, and a graph in which some neighbour of a vertex
-has fewer than two such partners among that vertex's other neighbours (one
-at degree 2) has no quadrangulation.  The test costs O(n) operations on
-n^2-bit integers and reads no labels, so it composes with the assembler's
-symmetry break.  A candidate that passes goes to the assembler, which
-places quad faces dart by dart, growing the rotation at every vertex
-incrementally and abandoning a branch as soon as a face would close at the
-wrong length or revisit a vertex.  Each step places a face on the open dart
-with the fewest ways left to complete one (most-constrained first, as in
-Knuth's Dancing Links), scoring only the darts at the corners of the face
-placed last, where the options just narrowed, and every open dart only when
-none of those is open.  Each corner's options are one AND of two maintained
-per-vertex entries, the corner's rule (its forced successor, or the
-neighbours it must not take) and the mask of neighbours that still lack a
-predecessor in the rotation, with no walk along a partial rotation, so
-scoring a dart is a few integer ANDs and popcounts.  The search runs as one
-loop over an explicit stack of placed faces: it pushes a frame for the
-chosen dart and advances it, and advancing a frame takes back the face it
-placed and places its next completion that fits, so a witness of any size
-fits in it without touching Python's recursion limit.  A ``Graph`` is built
-only for a witness, which is validated in full before it is returned.
+(see ``_candidate_graphs``).  Each connected candidate first meets the
+corner-link test: two neighbours consecutive in the rotation at a vertex
+share a quad face, so they have a second common neighbour, and a graph in
+which some neighbour of a vertex has fewer than two such partners among
+that vertex's other neighbours (one at degree 2) has no quadrangulation.
+The test costs O(n) operations on n^2-bit integers and reads no labels, so
+it composes with the assembler's symmetry break.  A candidate that passes
+goes to the assembler, which places quad faces dart by dart, growing the
+rotation at every vertex incrementally and abandoning a branch as soon as a
+face would close at the wrong length or revisit a vertex.  Each step places
+a face on the open dart with the fewest ways left to complete one
+(most-constrained first, as in Knuth's Dancing Links), scoring only the
+darts at the corners of the face placed last, where the options just
+narrowed, and every open dart only when none of those is open.  Each
+corner's options are one AND of two maintained per-vertex entries, the
+corner's rule (its forced successor, or the neighbours it must not take)
+and the mask of neighbours that still lack a predecessor in the rotation,
+with no walk along a partial rotation, so scoring a dart is a few integer
+ANDs and popcounts.  The search runs as one loop over an explicit stack of
+placed faces: it pushes a frame for the chosen dart and advances it, and
+advancing a frame takes back the face it placed and places its next
+completion that fits, so a witness of any size fits in it without touching
+Python's recursion limit.  A witness's rotations become a
+``RotationSystem``, which derives its graph from them, and the witness is
+validated in full before it is returned.
 
 Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration, the corner-link test and assembly; running out of it
@@ -45,11 +46,10 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import order_lower_bound, spinal_min_order
-from .graph import Graph, _bfs_tree
+from .graph import _bfs_tree
 
 __all__ = [
     "SearchBudget",
@@ -258,11 +258,11 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
 class _FaceAssembler:
     """Backtracking assembly of quad faces over one candidate graph, given
     by the neighbour masks ``_candidate_graphs`` yields: bit w of
-    ``nmask[v]`` is the edge vw.  At genus >= 1 the caller runs the
-    corner-link test (``_corners_linked``) first, so the n x n state below
-    is allocated only for graphs that test cannot rule out.  The test is
-    sound: it only restates what the quad faces around any vertex force, so
-    it never withholds a graph this search could complete.
+    ``nmask[v]`` is the edge vw.  The caller runs the corner-link test
+    (``_corners_linked``) first, so the n x n state below is allocated only
+    for graphs that test cannot rule out.  The test is sound: it only
+    restates what the quad faces around any vertex force, so it never
+    withholds a graph this search could complete.
 
     The rotation under construction at v is a set of partial paths of
     neighbours, "w follows u at v" joining the path that ends at u to the
@@ -560,20 +560,14 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
     # genus >= 1 has minimum degree 3, and a scan upward from the lower
     # bound that lists only such graphs finds the minimum order.
     min_degree = 2 if genus == 0 else 3
-    # The sphere's first candidate is K_{2,n-2}: the enumerator drops every
-    # pair below n - 2 and then the pair (n - 2, n - 1).  K_{2,n-2}
-    # quadrangulates the sphere, so every sphere search ends at it, and the
-    # corner-link test would only add its cost there.
-    screened = genus > 0
     for nmask in _candidate_graphs(n, edge_target, min_degree, ticker):
         ticker()  # before the test, so a stream of rejected candidates meets the clock
-        if screened and not _corners_linked(nmask, ticker):
+        if not _corners_linked(nmask, ticker):
             continue
         rotations = _FaceAssembler(nmask, ticker).search()
         if rotations is None:
             continue
-        edges = frozenset((u, w) for u, w in combinations(range(n), 2) if nmask[u] >> w & 1)
-        system = RotationSystem(Graph(n, edges), rotations)
+        system = RotationSystem(rotations)
         report = validate_quadrangulation(system)
         if not report.is_quadrangulation or report.genus != genus:
             raise RuntimeError("assembler produced an invalid witness; search defect")

@@ -31,7 +31,7 @@ from itertools import product
 
 from .embedding import RotationSystem, _rotate_to_min, validate_quadrangulation
 from .formulas import certified_minimal
-from .graph import Graph, _bfs_tree, complete_graph, delete_edges_connected, interlace
+from .graph import Graph, _bfs_tree, complete_graph, delete_edges_connected
 
 Quad = tuple[int, int, int, int]
 
@@ -219,11 +219,12 @@ def build_spinal_report(graph: Graph) -> BuildReport:
         if tried is None:
             raise BuildError(f"no witness choice completes spine edge ({u}, {v})")
         backtracks += tried
-    # each spine edge was added once, and RotationSystem checks every
-    # rotation against the interlaced spine
-    system = RotationSystem(
-        interlace(graph), tuple(build.rotations[v] for v in range(2 * graph.vertex_count))
-    )
+    system = RotationSystem(tuple(build.rotations[v] for v in range(2 * graph.vertex_count)))
+    # 4|E| edges over the spine's |E| edges, at most four per spine edge
+    # (one per pair of copies): exactly the interlaced spine
+    spine_edges = {(x >> 1, y >> 1) for x, y in system.graph.edges}
+    if spine_edges != graph.edges or system.graph.edge_count != 4 * graph.edge_count:
+        raise BuildError("surgery did not embed the interlaced spine")
     check = validate_quadrangulation(system)
     if not check.is_quadrangulation:
         raise BuildError(f"surgery broke the quadrangulation: {'; '.join(check.failures[:3])}")

@@ -5,13 +5,15 @@ that interlace(complete_graph(p)) must equal, the closed forms of the
 bounds whose meeting formulas._classify decides, and the corner options the
 oracle's face assembler reads from its maintained tables.  They are kept
 here, not in the package, so an assertion against them compares two
-derivations.
+derivations.  ``trace_faces`` is the exception: it is the library's own
+tracer, read as a list of corner tuples, which only the tests need.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
+from qforge.embedding import RotationSystem, _trace
 from qforge.formulas import min_spine_size
 from qforge.graph import Graph
 
@@ -89,3 +91,16 @@ def rotation_options(neighbours: int, successor: dict[int, int]) -> dict[int, in
             head = predecessor[head]
         options[u] = sum(1 << w for w in free if w != u and (w != head or len(free) == 1))
     return options
+
+
+def trace_faces(system: RotationSystem) -> list[tuple[int, ...]]:
+    """Partition all 2|E| darts into face boundary walks, each given as the
+    tuple of its corners in walk order; face c has the darts (c[i], c[i + 1]),
+    read cyclically.
+
+    Each orbit of the successor map is reported exactly once, started at its
+    lexicographically smallest dart, and orbits are listed in ascending order
+    of their starting dart, so identical inputs give identical output.  A
+    quad with four distinct corners therefore starts at its smallest corner.
+    """
+    return list(map(tuple, _trace(system.rotations)))

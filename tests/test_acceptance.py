@@ -16,7 +16,6 @@ from qforge.cli import main
 from qforge.embedding import (
     load_embedding,
     save_embedding,
-    trace_faces,
     validate_quadrangulation,
 )
 from qforge.formulas import (
@@ -33,7 +32,7 @@ from qforge.oracle import (
 )
 from qforge.spinal import build_instance, build_spinal_report
 
-from _reference import bounds_agree, complete_spine_order, octahedral_graph
+from _reference import bounds_agree, complete_spine_order, octahedral_graph, trace_faces
 
 
 def test_acceptance_1_minimum_order_table():

@@ -368,6 +368,28 @@ def test_oracle_missing_output_directory_fails_before_the_search(capsys, monkeyp
     assert not missing.parent.exists()
 
 
+def test_build_and_interlace_missing_output_directory_fail_before_any_work(
+    capsys, monkeypatch, tmp_path
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for name in ("build_instance", "build_spinal_report", "load_graph", "interlace"):
+        monkeypatch.setattr(cli, name, unreachable)
+    spine_file = tmp_path / "spine.json"
+    save_graph(complete_graph(3), spine_file)
+    missing = tmp_path / "missing" / "k.json"
+    for argv in (
+        ["build", "--spine", "complete:150"],
+        ["build", "--spine-file", str(spine_file)],
+        ["interlace", str(spine_file)],
+    ):
+        code, out, err = run(capsys, *argv, "-o", str(missing))
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n", argv
+    assert not missing.parent.exists()
+
+
 def test_oracle_exists_no(capsys):
     code, out, _ = run(capsys, "oracle", "-g", "1", "--order", "4")
     assert code == 1

@@ -17,7 +17,6 @@ from qforge.embedding import (
     embedding_to_document,
     load_embedding,
     save_embedding,
-    trace_faces,
     validate_quadrangulation,
 )
 from qforge.graph import (
@@ -31,6 +30,8 @@ from qforge.graph import (
 )
 from qforge.spinal import build_spinal_report
 
+from _reference import trace_faces
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -42,7 +43,9 @@ _INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _system(n, edges, rotations):
-    return RotationSystem(make_graph(n, edges), tuple(tuple(r) for r in rotations))
+    system = RotationSystem(tuple(tuple(r) for r in rotations))
+    assert system.graph == make_graph(n, edges)
+    return system
 
 
 def _darts(face):
@@ -56,7 +59,9 @@ def _shuffled_system(graph: Graph, rng: random.Random) -> RotationSystem:
         row = list(neighbors)
         rng.shuffle(row)
         rotations.append(tuple(row))
-    return RotationSystem(graph, tuple(rotations))
+    system = RotationSystem(tuple(rotations))
+    assert system.graph == graph
+    return system
 
 
 def _random_system(rng: random.Random, n: int) -> RotationSystem:
@@ -73,18 +78,24 @@ def test_rotation_canonical_start():
 
 
 def test_rotation_system_rejections():
-    triangle = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    with pytest.raises(ValueError):
-        RotationSystem(triangle, ((1, 2), (0, 2)))  # one rotation short
-    with pytest.raises(ValueError):
-        RotationSystem(triangle, ((1, 1), (0, 2), (0, 1)))  # repeated neighbor
-    with pytest.raises(ValueError):
-        RotationSystem(triangle, ((1, 2), (0, 2), (0, 3)))  # 3 is not adjacent
-    with pytest.raises(ValueError):
-        RotationSystem(Graph(2, frozenset()), ((), ()))  # no edge at all
-    two_edges = make_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        RotationSystem(two_edges, ((1,), (0,), (3,), (2,)))  # disconnected
+    for rotations, message in (
+        (((1, 2), (0, 2)), "rotation at vertex 0 mentions an out-of-range vertex"),
+        (((1, 1), (0, 2), (0, 1)), "rotation at vertex 0 repeats a neighbor"),
+        (((1, 2), (0, 2), (0, 3)), "rotation at vertex 2 mentions an out-of-range vertex"),
+        (((1, 2), (1, 2), (0, 1)), "rotation at vertex 1 lists the vertex itself"),
+        (((1, 2), (0, 2), (1,)), "rotation asymmetry: 2 listed at 0 but not 0 at 2"),
+        (((), ()), "rotation system needs a graph with at least one edge"),
+        (((1,), (0,), (3,), (2,)), "rotation system needs a connected graph"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            RotationSystem(rotations)
+        assert str(caught.value) == message, rotations
+
+
+def test_rotation_system_derives_its_graph():
+    system = RotationSystem(((2, 1), (0, 2), (1, 0)))
+    assert system.graph == complete_graph(3)
+    assert system == RotationSystem(((1, 2), (2, 0), (0, 1)))
 
 
 def test_trace_triangle_sphere():
@@ -97,7 +108,7 @@ def test_trace_triangle_sphere():
 
 def test_trace_k4_ascending_is_torus():
     graph = complete_graph(4)
-    system = RotationSystem(graph, tuple(tuple(row) for row in graph.adjacency()))
+    system = RotationSystem(tuple(tuple(row) for row in graph.adjacency()))
     faces = trace_faces(system)
     assert faces == [(0, 1, 2, 3), (0, 2, 1, 3, 2, 0, 3, 1)]
     assert euler_genus(system) == (0, 1)
@@ -232,6 +243,21 @@ def test_declared_genus_is_checked_on_any_embedding(tmp_path):
         load_embedding(path)
 
 
+# rotation lists that are well-formed JSON but no rotation system, with the
+# message both the constructor and the document reader give
+_STRUCTURAL_REJECTIONS = (
+    ([[1, 3], [0, 2], [1, 3], [0, 9]], "rotation at vertex 3 mentions an out-of-range vertex"),
+    ([[1, 1], [0, 2], [1, 3], [0, 2]], "rotation at vertex 0 repeats a neighbor"),
+    ([[0, 3], [0, 2], [1, 3], [0, 2]], "rotation at vertex 0 lists the vertex itself"),
+    ([[1, 3, 2], [0, 2], [1, 3], [0, 2]], "rotation asymmetry: 2 listed at 0 but not 0 at 2"),
+    # the first offending pair in vertex order, then rotation order
+    ([[1, 3], [0, 2], [1, 3, 0], [1, 0, 2]], "rotation asymmetry: 0 listed at 2 but not 2 at 0"),
+    ([[], []], "rotation system needs a graph with at least one edge"),
+    # symmetric rotations but a disconnected graph
+    ([[1], [0], [3], [2]], "rotation system needs a connected graph"),
+)
+
+
 def test_document_rejections():
     good = embedding_to_document(_square_system())
 
@@ -253,38 +279,26 @@ def test_document_rejections():
             broken(rotations=[[1, 3], [0, 2], [1, 3], [0, "2"]]),
             "rotation at vertex 3 must be a list of vertex ids",
         ),
-        (
-            broken(rotations=[[1, 3], [0, 2], [1, 3], [0, 9]]),
-            "rotation at vertex 3 mentions an out-of-range vertex",
-        ),
-        (
-            broken(rotations=[[1, 1], [0, 2], [1, 3], [0, 2]]),
-            "rotation at vertex 0 repeats a neighbor",
-        ),
-        (
-            broken(rotations=[[0, 3], [0, 2], [1, 3], [0, 2]]),
-            "rotation at vertex 0 lists the vertex itself",
-        ),
-        (
-            broken(rotations=[[1, 3, 2], [0, 2], [1, 3], [0, 2]]),
-            "rotation asymmetry: 2 listed at 0 but not 0 at 2",
-        ),
-        (
-            # the first offending pair in vertex order, then rotation order
-            broken(rotations=[[1, 3], [0, 2], [1, 3, 0], [1, 0, 2]]),
-            "rotation asymmetry: 0 listed at 2 but not 2 at 0",
+        *(
+            (broken(vertex_count=len(rotations), rotations=rotations), message)
+            for rotations, message in _STRUCTURAL_REJECTIONS
         ),
         (broken(declared_genus="zero"), "declared_genus must be a non-negative integer"),
         (broken(declared_genus=False), "declared_genus must be a non-negative integer"),
-        (
-            # symmetric rotations but a disconnected graph
-            {"format": EMBEDDING_FORMAT, "vertex_count": 4, "rotations": [[1], [0], [3], [2]]},
-            "rotation system needs a connected graph",
-        ),
     ):
         with pytest.raises(FormatError) as caught:
             embedding_from_document(doc)
         assert str(caught.value) == message, doc
+
+
+def test_constructor_and_document_reader_reject_alike():
+    for rotations, message in _STRUCTURAL_REJECTIONS:
+        with pytest.raises(ValueError) as direct:
+            RotationSystem(tuple(map(tuple, rotations)))
+        doc = {"format": EMBEDDING_FORMAT, "vertex_count": len(rotations), "rotations": rotations}
+        with pytest.raises(FormatError) as read:
+            embedding_from_document(doc)
+        assert str(direct.value) == str(read.value) == message, rotations
 
 
 def test_load_rejects_malformed_json(tmp_path):
@@ -427,7 +441,7 @@ if st is not None:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
         graph = make_graph(n, sorted(edges))
         rotations = [draw(st.permutations(row)) for row in graph.adjacency()]
-        return RotationSystem(graph, tuple(map(tuple, rotations)))
+        return RotationSystem(tuple(map(tuple, rotations)))
 
     @settings(max_examples=100, deadline=None)
     @given(_rotation_systems())
@@ -439,7 +453,7 @@ if st is not None:
         chi = system.graph.vertex_count - len(edges) + len(faces)
         assert chi % 2 == 0 and chi <= 2
         assert euler_genus(system) == (chi, (2 - chi) // 2)
-        mirror = RotationSystem(system.graph, tuple(r[::-1] for r in system.rotations))
+        mirror = RotationSystem(tuple(r[::-1] for r in system.rotations))
         assert len(trace_faces(mirror)) == len(faces)
         assert euler_genus(mirror) == euler_genus(system)
 

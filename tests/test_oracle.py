@@ -249,7 +249,9 @@ def test_anchor_canonical_candidates_lose_no_quadrangulation():
                 continue
             embedded += 1
             canonical, relabelled = _relabelled_at_anchor(graph, rotations)
-            assert validate_quadrangulation(RotationSystem(canonical, relabelled)).genus == genus
+            system = RotationSystem(relabelled)
+            assert system.graph == canonical
+            assert validate_quadrangulation(system).genus == genus
             assert canonical.edges in listed, (n, genus, sorted(edges))
             assert relabelled[-1] == tuple(range(len(relabelled[-1])))
             found = _FaceAssembler(_masks(canonical), ticker).search()
@@ -445,7 +447,9 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
             rejected += 1
         for rotations in (found, reference):
             if rotations is not None:
-                assert validate_quadrangulation(RotationSystem(graph, rotations)).is_quadrangulation
+                system = RotationSystem(rotations)
+                assert system.graph == graph
+                assert validate_quadrangulation(system).is_quadrangulation
         verdicts.append(found is not None)
     assert (verdicts.count(True), verdicts.count(False)) == (10, 281)
     assert rejected == 177  # of the 281 that do not quadrangulate
@@ -581,7 +585,9 @@ def test_assembler_branches_at_the_face_placed_last():
     # fewest-completion dart over all open darts is away from the last face
     spy = _BranchSpy(_masks(_k44()), _Ticker(SearchBudget()))
     rotations = spy.search()
-    assert validate_quadrangulation(RotationSystem(_k44(), rotations)).genus == 1
+    system = RotationSystem(rotations)
+    assert system.graph == _k44()
+    assert validate_quadrangulation(system).genus == 1
     assert spy.local_differs == 1
 
 

@@ -9,7 +9,6 @@ import pytest
 from qforge.embedding import (
     RotationSystem,
     embedding_to_document,
-    trace_faces,
     validate_quadrangulation,
 )
 from qforge.graph import (
@@ -27,7 +26,7 @@ from qforge.spinal import (
     _Build,
 )
 
-from _reference import octahedral_graph
+from _reference import octahedral_graph, trace_faces
 
 
 def _random_connected(rng, max_vertices=10, max_edges=20):
@@ -93,8 +92,9 @@ def _spine_edges(build):
 def _embedding(build):
     """The embedding of a build whose spine ids run from 0."""
     n = len(build.witnesses)
-    graph = interlace(Graph(n, frozenset(_spine_edges(build))))
-    return RotationSystem(graph, tuple(build.rotations[v] for v in range(2 * n)))
+    system = RotationSystem(tuple(build.rotations[v] for v in range(2 * n)))
+    assert system.graph == interlace(Graph(n, frozenset(_spine_edges(build))))
+    return system
 
 
 def _witness_table(build):
@@ -112,15 +112,7 @@ def _retraced(build):
     (embedding vertices compacted to 0..k-1 for tracing, then mapped back)."""
     ids = sorted(build.rotations)
     index = {v: k for k, v in enumerate(ids)}
-    edges = {
-        (min(index[v], index[u]), max(index[v], index[u]))
-        for v, rotation in build.rotations.items()
-        for u in rotation
-    }
-    system = RotationSystem(
-        Graph(len(ids), frozenset(edges)),
-        tuple(tuple(index[u] for u in build.rotations[v]) for v in ids),
-    )
+    system = RotationSystem(tuple(tuple(index[u] for u in build.rotations[v]) for v in ids))
     report = validate_quadrangulation(system)
     assert report.is_quadrangulation, report.failures
     assert report.genus == len(_spine_edges(build)) - len(build.witnesses) + 1
