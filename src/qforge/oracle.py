@@ -20,16 +20,20 @@ face would close at the wrong length or revisit a vertex.  Each step places
 a face on the open dart with the fewest ways left to complete one
 (most-constrained first, as in Knuth's Dancing Links), scoring only the
 darts at the corners of the face placed last, where the options just
-narrowed, and every open dart only when none of those is open.  Each
+narrowed, and every open dart only when none of those is open.  A
 corner's options are one AND of two maintained per-vertex entries, the
 corner's rule (its forced successor, or the neighbours it must not take)
 and the mask of neighbours that still lack a predecessor in the rotation,
-with no walk along a partial rotation, so scoring a dart is a few integer
-ANDs and popcounts.  The search runs as one loop over an explicit stack of
-placed faces: it pushes a frame for the chosen dart and advances it, and
-advancing a frame takes back the face it placed and places its next
-completion that fits, so a witness of any size fits in it without touching
-Python's recursion limit.  A witness's rotations become a
+with no walk along a partial rotation.  The same options are also packed,
+for every vertex x, into n^2-bit integers whose column c holds the options
+at c after x, kept exact by a few bit flips per successor set or taken
+back, so scoring a dart is one product, a few ANDs and popcounts over whole
+masks instead of a loop over its options.  The search runs as one loop
+over an explicit stack of placed faces: it pushes a frame for the chosen
+dart and advances it, and advancing a frame takes back the face it placed
+and places its next completion that fits, read off the frame's option
+masks instead of listed up front, so a witness of any size fits in it
+without touching Python's recursion limit.  A witness's rotations become a
 ``RotationSystem``, which derives its graph from them, and the witness is
 validated in full before it is returned.
 
@@ -37,7 +41,7 @@ Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration, the corner-link test and assembly; running out of it
 raises BudgetExhausted instead of answering, and that outcome is never
 collapsed into "no".  The time cap is read at every search node, and every
-16th pass of the loops whose passes cost O(n^2) bit operations: the
+16th pass of the loops whose passes cost O(n^2) bit operations or more: the
 corner-link test's and the rows of a scan over every open dart.
 """
 
@@ -46,6 +50,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import order_lower_bound, spinal_min_order
@@ -93,8 +98,8 @@ class _Ticker:
     enumerator's pairs; they read it only every 4096th time.  The work
     between two nodes can still be long at a large order: the corner-link
     test makes O(n) passes over n^2-bit integers, and a full scan's row
-    scores about n darts at about n options each, so at n = 900 the test
-    takes seconds and the first full scan longer.  Those loops call
+    scores about n darts with a few operations on n^2-bit integers each, so
+    at n = 900 the test takes seconds and the first full scan longer.  Those loops call
     ``clock``, which reads the clock and counts nothing, every 16th pass.
     """
 
@@ -260,53 +265,74 @@ class _FaceAssembler:
     by the neighbour masks ``_candidate_graphs`` yields: bit w of
     ``nmask[v]`` is the edge vw.  The caller runs the corner-link test
     (``_corners_linked``) first, so the n x n state below is allocated only
-    for graphs that test cannot rule out.  The test is sound: it only
-    restates what the quad faces around any vertex force, so it never
-    withholds a graph this search could complete.
+    for graphs that test cannot rule out, and hands over the adjacency
+    matrix the test packed.  The test is sound: it only restates what the
+    quad faces around any vertex force, so it never withholds a graph this
+    search could complete.
 
     The rotation under construction at v is a set of partial paths of
     neighbours, "w follows u at v" joining the path that ends at u to the
     path that starts at w; each neighbour starts as a path of its own.
-    State is three n x n tables and two masks per vertex.  ``rule[v][u]`` is
-    ``1 << w`` once w follows u, and otherwise the negative
-    ``~(1 << u | 1 << h)``, with h the head of the path that ends at u,
-    whose choice would close a rotation cycle that misses a neighbour; once
-    that path is the only one left, closing it completes the rotation and
-    the rule is ``~(1 << u)``.  ``ends[v][x]`` is the other end of the path
-    that starts or ends at x.  The mask ``free[v]`` holds the neighbours
-    with no predecessor at v yet, and ``open[v]`` the neighbours w whose
-    dart (v, w) is not yet in a face.  A face walk arriving at v from u
-    continues to ``options(v, u)``, which is r if r >= 0 else
-    ``free[v] & r`` for r = ``rule[v][u]``.  Setting u -> w at v joins the
-    path h..u to w..t: it rewrites ``ends`` at h and t and ``rule`` at u
-    and t, and nothing else.  Options are cached per vertex in the third
-    table as ints, -1 meaning not read yet, until that vertex's rotation
-    changes.
+    ``rule[v][u]`` is ``1 << w`` once w follows u, and otherwise the
+    negative ``~(1 << u | 1 << h)``, with h the head of the path that ends
+    at u, whose choice would close a rotation cycle that misses a
+    neighbour; once that path is the only one left, closing it completes
+    the rotation and the rule is ``~(1 << u)``.  ``ends[v][x]`` is the other
+    end of the path that starts or ends at x.  The mask ``free[v]`` holds
+    the neighbours with no predecessor at v yet, and ``open[v]`` the
+    neighbours w whose dart (v, w) is not yet in a face.  A face walk
+    arriving at v from u continues to ``options(v, u)``, which is r if
+    r >= 0 else ``free[v] & r`` for r = ``rule[v][u]``.  Setting u -> w at
+    v joins the path h..u to w..t: it rewrites ``ends`` at h and t and
+    ``rule`` at u and t.
+
+    The options are also kept packed as n x n bit matrices, bit d*n + c in
+    row d and column c, the layout of ``_corners_linked``.  ``ft`` has bit
+    d*n + c when d is in ``free[c]``.  ``rk[x]`` clears, in column c, the
+    row of the head that ``rule[c][x]`` excludes besides x, and is -1 while
+    no rule of x excludes a head.  ``fb[x]`` has bit w*n + c when w follows
+    x at c.  The n-bit masks ``uf[x]`` and ``pf[x]`` hold the c at which x
+    has no successor, and no predecessor, yet.  So column c of
+    ``(ft & rk[x] & uf[x] * column) | fb[x]``, with row x cleared, is
+    ``options(c, x)``.  Setting u -> w at v flips bit w*n + v of ``ft`` and
+    ``fb[u]``, bit v of ``uf[u]`` and ``pf[w]``, and in ``rk[t]`` the rows
+    of the heads t's rule stops and starts excluding; taking it back makes
+    the same flips.  Nothing here grows with n^3 before the search runs:
+    ``rk`` starts at -1, and ``spread[a]``, bit v*n for every neighbour v
+    of a, is filled the first time a scan reaches row a.
 
     Each step branches on an open dart (a, b) with the fewest face
     completions, k(a, b) = sum over c in options(b, a) of
-    popcount(options(c, b) & nmask[a]): the most-constrained-first rule.  Only
-    the open darts out of and into the four corners of the face placed last
-    are scored, since their options are the ones that just narrowed; before
-    the first face, and when none of those darts is open, every open dart is,
-    and such a full scan reads the clock every 16th row.  Any open dart is a
-    complete choice: it lies in exactly one face and every completion of that
-    face is tried, so the rule changes the search order and the witness found,
-    never a verdict.  Ties go to the first dart in ascending order, the scan
-    stops at the first dart with k <= 1, and k = 0 ends the branch.  The
-    search is one loop over an explicit stack with one frame per placed face,
-    so its depth is not bounded by Python's recursion limit.  ``_advance`` is
-    the only routine that changes a frame's face: it takes back the face the
-    frame placed, then tries the frame's remaining completions in order,
-    undoing a refused one at once, and returns the corner mask of the face it
-    placed (0 when none is left, and the search pops the frame).  Each
-    successor a face sets is recorded in its frame with the two rule entries
-    it rewrote, so taking the face back restores ``rule``, ``ends``, ``free``
-    and ``open`` exactly and clears the cached options of every vertex whose
-    rotation it changes.  The anchor,
-    the last vertex of largest degree, has its rotation pre-fixed to
-    ascending order.  On a graph ``_candidate_graphs`` lists, the anchor is
-    n - 1 and its neighbours are 0..d-1, so the fixed rotation is
+    popcount(options(c, b) & nmask[a]): the most-constrained-first rule.
+    Multiplying ``spread[a]`` by a mask m of columns keeps rows N(a) and
+    columns m (the ``_tally`` product), so with o = options(b, a), k(a, b)
+    is the popcount of ``spread[a] * (o & uf[b])`` against ``ft & rk[b]``,
+    less ``popcount(o & uf[b] & pf[b])`` for row b, plus the popcount of
+    ``spread[a] * (o & ~uf[b])`` against ``fb[b]``; a dart whose successor
+    is set has one option c and costs one n-bit AND.  Only the open darts
+    out of and into the four corners of the face placed last are scored,
+    since their options are the ones that just narrowed; before the first
+    face, and when none of those darts is open, every open dart is, and such
+    a full scan reads the clock every 16th row.  Any open dart is a complete
+    choice: it lies in exactly one face and every completion of that face is
+    tried, so the rule changes the search order and the witness found, never
+    a verdict.  Ties go to the first dart in ascending order, the scan stops
+    at the first dart with k <= 1, and k = 0 ends the branch.
+
+    The search is one loop over an explicit stack with one frame per placed
+    face, so its depth is not bounded by Python's recursion limit.
+    ``_advance`` is the only routine that changes a frame's face: it takes
+    back the face the frame placed, then places the frame's next completion
+    that fits, and returns the corner mask of the face it placed (0 when
+    none is left, and the search pops the frame).  A frame keeps the
+    options c and d it has not tried as masks, so a completion is read off
+    when it is tried; the search seldom backtracks, and listing every
+    completion up front cost more than scoring at n = 60.  Each successor a
+    face sets is recorded in its frame with the two rule entries it
+    rewrote, so taking the face back restores every table exactly.  The
+    anchor, the last vertex of largest degree, has its rotation pre-fixed
+    to ascending order.  On a graph ``_candidate_graphs`` lists, the anchor
+    is n - 1 and its neighbours are 0..d-1, so the fixed rotation is
     (0, 1, ..., d-1).  Relabelling any quadrangulation at a largest-degree
     vertex x (x becomes n - 1, its neighbours 0..d-1 in rotation order, the
     rest d..n-2) gives a listed graph with exactly that rotation at n - 1,
@@ -315,8 +341,8 @@ class _FaceAssembler:
     order before it pays for them.
     """
 
-    def __init__(self, nmask: list[int], ticker: _Ticker) -> None:
-        ticker.clock()  # the tables take about a second and 573 MiB at order 4,902
+    def __init__(self, nmask: list[int], ticker: _Ticker, matrix: int) -> None:
+        ticker.clock()  # the two n x n tables are 2 n^2 list slots, 367 MiB at order 4,902
         n = self.n = len(nmask)
         self.nmask = nmask
         self.free = nmask[:]
@@ -324,16 +350,25 @@ class _FaceAssembler:
         # every neighbour starts as a path of its own; each row copies one
         # template, so a table holds n distinct ints, not n^2
         alone, itself = [~(1 << u) for u in range(n)], list(range(n))
-        rule = self.rule = [alone[:] for _ in range(n)]
-        self.ends = [itself[:] for _ in range(n)]
-        self.cache = [[-1] * n for _ in range(n)]
+        rule = self.rule = list(map(list.copy, [alone] * n))
+        self.ends = list(map(list.copy, [itself] * n))
         self.ticker = ticker
-        # the last vertex of largest degree: max keeps the first it meets
-        anchor = max(reversed(range(n)), key=lambda v: nmask[v].bit_count())
-        ring = list(_bits(nmask[anchor]))
+        self.matrix, self.column = matrix, _column(n)
+        self.spread: list[int | None] = [None] * n  # filled as the scans reach each row
+        self.rk = [-1] * n
+        fb = self.fb = [0] * n
+        uf = self.uf = nmask[:]
+        # the last vertex of largest degree
+        degrees = [near.bit_count() for near in nmask]
+        anchor = n - 1 - degrees[::-1].index(max(degrees))
+        ring, fixed = list(_bits(nmask[anchor])), rule[anchor]
         for u, w in zip(ring, ring[1:] + ring[:1]):
-            rule[anchor][u] = 1 << w
+            fixed[u] = 1 << w
+            fb[u] = 1 << w * n + anchor
+            uf[u] ^= 1 << anchor
+        self.pf = uf[:]
         self.free[anchor] = 0
+        self.ft = matrix ^ (matrix >> anchor & self.column) << anchor
 
     def _options(self, v: int, u: int) -> int:
         """Mask of every w that "w follows u at v" may take."""
@@ -342,14 +377,16 @@ class _FaceAssembler:
 
     def search(self) -> tuple[tuple[int, ...], ...] | None:
         """Complete rotations with all faces of length 4, or None."""
-        # one frame per placed face: [a, b, (c, d) completions, next index, assignments]
+        # one frame per placed face: [a, b, options c left, options d left
+        # for c, c, d of the face placed or -1, assignments]
         stack: list[list] = []
         corners = -1  # every vertex, until a face is placed
         while True:
             dart = self._most_constrained(corners)
             if dart is None:
                 return tuple(self._rotation_of(v) for v in range(self.n))
-            stack.append([*dart, self._completions(*dart), 0, []])
+            a, b = dart
+            stack.append([a, b, self._options(b, a), 0, -1, -1, []])
             while not (corners := self._advance(stack[-1])):
                 stack.pop()
                 if not stack:
@@ -367,40 +404,39 @@ class _FaceAssembler:
         """The open dart to branch on among those out of or into the corners
         mask, or over all open darts when none of those is open; None when
         every dart is in a face."""
-        cache, nmask, rule, free = self.cache, self.nmask, self.rule, self.free
+        nmask, rule, free = self.nmask, self.rule, self.free
+        ft, rk, fb, uf, pf, spread = self.ft, self.rk, self.fb, self.uf, self.pf, self.spread
+        matrix, column = self.matrix, self.column
         best, fewest = None, 1 << 62
         full = corners == -1
         for a, darts in enumerate(self.open):
             if not corners >> a & 1:
                 darts &= corners
             elif full and a & 15 == 15:
-                self.ticker.clock()  # a full scan's row costs O(n^2) at a dense graph
-            near_a = nmask[a]
+                self.ticker.clock()  # a full scan's row costs O(n^3) bit operations at a dense graph
+            if not darts:
+                continue
+            near_a, rows_a = nmask[a], spread[a]
+            if rows_a is None:
+                rows_a = spread[a] = matrix >> a & column
             while darts:
                 low = darts & -darts
                 darts ^= low
                 b = low.bit_length() - 1
-                after_b = cache[b][a]
-                if after_b < 0:
-                    after_b = rule[b][a]
-                    if after_b < 0:
-                        after_b &= free[b]
-                    cache[b][a] = after_b
-                count = 0
-                while after_b:
-                    low = after_b & -after_b
-                    after_b ^= low
-                    c = low.bit_length() - 1
-                    after_c = cache[c][b]
+                after_b = rule[b][a]
+                if after_b >= 0:  # one option c
+                    c = after_b.bit_length() - 1
+                    after_c = rule[c][b]
                     if after_c < 0:
-                        after_c = rule[c][b]
-                        if after_c < 0:
-                            after_c &= free[c]
-                        cache[c][b] = after_c
-                    count += (after_c & near_a).bit_count()
-                    if count >= fewest:
-                        break
+                        after_c &= free[c]
+                    count = (after_c & near_a).bit_count()
                 else:
+                    after_b &= free[b]
+                    loose = after_b & uf[b]
+                    count = (rows_a * loose & ft & rk[b]).bit_count() - (loose & pf[b]).bit_count()
+                    if loose != after_b:
+                        count += (rows_a * (after_b ^ loose) & fb[b]).bit_count()
+                if count < fewest:
                     best, fewest = (a, b), count
                     if count <= 1:
                         return best
@@ -408,60 +444,88 @@ class _FaceAssembler:
             return self._most_constrained()
         return best
 
-    def _completions(self, a: int, b: int) -> list[tuple[int, int]]:
-        """Every (c, d) closing a face (a, b, c, d) now, in ascending order."""
-        near_a = self.nmask[a]
-        return [
-            (c, d)
-            for c in _bits(self._options(b, a))
-            for d in _bits(self._options(c, b) & near_a)
-        ]
-
     def _advance(self, frame: list) -> int:
         """Take back the face the frame placed, if any, and place its next
         completion that fits: the mask of its four corners, or 0 once none
         is left.  The frame's assignments are the successors its face set,
-        each with the two rule entries it rewrote; a completion refused part
-        way is undone at once."""
-        a, b, completions, index, placed = frame
-        rule, ends, free, cache = self.rule, self.ends, self.free, self.cache
-        if index:
-            self._toggle_face(a, b, *completions[index - 1])
+        each with the two rule entries it rewrote."""
+        a, b, after_b, after_c, c, d, placed = frame
+        n, rule, ends, free = self.n, self.rule, self.ends, self.free
+        ft, rk, fb, uf, pf = self.ft, self.rk, self.fb, self.uf, self.pf
+        if d >= 0:
+            self._toggle_face(a, b, c, d)
+        while placed:
+            v, u, t, rule_u, rule_t = placed.pop()
+            rule_v, ends_v = rule[v], ends[v]
+            w = rule_v[u].bit_length() - 1
+            h, rest = ends_v[t], free[v]
+            # the same flips that set the successor take it back
+            bit = 1 << w * n + v
+            ft ^= bit
+            fb[u] ^= bit
+            uf[u] ^= 1 << v
+            pf[w] ^= 1 << v
+            if t != u:
+                if w != t:
+                    rk[t] ^= 1 << w * n + v
+                if rest & (rest - 1):
+                    rk[t] ^= 1 << h * n + v
+            # split the path h..u w..t back in two
+            ends_v[h], ends_v[u], ends_v[w], ends_v[t] = u, h, t, w
+            rule_v[t], rule_v[u] = rule_t, rule_u
+            free[v] |= 1 << w
+        self.ft = ft
+        # Completions (c, d) come in ascending order of c, then d: c in
+        # options(b, a) and d in options(c, b) & nmask[a], all read in the
+        # state the frame's face is placed from, which taking a face back
+        # restores.  The four corners are distinct and a successor changes
+        # only its own corner's state, so a completion fits when a may
+        # follow c at d and b may follow d at a.
+        near_a = self.nmask[a]
         while True:
-            while placed:
-                v, u, t, rule_u, rule_t = placed.pop()
-                rule_v, ends_v = rule[v], ends[v]
-                w = rule_v[u].bit_length() - 1
-                h = ends_v[t]
-                # split the path h..u w..t back in two
-                ends_v[h], ends_v[u], ends_v[w], ends_v[t] = u, h, t, w
-                rule_v[t], rule_v[u] = rule_t, rule_u
-                free[v] |= 1 << w
-                cache[v] = [-1] * self.n
-            if index == len(completions):
-                return 0
-            c, d = completions[index]
-            index = frame[3] = index + 1
+            while not after_c:  # the next option c, with its options d
+                if not after_b:
+                    return 0
+                low = after_b & -after_b
+                after_b ^= low
+                c = low.bit_length() - 1
+                after_c = self._options(c, b) & near_a
+            low = after_c & -after_c
+            after_c ^= low
+            d = low.bit_length() - 1
             self.ticker()
-            for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
-                rule_v = rule[v]
-                rule_u = rule_v[u]
-                if not (rule_u if rule_u >= 0 else free[v] & rule_u) >> w & 1:
-                    break
-                if rule_u >= 0:
-                    continue  # the successor is already set
-                # join the path h..u to the path w..t
-                ends_v = ends[v]
-                h, t = ends_v[u], ends_v[w]
-                ends_v[h], ends_v[t] = t, h
-                rest = free[v] = free[v] ^ 1 << w
-                placed.append((v, u, t, rule_u, rule_v[t]))
-                rule_v[t] = ~(1 << t | 1 << h) if rest & (rest - 1) else ~(1 << t)
-                rule_v[u] = 1 << w
-                cache[v] = [-1] * self.n
-            else:
-                self._toggle_face(a, b, c, d)
-                return 1 << a | 1 << b | 1 << c | 1 << d
+            at_d, at_a = rule[d][c], rule[a][d]
+            if (at_d if at_d >= 0 else free[d] & at_d) >> a & 1 and (
+                at_a if at_a >= 0 else free[a] & at_a
+            ) >> b & 1:
+                break
+        frame[2:6] = after_b, after_c, c, d
+        for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
+            rule_v = rule[v]
+            rule_u = rule_v[u]
+            if rule_u >= 0:
+                continue  # the successor is already set
+            # join the path h..u to the path w..t
+            ends_v = ends[v]
+            h, t = ends_v[u], ends_v[w]
+            ends_v[h], ends_v[t] = t, h
+            rest = free[v] = free[v] ^ 1 << w
+            placed.append((v, u, t, rule_u, rule_v[t]))
+            rule_v[t] = ~(1 << t | 1 << h) if rest & (rest - 1) else ~(1 << t)
+            rule_v[u] = 1 << w
+            bit = 1 << w * n + v
+            ft ^= bit
+            fb[u] ^= bit
+            uf[u] ^= 1 << v
+            pf[w] ^= 1 << v
+            if t != u:
+                if w != t:
+                    rk[t] ^= 1 << w * n + v
+                if rest & (rest - 1):
+                    rk[t] ^= 1 << h * n + v
+        self.ft = ft
+        self._toggle_face(a, b, c, d)
+        return 1 << a | 1 << b | 1 << c | 1 << d
 
     def _toggle_face(self, a: int, b: int, c: int, d: int) -> None:
         """Flip the open bits of the face's four darts, which are all open or all used."""
@@ -480,9 +544,24 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _corners_linked(nmask: list[int], ticker: _Ticker) -> bool:
-    """The corner-link test on a graph given by its neighbour masks: False
-    proves that the graph has no quadrangulation.
+@lru_cache(maxsize=1)
+def _column(n: int) -> int:
+    """Bit 0 of every row of an n x n matrix packed into one integer, row v
+    at bits v*n .. v*n + n - 1: doubling the rows costs O(n^2) bit
+    operations in all, and a search asks for one order at a time."""
+    column, rows = 1 if n else 0, 1
+    while rows < n:
+        more = min(rows, n - rows)  # copy the top rows, up to n in all
+        column |= column >> (rows - more) * n << rows * n
+        rows += more
+    return column
+
+
+def _corners_linked(nmask: list[int], ticker: _Ticker) -> int | None:
+    """The corner-link test on a graph given by its neighbour masks: None
+    proves that the graph has no quadrangulation; otherwise the adjacency
+    matrix packed into one integer, row v at bits v*n .. v*n + n - 1, for
+    the assembler.
 
     Call two vertices linked when they have at least two common neighbours.
     Two neighbours u and w consecutive in the rotation at v lie on one quad
@@ -493,19 +572,18 @@ def _corners_linked(nmask: list[int], ticker: _Ticker) -> bool:
     no rotation, so it rejects only graphs that every labelling and every
     embedding would fail on.
 
-    Both counts run on the adjacency matrix packed into one integer, row v
-    at bits v*n .. v*n + n - 1 (see ``_tally``): O(n) operations on n^2-bit
-    integers instead of a Python loop over the O(n^2) vertex pairs.  Each
-    of its three loops (the packing, both tallies and the ``linked`` rows)
-    reads the ticker's clock every 16th pass.
+    Both counts run on the packed matrix (see ``_tally``): O(n) operations
+    on n^2-bit integers instead of a Python loop over the O(n^2) vertex
+    pairs.  Each of its three loops (the packing, both tallies and the
+    ``linked`` rows) reads the ticker's clock every 16th pass.
     """
     n = len(nmask)
-    matrix = column = wide = narrow = 0
+    column = _column(n)
+    matrix = wide = narrow = 0
     for v, near in enumerate(nmask):
         if v & 15 == 15:
             ticker.clock()
         matrix |= near << v * n
-        column |= 1 << v * n
         degree = near.bit_count()
         if degree > 2:
             wide |= near << v * n  # neighbours that need two linked partners
@@ -521,7 +599,7 @@ def _corners_linked(nmask: list[int], ticker: _Ticker) -> bool:
         linked.append(common >> u * n & full & ~(1 << u))
     # bit u of row v: u has one, or two, partners among the neighbours of v
     once, twice = _tally(matrix, column, linked, ticker)
-    return not (wide & ~twice or narrow & ~once)
+    return None if wide & ~twice or narrow & ~once else matrix
 
 
 def _tally(matrix: int, column: int, masks: list[int], ticker: _Ticker) -> tuple[int, int]:
@@ -562,9 +640,10 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
     min_degree = 2 if genus == 0 else 3
     for nmask in _candidate_graphs(n, edge_target, min_degree, ticker):
         ticker()  # before the test, so a stream of rejected candidates meets the clock
-        if not _corners_linked(nmask, ticker):
+        matrix = _corners_linked(nmask, ticker)
+        if matrix is None:
             continue
-        rotations = _FaceAssembler(nmask, ticker).search()
+        rotations = _FaceAssembler(nmask, ticker, matrix).search()
         if rotations is None:
             continue
         system = RotationSystem(rotations)

@@ -11,6 +11,12 @@ from types import SimpleNamespace
 
 import pytest
 
+try:
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test is skipped without hypothesis
+    given = None
+
 from qforge import oracle
 from qforge.embedding import RotationSystem, embedding_to_document, validate_quadrangulation
 from qforge.formulas import order_lower_bound
@@ -130,6 +136,16 @@ def _masks(graph):
     return nmask
 
 
+def _matrix(nmask):
+    """The neighbour masks packed into one integer, row v at bits v*n .. v*n + n - 1."""
+    return sum(near << v * len(nmask) for v, near in enumerate(nmask))
+
+
+def _assemble(nmask, ticker):
+    """A face assembler on any graph, whether or not it passes the corner-link test."""
+    return _FaceAssembler(nmask, ticker, _matrix(nmask))
+
+
 def _edges(nmask):
     return frozenset((u, w) for u, w in combinations(range(len(nmask)), 2) if nmask[u] >> w & 1)
 
@@ -228,7 +244,7 @@ def test_anchor_canonical_candidates_lose_no_quadrangulation():
         reference = islice(_reference_candidates(n, edge_target, 2 if genus == 0 else 3), count)
         ticker = _Ticker(SearchBudget())
         embeds = any(
-            _FaceAssembler(_masks(Graph(n, edges)), ticker).search() is not None
+            _assemble(_masks(Graph(n, edges)), ticker).search() is not None
             for edges in reference
         )
         assert (search_quadrangulation(n, genus) is None) == (not embeds), (n, genus)
@@ -244,7 +260,7 @@ def test_anchor_canonical_candidates_lose_no_quadrangulation():
         listed = {_edges(m) for m in _candidate_graphs(n, edge_target, min_degree, ticker)}
         for edges in _reference_candidates(n, edge_target, min_degree):
             graph = Graph(n, edges)
-            rotations = _FaceAssembler(_masks(graph), ticker).search()
+            rotations = _assemble(_masks(graph), ticker).search()
             if rotations is None:
                 continue
             embedded += 1
@@ -254,7 +270,7 @@ def test_anchor_canonical_candidates_lose_no_quadrangulation():
             assert validate_quadrangulation(system).genus == genus
             assert canonical.edges in listed, (n, genus, sorted(edges))
             assert relabelled[-1] == tuple(range(len(relabelled[-1])))
-            found = _FaceAssembler(_masks(canonical), ticker).search()
+            found = _assemble(_masks(canonical), ticker).search()
             assert found is not None, (n, genus, sorted(canonical.edges))
     assert embedded == 3 + 10 + 1 + 105 + 40 + 54
 
@@ -438,11 +454,11 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
         if not nx.is_connected(small):
             continue
         graph = Graph(n, frozenset(tuple(sorted(e)) for e in small.edges()))
-        found = _FaceAssembler(_masks(graph), _Ticker(SearchBudget())).search()
+        found = _assemble(_masks(graph), _Ticker(SearchBudget())).search()
         reference = _ReferenceAssembler(graph).search()
         assert (found is None) == (reference is None), sorted(graph.edges)
         # the corner-link test never rejects a graph that quadrangulates
-        if not _corners_linked(_masks(graph), _Ticker(SearchBudget())):
+        if _corners_linked(_masks(graph), _Ticker(SearchBudget())) is None:
             assert reference is None, sorted(graph.edges)
             rejected += 1
         for rotations in (found, reference):
@@ -477,12 +493,15 @@ def test_corner_link_test_matches_the_pairwise_reference():
         density = rng.random()
         edges = [(u, w) for u, w in combinations(range(n), 2) if rng.random() < density]
         nmask = _masks(Graph(n, frozenset(edges)))
-        assert _corners_linked(nmask, ticker) == _reference_corners_linked(nmask), (n, edges)
+        linked = _corners_linked(nmask, ticker)
+        assert (linked is not None) == _reference_corners_linked(nmask), (n, edges)
+        # a graph that passes comes with its packed adjacency matrix
+        assert linked in (None, _matrix(nmask)), (n, edges)
     for n, genus in ((6, 0), (8, 1), (9, 3)):
         candidates = _candidate_graphs(n, quad_edge_count(n, genus), 3 if genus else 2, ticker)
         for nmask in islice(candidates, 500):
             expected = _reference_corners_linked(nmask)
-            assert _corners_linked(nmask, ticker) == expected, (n, genus, nmask)
+            assert (_corners_linked(nmask, ticker) is not None) == expected, (n, genus, nmask)
 
 
 def test_corner_link_rejections_are_sound_at_small_orders():
@@ -500,8 +519,8 @@ def test_corner_link_rejections_are_sound_at_small_orders():
         candidates = _reference_candidates(n, edge_target, 2 if genus == 0 else 3)
         for edges in islice(candidates, count):
             nmask = _masks(Graph(n, edges))
-            if not _corners_linked(nmask, ticker):
-                assert _FaceAssembler(nmask, ticker).search() is None, sorted(_edges(nmask))
+            if _corners_linked(nmask, ticker) is None:
+                assert _assemble(nmask, ticker).search() is None, sorted(_edges(nmask))
                 rejected += 1
     assert rejected == 2775 + 1125
 
@@ -530,7 +549,7 @@ def test_known_quadrangulations_pass_the_corner_link_test():
     graphs += [search_quadrangulation(n, genus).graph for n, genus, _ in SEARCH_GOLDENS[:8]]
     ticker = _Ticker(SearchBudget())
     for graph in graphs:
-        assert _corners_linked(_masks(graph), ticker), sorted(graph.edges)
+        assert _corners_linked(_masks(graph), ticker) is not None, sorted(graph.edges)
 
 
 # ============================================================
@@ -542,12 +561,25 @@ def _k44():
     return Graph(8, frozenset((i, j) for i in range(4) for j in range(4, 8)))
 
 
+def _completions(assembler, a, b):
+    """Every (c, d) closing a face (a, b, c, d) now, in the order the
+    assembler tries them: ascending c, then ascending d."""
+    n, near_a = assembler.n, assembler.nmask[a]
+    return [
+        (c, d)
+        for c in range(n)
+        if assembler._options(b, a) >> c & 1
+        for d in range(n)
+        if (assembler._options(c, b) & near_a) >> d & 1
+    ]
+
+
 def _first_most_constrained(assembler, darts):
     """The scan's choice among darts in ascending order: the first with at
     most one completion, else the first with the fewest."""
     best, fewest = None, None
     for dart in darts:
-        k = len(assembler._completions(*dart))
+        k = len(_completions(assembler, *dart))
         if k <= 1:
             return dart
         if fewest is None or k < fewest:
@@ -555,12 +587,37 @@ def _first_most_constrained(assembler, darts):
     return best
 
 
+def _packed_options(assembler, x):
+    """The options of every corner at x from the assembler's packed tables:
+    column c holds options(c, x), as the rows d with bit d*n + c set."""
+    n = assembler.n
+    column = sum(1 << v * n for v in range(n))
+    own_row = ((1 << n) - 1) << x * n
+    loose = assembler.ft & assembler.rk[x] & assembler.uf[x] * column & ~own_row
+    return loose | assembler.fb[x]
+
+
+def _packed_column(packed, c, n):
+    """Column c of an n x n matrix packed into one integer, as an n-bit mask of rows."""
+    return sum(1 << d for d in range(n) if packed >> d * n + c & 1)
+
+
+def _packed_count(assembler, a, b):
+    """k(a, b) from the packed tables: the bits of the options at b in the
+    columns options(b, a) and the rows N(a)."""
+    n = assembler.n
+    column = sum(1 << v * n for v in range(n))
+    rows = sum(((1 << n) - 1) << d * n for d in range(n) if assembler.nmask[a] >> d & 1)
+    return (_packed_options(assembler, b) & assembler._options(b, a) * column & rows).bit_count()
+
+
 class _BranchSpy(_FaceAssembler):
-    """Checks every branching dart against the rule, tracking placed faces."""
+    """Checks every branching dart against the rule, and every open dart's
+    packed count against its completions, tracking placed faces."""
 
     def __init__(self, nmask, ticker):
-        super().__init__(nmask, ticker)
-        self.faces, self.local_differs = [], 0
+        super().__init__(nmask, ticker, _matrix(nmask))
+        self.faces, self.local_differs, self.scored = [], 0, 0
 
     def _toggle_face(self, a, b, c, d):
         super()._toggle_face(a, b, c, d)
@@ -577,6 +634,9 @@ class _BranchSpy(_FaceAssembler):
         expected = _first_most_constrained(self, local or darts)
         assert dart == expected, (self.faces, dart, expected)
         self.local_differs += expected != _first_most_constrained(self, darts)
+        for a, b in darts:
+            assert _packed_count(self, a, b) == len(_completions(self, a, b)), (self.faces, a, b)
+        self.scored += len(darts)
         return dart
 
 
@@ -589,13 +649,41 @@ def test_assembler_branches_at_the_face_placed_last():
     assert system.graph == _k44()
     assert validate_quadrangulation(system).genus == 1
     assert spy.local_differs == 1
+    assert spy.scored > 0
+
+
+if given is not None:
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_packed_counts_match_completions_on_listed_candidates(data):
+        # any candidate the enumerator lists, whether or not it quadrangulates:
+        # at every step of its search each open dart's packed count is its
+        # number of completions, and the scan takes the dart the rule names
+        n = data.draw(st.integers(6, 12), label="n")
+        top = (n * (n - 1) // 4 - n + 2) // 2  # the largest genus whose edges fit
+        genus = data.draw(st.integers(1, top), label="genus")
+        skip = data.draw(st.integers(0, 20), label="skip")
+        candidates = _candidate_graphs(n, quad_edge_count(n, genus), 3, _Ticker(SearchBudget()))
+        nmask = None
+        for nmask in islice(candidates, skip + 1):
+            pass
+        assume(nmask is not None)
+        spy = _BranchSpy(nmask, _Ticker(SearchBudget(max_nodes=40)))
+        try:
+            spy.search()
+        except BudgetExhausted:
+            pass
+        assert spy.scored > 0
 
 
 def test_assembler_falls_back_to_the_full_scan_when_the_last_face_is_closed():
-    assembler = _FaceAssembler(_masks(_k44()), _Ticker(SearchBudget()))
-    frame = [0, 4, assembler._completions(0, 4), 0, []]
+    assembler = _assemble(_masks(_k44()), _Ticker(SearchBudget()))
+    # a frame for the dart (0, 4) before its first face: [a, b, options c
+    # left, options d left for c, c, d of the face placed or -1, assignments]
+    frame = [0, 4, assembler._options(4, 0), 0, -1, -1, []]
     assert assembler._advance(frame)
-    c, d = frame[2][0]
+    c, d = frame[4:6]
     corners = 1 << 0 | 1 << 4 | 1 << c | 1 << d
     # mark every dart out of or into a corner as used
     for v in range(assembler.n):
@@ -625,27 +713,25 @@ def _dead_end_masks():
 def test_assembler_takes_back_every_face_of_a_finished_search():
     for nmask in _dead_end_masks():
         ticker = _Ticker(SearchBudget())
-        assembler = _FaceAssembler(nmask, ticker)
+        assembler = _assemble(nmask, ticker)
         assert assembler.search() is None
         assert ticker.nodes > 0  # at least one completion was tried
-        fresh = _FaceAssembler(nmask, _Ticker(SearchBudget()))
-        # the maintained rule and path-end tables, the free predecessors and
-        # the open darts all return to their state before the first face
-        for table in ("rule", "ends", "free", "open"):
+        fresh = _assemble(nmask, _Ticker(SearchBudget()))
+        # the maintained rule and path-end tables, the free predecessors, the
+        # open darts and the packed options all return to their state before
+        # the first face
+        for table in ("rule", "ends", "free", "open", "ft", "rk", "fb", "uf", "pf"):
             assert getattr(assembler, table) == getattr(fresh, table), (table, nmask)
-        # a cached option is never stale: it is what the restored state gives
-        for v, row in enumerate(assembler.cache):
-            for u, options in enumerate(row):
-                assert options in (-1, fresh._options(v, u)), (v, u, nmask)
 
 
 class _OptionsSpy(_FaceAssembler):
-    """After every search step, checks each corner's options, and every
-    cached one, against the reference recomputed by a predecessor walk over
-    the successors that the anchor's fixed ring and the placed faces set."""
+    """After every search step, checks each corner's options, and their
+    packed columns, against the reference recomputed by a predecessor walk
+    over the successors that the anchor's fixed ring and the placed faces
+    set."""
 
     def __init__(self, nmask, ticker):
-        super().__init__(nmask, ticker)
+        super().__init__(nmask, ticker, _matrix(nmask))
         self.faces, self.checks = [], 0
         # the anchor is the last vertex of largest degree, its ring ascending
         anchor = max(reversed(range(self.n)), key=lambda v: nmask[v].bit_count())
@@ -672,10 +758,17 @@ class _OptionsSpy(_FaceAssembler):
         for a, b, c, d in self.faces:
             for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
                 assert successor[v].setdefault(u, w) == w, (v, u, self.faces)
+        n = self.n
+        packed = [_packed_options(self, x) for x in range(n)]
         for v, near in enumerate(self.nmask):
             for u, options in rotation_options(near, successor[v]).items():
                 assert self._options(v, u) == options, (v, u, self.faces)
-                assert self.cache[v][u] in (-1, options), (v, u, self.faces)
+                assert _packed_column(packed[u], v, n) == options, (v, u, self.faces)
+        for x in range(n):
+            # the columns at which x has no successor, and no predecessor, yet
+            loose = sum(1 << c for c in range(n) if self.nmask[c] >> x & 1 and x not in successor[c])
+            assert self.uf[x] == loose, (x, self.faces)
+            assert self.pf[x] == sum(1 << c for c in range(n) if self.free[c] >> x & 1), (x, self.faces)
         self.checks += 1
 
 
@@ -692,11 +785,11 @@ def test_assembler_options_match_a_predecessor_walk_at_every_step():
 
 def test_search_answers_none_after_a_finished_enumeration(monkeypatch):
     candidates = _dead_end_masks()[1:]
-    assert all(_corners_linked(nmask, _Ticker(SearchBudget())) for nmask in candidates)
+    assert all(_corners_linked(nmask, _Ticker(SearchBudget())) is not None for nmask in candidates)
     assembled = 0
     for nmask in candidates:
         ticker = _Ticker(SearchBudget())
-        _FaceAssembler(nmask, ticker).search()
+        _assemble(nmask, ticker).search()
         assembled += ticker.nodes
     monkeypatch.setattr(oracle, "_candidate_graphs", lambda *args: iter(candidates))
     ticker = _Ticker(SearchBudget())
@@ -863,7 +956,7 @@ def test_time_cap_is_read_at_every_search_node(monkeypatch):
 
     def reject(nmask, ticker):
         tested.append(nmask)
-        return False
+        return None
 
     monkeypatch.setattr(oracle, "_corners_linked", reject)
     with pytest.raises(BudgetExhausted, match="time cap"):
@@ -885,19 +978,36 @@ def test_assembler_scoring_scan_obeys_time_cap(monkeypatch):
 
 
 def test_assembler_reads_the_clock_before_allocating_its_tables():
-    # three n x n tables at order 3,000 are about 200 MiB of list slots; with
+    # two n x n tables at order 3,000 are about 137 MiB of list slots; with
     # the time cap already spent, building the assembler must stop first
     nmask = [((1 << 3000) - 1) ^ 1 << v for v in range(3000)]
+    matrix = _matrix(nmask)
     ticker = _Ticker(SearchBudget(time_cap=1e-9))
     time.sleep(0.001)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExhausted, match="time cap"):
-            _FaceAssembler(nmask, ticker)
+            _FaceAssembler(nmask, ticker, matrix)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_assembler_memory_stays_flat_on_a_dense_graph():
+    # K_40 places 390 faces; the frames hold option masks and the successors
+    # each face set, so taking a face back recomputes its flips instead of
+    # restoring saved n^2-bit integers (that undo peaked at 1.39 MiB here),
+    # and completions are not listed up front (3.86 MiB)
+    n = 40
+    nmask = [((1 << n) - 1) ^ 1 << v for v in range(n)]
+    tracemalloc.start()
+    try:
+        assert _assemble(nmask, _Ticker(SearchBudget())).search() is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _raised_inside(excinfo, name):
@@ -925,8 +1035,8 @@ def test_time_cap_is_read_inside_the_corner_link_test_and_the_first_full_scan(mo
     monkeypatch.undo()
 
     # past the corner-link test, the first full scan reads the clock
-    monkeypatch.setattr(oracle, "_corners_linked", lambda *args: True)
-    monkeypatch.setattr(_FaceAssembler, "_completions", unreachable)
+    monkeypatch.setattr(oracle, "_corners_linked", lambda nmask, ticker: _matrix(nmask))
+    monkeypatch.setattr(_FaceAssembler, "_advance", unreachable)
     expire_after(3)
     with pytest.raises(BudgetExhausted, match="time cap") as excinfo:
         search_quadrangulation(16, 23, SearchBudget(time_cap=0.5))
