@@ -80,11 +80,15 @@ def _parse_spine_spec(spec: str) -> int:
 
 
 def _require_out_dir(path: str | None) -> None:
-    """Refuse an output path whose directory is missing before any work
-    starts: a build or a search may run long, and its result could not be
-    written after it."""
-    if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse an output path whose directory is missing, or that is itself
+    a directory, before any work starts: a build or a search may run long,
+    and its result could not be written after it."""
+    if not path:
+        return
+    if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -92,12 +96,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.spine is not None:
         p = _parse_spine_spec(args.spine)
         report = build_instance(p, args.minus)
-        minimal = "yes" if report.minimal else "no"
     else:
         if args.minus:
             raise ValueError("--minus only applies to --spine complete:<p>")
         report = build_spinal_report(load_graph(args.spine_file))
-        minimal = "unknown"
+    minimal = {True: "yes", False: "no", None: "unknown"}[report.minimal]
     save_embedding(report.embedding, args.out, declared_genus=report.genus)
     print(
         f"order={report.order} genus={report.genus} faces={report.face_count}"

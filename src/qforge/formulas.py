@@ -55,6 +55,18 @@ class MinOrderResult:
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 
+    def minimal(self, order: int) -> bool | None:
+        """Whether a genus-g quadrangulation of this order has the minimum
+        order: True where the result is exact and equals it, False where a
+        smaller order is proven possible, None where the bounds leave it
+        open."""
+        upper = self.value if self.kind == "exact" else self.upper
+        if upper < order:
+            return False
+        if self.kind == "exact" and upper == order:
+            return True
+        return None
+
 
 def _ceil_sqrt(n: int) -> int:
     """Smallest s with s*s >= n, for n >= 0."""
@@ -94,19 +106,16 @@ def spinal_min_order(genus: int) -> int:
     return 2 * min_spine_size(genus)
 
 
-def certified_minimal(p: int, m: int) -> bool:
+def certified_minimal(p: int, m: int) -> bool | None:
     """Whether the spinal quadrangulation whose spine is K_p minus m edges
-    is certified minimal for its surface.
-
-    The certificate needs p >= 4(m+1) and positive genus; outside that range
-    nothing is claimed either way.
-    """
+    has the minimum order for its genus C(p-1, 2) - m: min_order's answer
+    for the order 2p, with None where min_order only brackets it."""
     if p < 2:
         raise ValueError("spine needs at least 2 vertices")
     rank = (p - 1) * (p - 2) // 2
     if not 0 <= m <= rank:
         raise ValueError(f"m must be in 0..{rank} for a {p}-vertex spine")
-    return p >= 4 * (m + 1) and rank - m >= 1
+    return min_order(rank - m).minimal(2 * p)
 
 
 def _classify(genus: int) -> tuple[MinOrderResult, int]:

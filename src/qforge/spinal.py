@@ -26,11 +26,11 @@ named its faces right.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from .embedding import RotationSystem, _rotate_to_min, validate_quadrangulation
-from .formulas import certified_minimal
+from .formulas import min_order
 from .graph import Graph, _bfs_tree, complete_graph, delete_edges_connected
 
 Quad = tuple[int, int, int, int]
@@ -175,11 +175,7 @@ class _Build:
 
 @dataclass(frozen=True)
 class BuildReport:
-    """A finished build: the verified embedding plus search statistics.
-
-    ``minimal`` is the minimality certificate where one applies (complete
-    spine minus m edges); None means no certificate was evaluated.
-    """
+    """A finished build: the verified embedding plus search statistics."""
 
     embedding: RotationSystem
     spine: Graph
@@ -187,7 +183,12 @@ class BuildReport:
     genus: int
     face_count: int
     backtracks: int
-    minimal: bool | None = None
+
+    @property
+    def minimal(self) -> bool | None:
+        """Whether the order is the minimum for the genus, as min_order
+        decides it: None where min_order only brackets the order."""
+        return min_order(self.genus).minimal(self.order)
 
 
 def build_spinal_report(graph: Graph) -> BuildReport:
@@ -244,11 +245,8 @@ def build_spinal_report(graph: Graph) -> BuildReport:
 
 
 def build_instance(p: int, m: int) -> BuildReport:
-    """Spinal quadrangulation over the spine K_p minus m edges, with the
-    minimality certificate evaluated."""
+    """Spinal quadrangulation over the spine K_p minus m edges."""
     if p < 2:
         raise ValueError("spine needs at least 2 vertices")
-    spine = delete_edges_connected(complete_graph(p), m)
-    report = build_spinal_report(spine)
-    return replace(report, minimal=certified_minimal(p, m))
+    return build_spinal_report(delete_edges_connected(complete_graph(p), m))
 

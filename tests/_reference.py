@@ -2,7 +2,8 @@
 
 Each restates a fact the package computes another way: the octahedral graph
 that interlace(complete_graph(p)) must equal, the closed forms of the
-bounds whose meeting formulas._classify decides, and the corner options the
+bounds whose meeting formulas._classify decides, the spine inequality that
+min_order's minimality rule reduces to, and the corner options the
 oracle's face assembler reads from its maintained tables.  They are kept
 here, not in the package, so an assertion against them compares two
 derivations.  ``trace_faces`` is the exception: it is the library's own
@@ -64,6 +65,14 @@ def complete_spine_order(genus: int) -> tuple[int, int] | None:
     if p < 4:
         return None
     return (2 * p, p)
+
+
+def spine_inequality(p: int, m: int) -> bool:
+    """The closed form of min_order's "yes" for the spine K_p minus m edges:
+    order 2p is the minimum at genus C(p-1, 2) - m >= 1 exactly when
+    p >= 4(m+1).  For g = C(p-1, 2) - m the lower bound is 2p exactly when
+    (4p-7)^2 < 32g-7, which reduces to 8p > 24 + 32m."""
+    return p >= 4 * (m + 1) and (p - 1) * (p - 2) // 2 - m >= 1
 
 
 def rotation_options(neighbours: int, successor: dict[int, int]) -> dict[int, int]:

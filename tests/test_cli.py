@@ -12,7 +12,7 @@ from qforge import cli, embedding
 from qforge.cli import main
 from qforge.embedding import load_embedding, save_embedding, validate_quadrangulation
 from qforge.formulas import min_order
-from qforge.graph import complete_graph, load_graph, save_graph
+from qforge.graph import complete_graph, delete_edges_connected, load_graph, save_graph
 from qforge.spinal import build_spinal_report
 
 from _reference import octahedral_graph
@@ -160,7 +160,16 @@ def test_build_uncertified(capsys, tmp_path):
     out_file = tmp_path / "k7m1.json"
     code, out, _ = run(capsys, "build", "--spine", "complete:7", "--minus", "1", "-o", str(out_file))
     assert code == 0
-    assert out.splitlines()[0] == "order=14 genus=14 faces=40 minimal=no backtracks=0"
+    # min_order(14) is [13, 14]: order 14 is neither proven minimal nor not
+    assert out.splitlines()[0] == "order=14 genus=14 faces=40 minimal=unknown backtracks=0"
+
+
+def test_build_single_edge_spine_is_minimal(capsys, tmp_path):
+    # the 4-cycle on the sphere has the sphere's minimum order 4
+    out_file = tmp_path / "k2.json"
+    code, out, _ = run(capsys, "build", "--spine", "complete:2", "-o", str(out_file))
+    assert code == 0
+    assert out.splitlines()[0] == "order=4 genus=0 faces=2 minimal=yes backtracks=0"
 
 
 def test_build_from_spine_file(capsys, tmp_path):
@@ -169,8 +178,24 @@ def test_build_from_spine_file(capsys, tmp_path):
     out_file = tmp_path / "emb.json"
     code, out, _ = run(capsys, "build", "--spine-file", str(spine_file), "-o", str(out_file))
     assert code == 0
-    assert out.splitlines()[0] == "order=6 genus=1 faces=6 minimal=unknown backtracks=0"
+    # the torus has minimum order 5, below the build's 6
+    assert out.splitlines()[0] == "order=6 genus=1 faces=6 minimal=no backtracks=0"
     assert load_embedding(out_file) == build_spinal_report(complete_graph(3)).embedding
+
+
+def test_build_from_spine_file_reads_minimal_from_min_order(capsys, tmp_path):
+    # the spine file gets the same flag as the complete spine it holds; 8
+    # vertices with cycle rank 14 give order 16, above min_order(14)'s [13, 14]
+    spine_file, out_file = tmp_path / "spine.json", tmp_path / "emb.json"
+    for p, m, line in (
+        (4, 0, "order=8 genus=3 faces=12 minimal=yes backtracks=0"),
+        (7, 1, "order=14 genus=14 faces=40 minimal=unknown backtracks=0"),
+        (8, 7, "order=16 genus=14 faces=42 minimal=no backtracks=0"),
+    ):
+        save_graph(delete_edges_connected(complete_graph(p), m), spine_file)
+        code, out, _ = run(capsys, "build", "--spine-file", str(spine_file), "-o", str(out_file))
+        assert code == 0
+        assert out.splitlines()[0] == line
 
 
 def test_build_is_byte_stable(capsys, tmp_path):
@@ -365,6 +390,9 @@ def test_oracle_missing_output_directory_fails_before_the_search(capsys, monkeyp
         code, out, err = run(capsys, "oracle", "-g", "2", *scope, "-o", str(missing))
         assert (code, out) == (2, "")
         assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        code, out, err = run(capsys, "oracle", "-g", "2", *scope, "-o", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
     assert not missing.parent.exists()
 
 
@@ -387,6 +415,9 @@ def test_build_and_interlace_missing_output_directory_fail_before_any_work(
         code, out, err = run(capsys, *argv, "-o", str(missing))
         assert (code, out) == (2, ""), argv
         assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n", argv
+        code, out, err = run(capsys, *argv, "-o", str(tmp_path))
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n", argv
     assert not missing.parent.exists()
 
 

@@ -17,7 +17,7 @@ from qforge.formulas import (
 )
 from qforge.graph import betti, complete_graph
 
-from _reference import bounds_agree, complete_spine_order, half_order_cap
+from _reference import bounds_agree, complete_spine_order, half_order_cap, spine_inequality
 
 
 def test_min_spine_size_examples():
@@ -115,15 +115,36 @@ def test_spinal_min_order_examples():
 
 
 def test_certified_minimal():
-    assert certified_minimal(4, 0)
-    assert certified_minimal(12, 2)
-    assert not certified_minimal(7, 1)
-    assert certified_minimal(8, 1)
-    assert not certified_minimal(2, 0)  # genus would be zero
+    assert certified_minimal(4, 0) is True
+    assert certified_minimal(12, 2) is True
+    assert certified_minimal(7, 1) is None  # min_order(14) is [13, 14]
+    assert certified_minimal(8, 1) is True
+    assert certified_minimal(2, 0) is True  # the 4-cycle on the sphere
+    assert certified_minimal(3, 0) is False  # the torus has minimum order 5
     with pytest.raises(ValueError):
         certified_minimal(4, 7)
     with pytest.raises(ValueError):
         certified_minimal(4, -1)
+
+
+def test_min_order_result_minimal():
+    exact = MinOrderResult(9, "exact", value=10, source="matched-bounds")
+    assert [exact.minimal(n) for n in (9, 10, 12)] == [None, True, False]
+    bracket = MinOrderResult(14, "bounds", lower=13, upper=14, source="bounds")
+    assert [bracket.minimal(n) for n in (12, 13, 14, 16)] == [None, None, None, False]
+
+
+def test_minimal_rule_is_the_spine_inequality():
+    # every spine K_p minus m edges with p < 100: yes exactly where the
+    # inequality holds (and for the sphere's 4-cycle), and never unknown
+    # where min_order is exact
+    for p in range(2, 100):
+        rank = (p - 1) * (p - 2) // 2
+        for m in range(rank + 1):
+            result = min_order(rank - m)
+            flag = result.minimal(2 * p)
+            assert (flag is True) == (spine_inequality(p, m) or (p, m) == (2, 0)), (p, m)
+            assert flag is not None or result.kind == "bounds", (p, m)
 
 
 def test_min_order_table_and_kinds():
