@@ -23,7 +23,6 @@ from .formulas import (
     min_spine_size,
     order_lower_bound,
     spectrum,
-    spinal_min_order,
 )
 from .graph import (
     FormatError,

@@ -48,8 +48,8 @@ _SCAN_CHUNK = 4096
 
 def _format_result(result: MinOrderResult) -> str:
     """The answer of a minorder line, without its "g=<genus>: " prefix."""
-    if result.kind == "exact":
-        return f"order {result.value} exactly ({result.source})"
+    if result.lower == result.upper:
+        return f"order {result.upper} exactly ({result.source})"
     return f"order in [{result.lower}, {result.upper}] ({result.source})"
 
 

@@ -15,7 +15,6 @@ __all__ = [
     "MinOrderResult",
     "min_spine_size",
     "order_lower_bound",
-    "spinal_min_order",
     "certified_minimal",
     "min_order",
     "min_order_runs",
@@ -29,43 +28,38 @@ _SMALL_GENUS_MIN_ORDER = {0: 4, 1: 5, 2: 7}
 
 @dataclass(frozen=True)
 class MinOrderResult:
-    """Minimum order of a quadrangulation of the genus-g orientable surface,
-    either pinned exactly or bracketed by proven lower/upper bounds.
+    """Minimum order of a quadrangulation of a closed orientable surface, as
+    the proven interval lower..upper: exact where the interval is closed.
 
-    ``source`` names the rule that settled the result: "small-genus-table",
-    "complete-spine", "matched-bounds", or "bounds".
+    ``source`` names the rule that settled the interval:
+    "small-genus-table", "complete-spine", "matched-bounds", or "bounds".
     """
 
-    genus: int
-    kind: str  # "exact" or "bounds"
-    value: int | None = None
-    lower: int | None = None
-    upper: int | None = None
-    source: str = ""
+    lower: int
+    upper: int
+    source: str
 
     def __post_init__(self) -> None:
-        if self.kind == "exact":
-            if self.value is None:
-                raise ValueError("exact result needs a value")
-        elif self.kind == "bounds":
-            if self.lower is None or self.upper is None:
-                raise ValueError("bounds result needs lower and upper")
-            if self.lower > self.upper:
-                raise ValueError("lower bound exceeds upper bound")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.lower > self.upper:
+            raise ValueError("lower bound exceeds upper bound")
+
+    @property
+    def kind(self) -> str:
+        """Either "exact", where the interval is closed, or "bounds"."""
+        return "exact" if self.lower == self.upper else "bounds"
+
+    @property
+    def value(self) -> int | None:
+        """The minimum order where the interval is closed, else None."""
+        return self.upper if self.lower == self.upper else None
 
     def minimal(self, order: int) -> bool | None:
-        """Whether a genus-g quadrangulation of this order has the minimum
-        order: True where the result is exact and equals it, False where a
-        smaller order is proven possible, None where the bounds leave it
-        open."""
-        upper = self.value if self.kind == "exact" else self.upper
-        if upper < order:
+        """Whether a quadrangulation of this order has the minimum order:
+        True where the interval is closed at it, False where a smaller order
+        is proven possible, None where the interval leaves it open."""
+        if self.upper < order:
             return False
-        if self.kind == "exact" and upper == order:
-            return True
-        return None
+        return True if self.lower == order == self.upper else None
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -98,14 +92,6 @@ def order_lower_bound(genus: int) -> int:
     return (s + 6) // 2
 
 
-def spinal_min_order(genus: int) -> int:
-    """Minimum order over spinal quadrangulations of genus g: twice the
-    smallest usable spine size."""
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
-    return 2 * min_spine_size(genus)
-
-
 def certified_minimal(p: int, m: int) -> bool | None:
     """Whether the spinal quadrangulation whose spine is K_p minus m edges
     has the minimum order for its genus C(p-1, 2) - m: min_order's answer
@@ -122,25 +108,25 @@ def _classify(genus: int) -> tuple[MinOrderResult, int]:
     """min_order(genus), and the last genus of the run of genera sharing
     that answer.
 
-    Past genus 2 the answer is exact exactly when the lower bound n meets
-    the spinal order 2p, p = min_spine_size(g), and it then comes from a
-    complete spine when g is C(p-1, 2).  So it depends only on n, p and
-    whether g is that complete-spine genus: a run ends before that genus, or
-    where n grows, at the last genus with (2n-5)^2 >= 32g-7.
+    Past genus 2 the answer is the interval from the lower bound n to the
+    spinal order 2p, p = min_spine_size(g): exact where n == 2p, and then
+    from a complete spine when g is C(p-1, 2).  So it depends only on n, p
+    and whether g is that complete-spine genus: a run ends before that
+    genus, or where n grows, at the last genus with (2n-5)^2 >= 32g-7.
     """
     if genus < 0:
         raise ValueError("genus must be non-negative")
     if genus <= 2:
-        value = _SMALL_GENUS_MIN_ORDER[genus]
-        return MinOrderResult(genus, "exact", value=value, source="small-genus-table"), genus
+        order = _SMALL_GENUS_MIN_ORDER[genus]
+        return MinOrderResult(order, order, "small-genus-table"), genus
     p = min_spine_size(genus)
     n = order_lower_bound(genus)
     complete = (p - 1) * (p - 2) // 2
-    if n == 2 * p:
-        source = "complete-spine" if genus == complete else "matched-bounds"
-        result = MinOrderResult(genus, "exact", value=n, source=source)
+    if n < 2 * p:
+        source = "bounds"
     else:
-        result = MinOrderResult(genus, "bounds", lower=n, upper=2 * p, source="bounds")
+        source = "complete-spine" if genus == complete else "matched-bounds"
+    result = MinOrderResult(n, 2 * p, source)
     if genus == complete:
         return result, genus
     return result, min(complete - 1, ((2 * n - 5) ** 2 + 7) // 32)
@@ -161,9 +147,8 @@ def min_order_runs(first: int, last: int) -> Iterator[tuple[int, int, MinOrderRe
     """Maximal runs of genera in first..last that share one minimum-order
     answer, ascending: (start, stop, min_order(start)) for each.
 
-    Every genus g in start..stop has min_order(g) equal to the run's result
-    with its genus replaced by g, and neighbouring runs differ.  Yields
-    nothing when last < first.
+    Every genus g in start..stop has min_order(g) equal to the run's result,
+    and neighbouring runs differ.  Yields nothing when last < first.
     """
     start = first
     while start <= last:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .embedding import RotationSystem, validate_quadrangulation
-from .formulas import order_lower_bound, spinal_min_order
+from .formulas import min_spine_size, order_lower_bound
 from .graph import _bfs_tree
 
 __all__ = [
@@ -707,7 +707,7 @@ def min_order_bruteforce(
         raise ValueError("max_order must be non-negative")
     ticker = _Ticker(budget or SearchBudget())
     start = 4 if genus == 0 else order_lower_bound(genus)
-    stop = spinal_min_order(genus)
+    stop = 2 * min_spine_size(genus)
     cap = stop if max_order is None else min(stop, max_order)
     for n in range(start, cap + 1):
         system = _search(n, genus, ticker)

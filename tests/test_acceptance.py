@@ -18,11 +18,7 @@ from qforge.embedding import (
     save_embedding,
     validate_quadrangulation,
 )
-from qforge.formulas import (
-    min_order,
-    order_lower_bound,
-    spinal_min_order,
-)
+from qforge.formulas import min_order, min_spine_size, order_lower_bound
 from qforge.graph import betti, complete_graph, interlace, make_graph
 from qforge.oracle import (
     BudgetExhausted,
@@ -69,7 +65,7 @@ def test_acceptance_2_square_genus_scan_consistency():
         order, spine = complete_spine_order(genus)
         assert spine == p
         assert order == 2 * p
-        assert order == spinal_min_order(genus) == order_lower_bound(genus)
+        assert order == 2 * min_spine_size(genus) == order_lower_bound(genus)
         result = min_order(genus)
         assert (result.kind, result.value, result.source) == ("exact", order, "complete-spine")
     # independent count: spine sizes whose complete graph stays within range
@@ -191,7 +187,7 @@ def test_acceptance_7_bound_ordering():
     start = time.perf_counter()
     for genus in range(1, 10**4 + 1):
         lower = order_lower_bound(genus)
-        upper = spinal_min_order(genus)
+        upper = 2 * min_spine_size(genus)
         assert lower <= upper
         result = min_order(genus)
         if result.kind == "exact":

@@ -12,7 +12,13 @@ from qforge import cli, embedding
 from qforge.cli import main
 from qforge.embedding import load_embedding, save_embedding, validate_quadrangulation
 from qforge.formulas import min_order
-from qforge.graph import complete_graph, delete_edges_connected, load_graph, save_graph
+from qforge.graph import (
+    complete_graph,
+    delete_edges_connected,
+    load_graph,
+    make_graph,
+    save_graph,
+)
 from qforge.spinal import build_spinal_report
 
 from _reference import octahedral_graph
@@ -208,8 +214,10 @@ def test_build_is_byte_stable(capsys, tmp_path):
 
 def test_build_bad_requests(capsys, tmp_path):
     out_file = str(tmp_path / "x.json")
-    spine_file = tmp_path / "spine.json"
+    spine_file, disconnected = tmp_path / "spine.json", tmp_path / "disconnected.json"
     save_graph(complete_graph(3), spine_file)
+    # K_4 plus an isolated vertex: enough edges to connect 5 vertices, yet not connected
+    save_graph(make_graph(5, [(i, j) for i in range(4) for j in range(i + 1, 4)]), disconnected)
     for argv in (
         ["build", "--spine", "cycle:4", "-o", out_file],
         ["build", "--spine", "complete:", "-o", out_file],
@@ -218,6 +226,7 @@ def test_build_bad_requests(capsys, tmp_path):
         ["build", "--spine", "complete:4", "--minus", "9", "-o", out_file],
         ["build", "--spine-file", str(spine_file), "--minus", "1", "-o", out_file],
         ["build", "--spine-file", str(tmp_path / "absent.json"), "-o", out_file],
+        ["build", "--spine-file", str(disconnected), "-o", out_file],
     ):
         code = main(argv)
         captured = capsys.readouterr()

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -13,7 +12,6 @@ from qforge.formulas import (
     min_spine_size,
     order_lower_bound,
     spectrum,
-    spinal_min_order,
 )
 from qforge.graph import betti, complete_graph
 
@@ -22,6 +20,8 @@ from _reference import bounds_agree, complete_spine_order, half_order_cap, spine
 
 def test_min_spine_size_examples():
     assert min_spine_size(0) == 2
+    assert min_spine_size(1) == 3
+    assert min_spine_size(2) == 4
     assert min_spine_size(3) == 4
     assert min_spine_size(4) == 5
     assert min_spine_size(53) == 12
@@ -77,7 +77,7 @@ def test_bounds_agree_matches_window_scan():
 
 def test_bounds_agree_means_bounds_pinch():
     for genus in range(3, 2000):
-        pinched = order_lower_bound(genus) == spinal_min_order(genus)
+        pinched = order_lower_bound(genus) == 2 * min_spine_size(genus)
         assert bounds_agree(genus) == pinched
 
 
@@ -107,13 +107,6 @@ def test_order_lower_bound_is_smallest_n():
         assert (2 * (n - 1) - 5) ** 2 < 32 * genus - 7
 
 
-def test_spinal_min_order_examples():
-    assert spinal_min_order(0) == 4
-    assert spinal_min_order(1) == 6
-    assert spinal_min_order(2) == 8
-    assert spinal_min_order(53) == 24
-
-
 def test_certified_minimal():
     assert certified_minimal(4, 0) is True
     assert certified_minimal(12, 2) is True
@@ -128,9 +121,9 @@ def test_certified_minimal():
 
 
 def test_min_order_result_minimal():
-    exact = MinOrderResult(9, "exact", value=10, source="matched-bounds")
+    exact = MinOrderResult(10, 10, "matched-bounds")
     assert [exact.minimal(n) for n in (9, 10, 12)] == [None, True, False]
-    bracket = MinOrderResult(14, "bounds", lower=13, upper=14, source="bounds")
+    bracket = MinOrderResult(13, 14, "bounds")
     assert [bracket.minimal(n) for n in (12, 13, 14, 16)] == [None, None, None, False]
 
 
@@ -148,7 +141,7 @@ def test_minimal_rule_is_the_spine_inequality():
 
 
 def test_min_order_table_and_kinds():
-    assert min_order(0) == MinOrderResult(0, "exact", value=4, source="small-genus-table")
+    assert min_order(0) == MinOrderResult(4, 4, "small-genus-table")
     assert min_order(1).value == 5
     assert min_order(2).value == 7
     r3 = min_order(3)
@@ -173,14 +166,19 @@ def test_min_order_exact_parity():
 
 
 def test_min_order_result_guards():
-    with pytest.raises(ValueError):
-        MinOrderResult(1, "exact")
-    with pytest.raises(ValueError):
-        MinOrderResult(1, "bounds", lower=5)
-    with pytest.raises(ValueError):
-        MinOrderResult(1, "bounds", lower=6, upper=5)
-    with pytest.raises(ValueError):
-        MinOrderResult(1, "something")
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        MinOrderResult(6, 5, "bounds")
+
+
+def test_kind_and_value_are_read_from_the_interval():
+    for _, _, result in min_order_runs(0, 20_000):
+        closed = result.lower == result.upper
+        assert (result.kind == "exact") == closed, result
+        assert result.value == (result.upper if closed else None), result
+    # a closed interval is the minimum order whatever rule closed it
+    for source in ("small-genus-table", "complete-spine", "matched-bounds", "bounds"):
+        closed = MinOrderResult(14, 14, source)
+        assert [closed.minimal(n) for n in (13, 14, 16)] == [None, True, False], source
 
 
 def _check_runs(first, last, near=None):
@@ -199,9 +197,9 @@ def _check_runs(first, last, near=None):
             genera = {*range(start, min(start + near, stop) + 1), (start + stop) // 2}
             genera |= set(range(max(stop - near, start), stop + 1))
         for g in genera:
-            assert min_order(g) == replace(result, genus=g), g
+            assert min_order(g) == result, g
         if stop != last:
-            assert replace(min_order(stop + 1), genus=start) != result, stop
+            assert min_order(stop + 1) != result, stop
     assert runs[-1][1] == last
     return runs
 
@@ -274,8 +272,8 @@ def test_spectrum():
         spectrum(1, 1)
 
 
-def test_spectrum_minimum_is_spinal_min_order():
+def test_spectrum_minimum_is_twice_min_spine_size():
     for genus in range(0, 80):
         orders = spectrum(genus, 40)
         assert orders
-        assert orders[0] == spinal_min_order(genus)
+        assert orders[0] == 2 * min_spine_size(genus)

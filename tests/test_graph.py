@@ -165,6 +165,8 @@ def test_interlace_counts_and_rank():
 
 
 def test_graph_invariants_enforced():
+    with pytest.raises(ValueError, match="vertex_count must be non-negative"):
+        Graph(-1, frozenset())
     with pytest.raises(ValueError):
         Graph(3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):

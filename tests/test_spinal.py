@@ -318,6 +318,9 @@ def test_build_rejects_bad_spines():
     # too few edges to connect 10**12 vertices: refused before any per-vertex work
     with pytest.raises(ValueError, match="spine must be connected"):
         build_spinal_report(Graph(10**12, frozenset({(0, 1)})))
+    # enough edges to connect, but K_4 plus an isolated vertex is not connected
+    with pytest.raises(ValueError, match="spine must be connected"):
+        build_spinal_report(make_graph(5, [(i, j) for i in range(4) for j in range(i + 1, 4)]))
 
 
 def test_build_instance_certificates():
