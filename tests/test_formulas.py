@@ -272,6 +272,17 @@ def test_spectrum():
         spectrum(1, 1)
 
 
+def test_spinal_min_order_examples():
+    """The minimum order over spinal quadrangulations of a genus is the
+    first order of its spectrum."""
+    assert spectrum(0, 40)[0] == 4
+    assert spectrum(1, 40)[0] == 6
+    assert spectrum(2, 40)[0] == 8
+    assert spectrum(53, 40)[0] == 24
+    with pytest.raises(ValueError):
+        spectrum(-1, 40)
+
+
 def test_spectrum_minimum_is_twice_min_spine_size():
     for genus in range(0, 80):
         orders = spectrum(genus, 40)
