@@ -14,6 +14,7 @@ convention would do; this one is fixed so face lists are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -29,8 +30,50 @@ class GenusMismatchError(ValueError):
 
 def _rotate_to_min(cycle: Sequence[int]) -> tuple[int, ...]:
     """Rotate a cyclic sequence so it starts at its smallest element."""
-    pivot = min(range(len(cycle)), key=cycle.__getitem__)
+    pivot = cycle.index(min(cycle))
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
+
+
+def _well_listed(rotations: Sequence[Sequence[int]], neighbours: list[set[int]]) -> bool:
+    """Whether every rotation lists only vertex ids other than its own
+    vertex, each at most once: one test over all rotations at once."""
+    ids = range(len(rotations))
+    return (
+        sum(map(len, neighbours)) == sum(map(len, rotations))
+        and set().union(*neighbours) <= set(ids)
+        and not any(map(set.__contains__, neighbours, ids))
+    )
+
+
+def _symmetric(edges: frozenset[tuple[int, int]], neighbours: list[set[int]]) -> bool:
+    """Whether a well-listed rotation list is symmetric, given its edges
+    v < u with u listed at v: exactly when each such v is listed at u too
+    and no dart is left over.  One look per edge, half as many as darts."""
+    if 2 * len(edges) != sum(map(len, neighbours)):
+        return False
+    for v, u in edges:
+        if v not in neighbours[u]:
+            return False
+    return True
+
+
+def _first_fault(rotations: Sequence[Sequence[int]], neighbours: list[set[int]]) -> str:
+    """The error message for a rotation list that fails _well_listed or
+    _symmetric.  The checks run in their fixed order, vertex by vertex and
+    then dart by dart, so the first fault in that order is the one named."""
+    n = len(rotations)
+    for v, (rotation, near) in enumerate(zip(rotations, neighbours)):
+        if any(not 0 <= u < n for u in near):
+            return f"rotation at vertex {v} mentions an out-of-range vertex"
+        if len(near) != len(rotation):
+            return f"rotation at vertex {v} repeats a neighbor"
+        if v in near:
+            return f"rotation at vertex {v} lists the vertex itself"
+    for v, rotation in enumerate(rotations):
+        for u in rotation:
+            if v not in neighbours[u]:
+                return f"rotation asymmetry: {u} listed at {v} but not {v} at {u}"
+    raise AssertionError("a rotation list failed a test but shows no fault")
 
 
 @dataclass(frozen=True)
@@ -52,28 +95,20 @@ class RotationSystem:
     graph: Graph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.rotations)
-        neighbours: list[set[int]] = []
-        for v, rotation in enumerate(self.rotations):
-            near = set(rotation)
-            if any(not 0 <= u < n for u in near):
-                raise ValueError(f"rotation at vertex {v} mentions an out-of-range vertex")
-            if len(near) != len(rotation):
-                raise ValueError(f"rotation at vertex {v} repeats a neighbor")
-            if v in near:
-                raise ValueError(f"rotation at vertex {v} lists the vertex itself")
-            neighbours.append(near)
-        for v, rotation in enumerate(self.rotations):
-            for u in rotation:
-                if v not in neighbours[u]:
-                    raise ValueError(f"rotation asymmetry: {u} listed at {v} but not {v} at {u}")
+        rotations = self.rotations
+        n = len(rotations)
+        neighbours = list(map(set, rotations))
+        if not _well_listed(rotations, neighbours):
+            raise ValueError(_first_fault(rotations, neighbours))
         edges = frozenset((v, u) for v, near in enumerate(neighbours) for u in near if v < u)
+        if not _symmetric(edges, neighbours):
+            raise ValueError(_first_fault(rotations, neighbours))
         if not edges:
             raise ValueError("rotation system needs a graph with at least one edge")
-        if len(_bfs_tree(self.rotations)) != n - 1:
+        if len(_bfs_tree(rotations)) != n - 1:
             raise ValueError("rotation system needs a connected graph")
         object.__setattr__(self, "graph", Graph(n, edges))
-        object.__setattr__(self, "rotations", tuple(map(_rotate_to_min, self.rotations)))
+        object.__setattr__(self, "rotations", tuple(map(_rotate_to_min, rotations)))
 
 
 @dataclass(frozen=True)
@@ -98,24 +133,26 @@ def _trace(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
     and faces come in ascending order of that dart.  Face k's darts are
     (c[i], c[i + 1]) for its corners c, read cyclically.
     """
-    offset: list[int] = []
-    darts = 0
-    for rotation in rotations:
-        offset.append(darts)
-        darts += len(rotation)
-    # enter[h][v]: the id of the dart that follows (v, h), namely (h, w)
-    # with w after v in the rotation at h
-    enter = [
-        dict(zip(rotation, [*range(start + 1, start + len(rotation)), start]))
+    offset = [0, *accumulate(map(len, rotations))]
+    darts = offset.pop()
+    # one int object per dart id, shared by both tables below
+    ids = list(range(darts + 1))
+    # at[v][h]: the id of the dart (v, h)
+    at = [
+        dict(zip(rotation, ids[start : start + len(rotation)]))
         for start, rotation in zip(offset, rotations)
     ]
-    successor = [enter[head][tail] for tail, rotation in enumerate(rotations) for head in rotation]
+    # the successor of (v, h) is (h, w) with w after v in the rotation at h:
+    # the id after that of (h, v), wrapping at the end of h's ids
+    successor = [ids[at[head][tail] + 1] for tail, rotation in enumerate(rotations) for head in rotation]
+    for head, (start, rotation) in enumerate(zip(offset, rotations)):
+        if rotation:
+            successor[at[rotation[-1]][head]] = ids[start]
     corner = [tail for tail, rotation in enumerate(rotations) for _ in rotation]
     seen = bytearray(darts)
     faces: list[list[int]] = []
-    for tail, (start, rotation) in enumerate(zip(offset, rotations)):
-        for i in sorted(range(len(rotation)), key=rotation.__getitem__):
-            first = start + i
+    for tail, rotation in enumerate(rotations):
+        for first in map(at[tail].__getitem__, sorted(rotation)):
             if seen[first]:
                 continue
             face = [tail]

@@ -3,16 +3,19 @@
 Each restates a fact the package computes another way: the octahedral graph
 that interlace(complete_graph(p)) must equal, the closed forms of the
 bounds whose meeting formulas._classify decides, the spine inequality that
-min_order's minimality rule reduces to, and the corner options the
-oracle's face assembler reads from its maintained tables.  They are kept
-here, not in the package, so an assertion against them compares two
-derivations.  ``trace_faces`` is the exception: it is the library's own
-tracer, read as a list of corner tuples, which only the tests need.
+min_order's minimality rule reduces to, the corner options the oracle's
+face assembler reads from its maintained tables, and the rotation of a
+cycle to its smallest element that the embedding and the builder
+canonicalise with.  They are kept here, not in the package, so an
+assertion against them compares two derivations.  ``trace_faces`` is the
+exception: it is the library's own tracer, read as a list of corner
+tuples, which only the tests need.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+from typing import Sequence
 
 from qforge.embedding import RotationSystem, _trace
 from qforge.formulas import min_spine_size
@@ -31,6 +34,13 @@ def octahedral_graph(p: int) -> Graph:
                 continue
             edges.add((i, j))
     return Graph(2 * p, frozenset(edges))
+
+
+def rotate_to_min(cycle: Sequence[int]) -> tuple[int, ...]:
+    """A cyclic sequence rotated to start at its smallest element, the
+    pivot found as the index whose entry is smallest."""
+    pivot = min(range(len(cycle)), key=cycle.__getitem__)
+    return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
 
 
 def half_order_cap(genus: int) -> int:

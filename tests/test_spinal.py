@@ -248,6 +248,35 @@ def test_a_witness_face_in_another_rotation_is_refused_unchanged():
     assert _witness_table(build) == _retraced(build)[1]
 
 
+def test_a_step_that_takes_the_last_witness_faces_of_a_vertex_is_refused_unchanged():
+    # The faces a step creates witness only its two ends, so a step that
+    # consumes every witness face of another vertex would orphan it.  A
+    # step consumes at most two faces, so the orphan check counts only
+    # vertices with at most two.  Every such step in small random builds
+    # must be refused and write nothing.
+    rng = random.Random(1)
+    refused = 0
+    for _ in range(20):
+        _, tree, chords = _relabeled_spine_steps(rng, max_vertices=7, max_chords=8)
+        build = _base(*tree[0])
+        for u, v in tree[1:] + chords:
+            if v in build.witnesses:
+                surgery, choices = build.chord_surgery, product(build.witnesses[u], build.witnesses[v])
+            else:
+                surgery, choices = build.tree_surgery, product(build.witnesses[u])
+            for choice in list(choices):
+                if any(
+                    w not in (u, v) and set(faces) <= set(choice)
+                    for w, faces in build.witnesses.items()
+                ):
+                    before = _snapshot(build)
+                    assert surgery(u, v, *choice) is False
+                    assert _snapshot(build) == before
+                    refused += 1
+            _grow(build, u, v)
+    assert refused > 0
+
+
 # ============================================================
 # Driver
 # ============================================================
