@@ -82,10 +82,11 @@ def _parse_spine_spec(spec: str) -> int:
 def _require_out_dir(path: str | None) -> None:
     """Refuse an output path whose directory is missing, or that is itself
     a directory, before any work starts: a build or a search may run long,
-    and its result could not be written after it."""
-    if not path:
+    and its result could not be written after it.  Only None means no
+    output; an empty path names no file."""
+    if path is None:
         return
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -151,7 +152,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             return EXIT_FAIL
         system = found.witness
         print(f"minimum order for genus {args.genus}: {found.order} (nodes={found.nodes})")
-    if args.out:
+    if args.out is not None:
         save_embedding(system, args.out, declared_genus=args.genus)
         print(f"wrote {args.out}")
     return EXIT_OK

@@ -26,14 +26,17 @@ corner's rule (its forced successor, or the neighbours it must not take)
 and the mask of neighbours that still lack a predecessor in the rotation,
 with no walk along a partial rotation.  The same options are also packed,
 for every vertex x, into n^2-bit integers whose column c holds the options
-at c after x, kept exact by a few bit flips per successor set or taken
-back, so scoring a dart is one product, a few ANDs and popcounts over whole
-masks instead of a loop over its options.  The search runs as one loop
-over an explicit stack of placed faces: it pushes a frame for the chosen
-dart and advances it, and advancing a frame takes back the face it placed
-and places its next completion that fits, read off the frame's option
-masks instead of listed up front, so a witness of any size fits in it
-without touching Python's recursion limit.  A witness's rotations become a
+at c after x, so scoring a dart is one product, a few ANDs and popcounts
+over whole masks instead of a loop over its options.  The search runs as
+one loop over an explicit stack of placed faces: it pushes a frame for the
+chosen dart and advances it, and advancing a frame takes back the face it
+placed and places its next completion that fits, read off the frame's
+option masks instead of listed up front, so a witness of any size fits in
+it without touching Python's recursion limit.  Each successor a face sets
+is one record in its frame, which both directions read: taking the face
+back restores the per-vertex entries from it, and one loop of XOR flips
+per advance keeps the packed integers exact for the face taken back and
+the face placed alike.  A witness's rotations become a
 ``RotationSystem``, which derives its graph from them, and the witness is
 validated in full before it is returned.
 
@@ -297,9 +300,12 @@ class _FaceAssembler:
     ``options(c, x)``.  Setting u -> w at v flips bit w*n + v of ``ft`` and
     ``fb[u]``, bit v of ``uf[u]`` and ``pf[w]``, and in ``rk[t]`` the rows
     of the heads t's rule stops and starts excluding; taking it back makes
-    the same flips.  Nothing here grows with n^3 before the search runs:
-    ``rk`` starts at -1, and ``spread[a]``, bit v*n for every neighbour v
-    of a, is filled the first time a scan reaches row a.
+    the same flips.  Only ``_most_constrained`` reads these tables, so
+    ``_advance`` makes the flips for the face it takes back and the face it
+    places in one loop, after its completion search, which reads only
+    ``rule`` and ``free``.  Nothing here grows with n^3 before the search
+    runs: ``rk`` starts at -1, and ``spread[a]``, bit v*n for every
+    neighbour v of a, is filled the first time a scan reaches row a.
 
     Each step branches on an open dart (a, b) with the fewest face
     completions, k(a, b) = sum over c in options(b, a) of
@@ -328,8 +334,13 @@ class _FaceAssembler:
     options c and d it has not tried as masks, so a completion is read off
     when it is tried; the search seldom backtracks, and listing every
     completion up front cost more than scoring at n = 60.  Each successor a
-    face sets is recorded in its frame with the two rule entries it
-    rewrote, so taking the face back restores every table exactly.  The
+    face sets is one record in its frame, (v, u, w, t, h, many, rule_u,
+    rule_t): w follows u at v, joining the path h..u to w..t, many says
+    whether more than one neighbour was then left without a predecessor at
+    v, and rule_u and rule_t are the rule entries it rewrote.  Taking the
+    face back restores ``rule``, ``ends`` and ``free`` from the record
+    alone, and the same record drives the packed tables' flips in both
+    directions, so every table comes back exactly.  The
     anchor, the last vertex of largest degree, has its rotation pre-fixed
     to ascending order.  On a graph ``_candidate_graphs`` lists, the anchor
     is n - 1 and its neighbours are 0..d-1, so the fixed rotation is
@@ -378,7 +389,7 @@ class _FaceAssembler:
     def search(self) -> tuple[tuple[int, ...], ...] | None:
         """Complete rotations with all faces of length 4, or None."""
         # one frame per placed face: [a, b, options c left, options d left
-        # for c, c, d of the face placed or -1, assignments]
+        # for c, c, d of the face placed or -1, successor records]
         stack: list[list] = []
         corners = -1  # every vertex, until a face is placed
         while True:
@@ -447,49 +458,35 @@ class _FaceAssembler:
     def _advance(self, frame: list) -> int:
         """Take back the face the frame placed, if any, and place its next
         completion that fits: the mask of its four corners, or 0 once none
-        is left.  The frame's assignments are the successors its face set,
-        each with the two rule entries it rewrote."""
+        is left.  The frame's records are the successors its face set, in
+        the form the class docstring gives."""
         a, b, after_b, after_c, c, d, placed = frame
         n, rule, ends, free = self.n, self.rule, self.ends, self.free
-        ft, rk, fb, uf, pf = self.ft, self.rk, self.fb, self.uf, self.pf
         if d >= 0:
             self._toggle_face(a, b, c, d)
-        while placed:
-            v, u, t, rule_u, rule_t = placed.pop()
-            rule_v, ends_v = rule[v], ends[v]
-            w = rule_v[u].bit_length() - 1
-            h, rest = ends_v[t], free[v]
-            # the same flips that set the successor take it back
-            bit = 1 << w * n + v
-            ft ^= bit
-            fb[u] ^= bit
-            uf[u] ^= 1 << v
-            pf[w] ^= 1 << v
-            if t != u:
-                if w != t:
-                    rk[t] ^= 1 << w * n + v
-                if rest & (rest - 1):
-                    rk[t] ^= 1 << h * n + v
+        # the corners are distinct, so each record has a vertex of its own
+        # and the records come back in any order
+        for v, u, w, t, h, _, rule_u, rule_t in placed:
+            ends_v, rule_v = ends[v], rule[v]
             # split the path h..u w..t back in two
             ends_v[h], ends_v[u], ends_v[w], ends_v[t] = u, h, t, w
             rule_v[t], rule_v[u] = rule_t, rule_u
             free[v] |= 1 << w
-        self.ft = ft
         # Completions (c, d) come in ascending order of c, then d: c in
         # options(b, a) and d in options(c, b) & nmask[a], all read in the
         # state the frame's face is placed from, which taking a face back
         # restores.  The four corners are distinct and a successor changes
         # only its own corner's state, so a completion fits when a may
-        # follow c at d and b may follow d at a.
-        near_a = self.nmask[a]
-        while True:
-            while not after_c:  # the next option c, with its options d
-                if not after_b:
-                    return 0
+        # follow c at d and b may follow d at a.  Only rule and free are
+        # read here, so the packed tables catch up after the search.
+        near_a, corners, fresh = self.nmask[a], 0, []
+        while after_c or after_b:
+            if not after_c:  # the next option c, with its options d
                 low = after_b & -after_b
                 after_b ^= low
                 c = low.bit_length() - 1
                 after_c = self._options(c, b) & near_a
+                continue
             low = after_c & -after_c
             after_c ^= low
             d = low.bit_length() - 1
@@ -498,21 +495,29 @@ class _FaceAssembler:
             if (at_d if at_d >= 0 else free[d] & at_d) >> a & 1 and (
                 at_a if at_a >= 0 else free[a] & at_a
             ) >> b & 1:
+                corners = 1 << a | 1 << b | 1 << c | 1 << d
                 break
-        frame[2:6] = after_b, after_c, c, d
-        for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
-            rule_v = rule[v]
-            rule_u = rule_v[u]
-            if rule_u >= 0:
-                continue  # the successor is already set
-            # join the path h..u to the path w..t
-            ends_v = ends[v]
-            h, t = ends_v[u], ends_v[w]
-            ends_v[h], ends_v[t] = t, h
-            rest = free[v] = free[v] ^ 1 << w
-            placed.append((v, u, t, rule_u, rule_v[t]))
-            rule_v[t] = ~(1 << t | 1 << h) if rest & (rest - 1) else ~(1 << t)
-            rule_v[u] = 1 << w
+        if corners:
+            frame[2:] = after_b, after_c, c, d, fresh
+            for v, u, w in ((b, a, c), (c, b, d), (d, c, a), (a, d, b)):
+                rule_v = rule[v]
+                rule_u = rule_v[u]
+                if rule_u >= 0:
+                    continue  # the successor is already set
+                # join the path h..u to the path w..t
+                ends_v = ends[v]
+                h, t = ends_v[u], ends_v[w]
+                ends_v[h], ends_v[t] = t, h
+                rest = free[v] = free[v] ^ 1 << w
+                many = rest & (rest - 1) != 0
+                fresh.append((v, u, w, t, h, many, rule_u, rule_v[t]))
+                rule_v[t] = ~(1 << t | 1 << h) if many else ~(1 << t)
+                rule_v[u] = 1 << w
+            self._toggle_face(a, b, c, d)
+        # one pass of XOR flips over the packed tables takes back the old
+        # face's successors and sets the new face's, in either order
+        ft, rk, fb, uf, pf = self.ft, self.rk, self.fb, self.uf, self.pf
+        for v, u, w, t, h, many, _, _ in placed + fresh:
             bit = 1 << w * n + v
             ft ^= bit
             fb[u] ^= bit
@@ -520,12 +525,11 @@ class _FaceAssembler:
             pf[w] ^= 1 << v
             if t != u:
                 if w != t:
-                    rk[t] ^= 1 << w * n + v
-                if rest & (rest - 1):
+                    rk[t] ^= bit
+                if many:
                     rk[t] ^= 1 << h * n + v
         self.ft = ft
-        self._toggle_face(a, b, c, d)
-        return 1 << a | 1 << b | 1 << c | 1 << d
+        return corners
 
     def _toggle_face(self, a: int, b: int, c: int, d: int) -> None:
         """Flip the open bits of the face's four darts, which are all open or all used."""

@@ -26,11 +26,12 @@ What a step computes: one look-up per consumed face in the witness table,
 the two corners beside u0 (and v0) in each consumed face, read by index,
 the rotations at the four copies rebuilt with two neighbors spliced in,
 each created face rotated to its smallest corner, and the spine vertices
-each consumed or created face witnesses, once per face.  The orphan count
-runs only for a vertex with at most two witness faces, since a step
-consumes at most two.  A step therefore costs O(degree) for the splices
-and O(witness faces) for the table edits, with no term in the size of the
-embedding.  Timed by ``scripts/spinal_steps.py``, a whole K_p build, the
+each consumed or created face witnesses, once per face.  The orphan check
+looks only at a vertex whose one witness face is consumed, since no step
+takes two faces of a vertex that has just two (see ``_Build._splice``).
+A step therefore costs O(degree) for the splices and O(witness faces) for
+the table edits, with no term in the size of the embedding.  Timed by
+``scripts/fresh_runs.py spinal``, a whole K_p build, the
 final validation included, costs about 37-41 microseconds per step at
 p = 12..100 (CPython 3.11 on a 2-CPU shared host).
 """
@@ -152,20 +153,33 @@ class _Build:
         created ones; return whether the step committed.
 
         Returns False, writing nothing, if some spine vertex would be left
-        without a witness face.  Only a vertex that loses a face can: a tree
-        step's quad (u0, v0, u1, v1) witnesses the new leaf, and a chord
-        joins two vertices already in the build.  A step consumes at most
-        two faces, and a face with four distinct corners witnesses a vertex
-        at most once, so only a vertex with at most two witness faces can
-        lose its last one; no other vertex is counted.
+        without a witness face: a consumed face is its only one and no
+        created face witnesses it.  Only a vertex that loses a face can be
+        orphaned, since a tree step's quad (u0, v0, u1, v1) witnesses the
+        new leaf.
+
+        The test misses no orphan, because no step takes two faces of a
+        vertex that has only two.  A face with four distinct corners
+        witnesses a vertex at most once.  Only ``base`` and that tree quad
+        make faces that witness two vertices, the ends of their spine edge;
+        every other created face witnesses one.  A tree step consumes one
+        face, so only a chord (u, v) can take two faces of a vertex w, and
+        then they are two-vertex faces {u, w} and {v, w}; w is neither u nor
+        v, since the edge uv is not built yet.  Count w's faces: it starts
+        with s = 1, or s = 2 from ``base``; a tree step from w adds a net
+        two and a chord at w one, and only a step at the other end of a
+        two-vertex face of w takes a face of w without replacing it.  With
+        each spine edge added once, w has had s + T two-vertex faces after
+        T tree steps from it, and with two of them left at most s + T - 2
+        are gone, so w keeps at least s + 2T - (s + T - 2) = T + 2 faces.
+        One of u and v is a tree child of w, so T >= 1 and w has three.
         """
         lost = [(face, _witnessed(face)) for face in consumed]
         gained = [(face, _witnessed(face)) for face in map(_rotate_to_min, created)]
         witnesses = self.witnesses
-        for w in {w for _, ws in lost for w in ws if len(witnesses[w]) <= 2}:
-            left = len(witnesses[w]) - sum(ws.count(w) for _, ws in lost)
-            if left + sum(ws.count(w) for _, ws in gained) == 0:
-                return False
+        kept = {w for _, ws in gained for w in ws}
+        if any(len(witnesses[w]) == 1 and w not in kept for _, ws in lost for w in ws):
+            return False
         self.rotations.update(rotations)
         for face, ws in lost:
             for w in ws:

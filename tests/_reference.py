@@ -4,12 +4,12 @@ Each restates a fact the package computes another way: the octahedral graph
 that interlace(complete_graph(p)) must equal, the closed forms of the
 bounds whose meeting formulas._classify decides, the spine inequality that
 min_order's minimality rule reduces to, the corner options the oracle's
-face assembler reads from its maintained tables, and the rotation of a
-cycle to its smallest element that the embedding and the builder
-canonicalise with.  They are kept here, not in the package, so an
-assertion against them compares two derivations.  ``trace_faces`` is the
-exception: it is the library's own tracer, read as a list of corner
-tuples, which only the tests need.
+face assembler reads from its maintained tables, the rotation of a cycle
+to its smallest element that the embedding and the builder canonicalise
+with, and the faces of a rotation system walked dart by dart, which the
+library's tracer finds through a table of integer dart ids.  They are kept
+here, not in the package, so an assertion against them compares two
+derivations.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from qforge.embedding import RotationSystem, _trace
+from qforge.embedding import RotationSystem
 from qforge.formulas import min_spine_size
 from qforge.graph import Graph
 
@@ -122,4 +122,24 @@ def trace_faces(system: RotationSystem) -> list[tuple[int, ...]]:
     of their starting dart, so identical inputs give identical output.  A
     quad with four distinct corners therefore starts at its smallest corner.
     """
-    return list(map(tuple, _trace(system.rotations)))
+    successor = [
+        {u: rotation[(i + 1) % len(rotation)] for i, u in enumerate(rotation)}
+        for rotation in system.rotations
+    ]
+    darts = sorted((u, v) for i, j in system.graph.edges for u, v in ((i, j), (j, i)))
+    seen = set()
+    faces = []
+    for start in darts:
+        if start in seen:
+            continue
+        corners = []
+        dart = start
+        while True:
+            seen.add(dart)
+            tail, head = dart
+            corners.append(tail)
+            dart = (head, successor[head][tail])
+            if dart == start:
+                break
+        faces.append(tuple(corners))
+    return faces

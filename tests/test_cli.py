@@ -402,6 +402,9 @@ def test_oracle_missing_output_directory_fails_before_the_search(capsys, monkeyp
         code, out, err = run(capsys, "oracle", "-g", "2", *scope, "-o", str(tmp_path))
         assert (code, out) == (2, "")
         assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        code, out, err = run(capsys, "oracle", "-g", "2", *scope, "-o", "")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
     assert not missing.parent.exists()
 
 
@@ -427,6 +430,9 @@ def test_build_and_interlace_missing_output_directory_fail_before_any_work(
         code, out, err = run(capsys, *argv, "-o", str(tmp_path))
         assert (code, out) == (2, ""), argv
         assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n", argv
+        code, out, err = run(capsys, *argv, "-o", "")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: [Errno 2] No such file or directory: ''\n", argv
     assert not missing.parent.exists()
 
 

