@@ -1,4 +1,5 @@
-"""Time one job per fresh interpreter: spinal builds or top-genus searches.
+"""Time one job per fresh interpreter: spinal builds, top-genus searches or
+the reading and validation of a big embedding.
 
 Each run prints one JSON line: the round, the source tree, the job's own
 fields, wall seconds of the timed call, the process's peak RSS and the
@@ -18,7 +19,15 @@ searches, on a near-complete graph, which no ``perfbench`` workload runs.
 Its fields are the order, the genus, the search nodes and the seconds; the
 document declares no genus.
 
-    python3 scripts/fresh_runs.py [--src DIR ...] [--rounds R] {spinal,top} N [N ...]
+``verify P`` builds the document of ``spinal P`` untimed, then times the
+best of 20 calls of ``embedding_from_document(json.loads(document))``
+followed by ``validate_quadrangulation``: JSON parsing, the rotation
+system's checks, the reader's genus check and the validation, each of the
+last two tracing every face.  Its fields are p, the darts (twice the
+edges), the best seconds and darts per second; the document is the one it
+reads.
+
+    python3 scripts/fresh_runs.py [--src DIR ...] [--rounds R] {spinal,top,verify} N [N ...]
 
 ``--src`` names a tree holding the ``qforge`` package (default: this
 checkout's ``src``).  Given twice or more, every round runs each tree once
@@ -70,6 +79,22 @@ found = min_order_bruteforce(genus, SearchBudget(max_nodes=200_000), max_order=n
 seconds = time.perf_counter() - start
 fields = {"order": found.order, "genus": genus, "nodes": found.nodes, "seconds": round(seconds, 4)}
 witness, declared = found.witness, None
+""",
+    "verify": """
+from qforge.embedding import embedding_from_document, validate_quadrangulation
+from qforge.spinal import build_instance
+
+p = int(sys.argv[1])
+report = build_instance(p, 0)
+text = canonical_json(embedding_to_document(report.embedding, report.genus))
+seconds = float("inf")
+for _ in range(20):
+    start = time.perf_counter()
+    witness = embedding_from_document(json.loads(text))
+    darts = 2 * validate_quadrangulation(witness).edge_count
+    seconds = min(seconds, time.perf_counter() - start)
+fields = {"p": p, "darts": darts, "seconds": round(seconds, 6), "darts_per_s": round(darts / seconds)}
+declared = report.genus
 """,
 }
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .graph import FormatError, Graph, canonical_json
-from .graph import _bfs_tree, _is_count, _read_document, _vertex_count
+from .graph import _bfs_tree, _id_list, _is_count, _read_document, _vertex_count
 
 EMBEDDING_FORMAT = "qforge-embedding/1"
 
@@ -34,22 +34,21 @@ def _rotate_to_min(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
 
 
-def _well_listed(rotations: Sequence[Sequence[int]], neighbours: list[set[int]]) -> bool:
-    """Whether every rotation lists only vertex ids other than its own
-    vertex, each at most once: one test over all rotations at once."""
-    ids = range(len(rotations))
-    return (
-        sum(map(len, neighbours)) == sum(map(len, rotations))
-        and set().union(*neighbours) <= set(ids)
-        and not any(map(set.__contains__, neighbours, ids))
-    )
+def _symmetric(
+    rotations: Sequence[Sequence[int]],
+    edges: frozenset[tuple[int, int]],
+    neighbours: list[set[int]],
+) -> bool:
+    """Whether a rotation list repeats no entry and is symmetric, given its
+    edges v < u with u listed at v, which Graph has checked for range.
 
-
-def _symmetric(edges: frozenset[tuple[int, int]], neighbours: list[set[int]]) -> bool:
-    """Whether a well-listed rotation list is symmetric, given its edges
-    v < u with u listed at v: exactly when each such v is listed at u too
-    and no dart is left over.  One look per edge, half as many as darts."""
-    if 2 * len(edges) != sum(map(len, neighbours)):
+    Each edge accounts for at least two entries: u in the rotation at v and,
+    once the loop finds it, v in the rotation at u.  When the rotations hold
+    exactly 2|E| entries, these are all of them, each listed once, so no
+    entry is left to repeat, to be the vertex itself or a negative id, or to
+    be a dart that is not listed back.  One count of the entries and one
+    look per edge, half as many as darts."""
+    if sum(map(len, rotations)) != 2 * len(edges):
         return False
     for v, u in edges:
         if v not in neighbours[u]:
@@ -58,8 +57,8 @@ def _symmetric(edges: frozenset[tuple[int, int]], neighbours: list[set[int]]) ->
 
 
 def _first_fault(rotations: Sequence[Sequence[int]], neighbours: list[set[int]]) -> str:
-    """The error message for a rotation list that fails _well_listed or
-    _symmetric.  The checks run in their fixed order, vertex by vertex and
+    """The error message for a rotation list that Graph or _symmetric
+    refuses.  The checks run in their fixed order, vertex by vertex and
     then dart by dart, so the first fault in that order is the one named."""
     n = len(rotations)
     for v, (rotation, near) in enumerate(zip(rotations, neighbours)):
@@ -85,10 +84,14 @@ class RotationSystem:
     Construction is the one structural check of a rotation list: every
     entry is a vertex id other than the vertex itself and appears once, the
     listing is symmetric, and the graph it describes has at least one edge
-    and is connected.  That graph is kept as the derived ``graph``.  Each
-    rotation is stored starting from the vertex's smallest neighbor, so
-    equal embeddings compare and serialize identically.  Instances are
-    immutable; tracing and validation are pure.
+    and is connected.  That graph is kept as the derived ``graph``.  It is
+    built first, from the pairs v < u with u listed at v, so ``Graph``'s
+    range check is the check of every id listed above its vertex; the dart
+    count in ``_symmetric`` rules out every other fault (the argument is
+    there).  Either refusal raises ``_first_fault``'s message, never
+    Graph's own.  Each rotation is stored starting from the vertex's
+    smallest neighbor, so equal embeddings compare and serialize
+    identically.  Instances are immutable; tracing and validation are pure.
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -98,16 +101,18 @@ class RotationSystem:
         rotations = self.rotations
         n = len(rotations)
         neighbours = list(map(set, rotations))
-        if not _well_listed(rotations, neighbours):
-            raise ValueError(_first_fault(rotations, neighbours))
         edges = frozenset((v, u) for v, near in enumerate(neighbours) for u in near if v < u)
-        if not _symmetric(edges, neighbours):
+        try:
+            graph = Graph(n, edges)
+        except ValueError:
+            raise ValueError(_first_fault(rotations, neighbours)) from None
+        if not _symmetric(rotations, edges, neighbours):
             raise ValueError(_first_fault(rotations, neighbours))
         if not edges:
             raise ValueError("rotation system needs a graph with at least one edge")
         if len(_bfs_tree(rotations)) != n - 1:
             raise ValueError("rotation system needs a connected graph")
-        object.__setattr__(self, "graph", Graph(n, edges))
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "rotations", tuple(map(_rotate_to_min, rotations)))
 
 
@@ -253,9 +258,7 @@ def _parse_document(doc: object) -> tuple[RotationSystem, int | None]:
     if not isinstance(raw, list) or len(raw) != vertex_count:
         raise FormatError("rotations must list one neighbor cycle per vertex")
     for v, row in enumerate(raw):
-        if not isinstance(row, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in row
-        ):
+        if not _id_list(row):
             raise FormatError(f"rotation at vertex {v} must be a list of vertex ids")
     try:
         system = RotationSystem(tuple(map(tuple, raw)))

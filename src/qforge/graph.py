@@ -5,7 +5,9 @@ graph and embedding documents share.
 
 ``_bfs_tree`` is the package's one graph search: connectivity here, the
 connectivity check of a rotation system, and the spinal builder's order of
-tree edges all come from it."""
+tree edges all come from it.  ``Graph(n, edges)`` is the package's one
+check of an edge's range, order and loop: the graph reader, ``make_graph``
+and ``RotationSystem`` leave that test to it."""
 
 from __future__ import annotations
 
@@ -65,11 +67,10 @@ class Graph:
 
 
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from possibly unordered edge pairs, rejecting duplicates."""
+    """Build a Graph from possibly unordered edge pairs, rejecting duplicates;
+    Graph rejects loops and out-of-range endpoints."""
     normalized: set[Edge] = set()
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop edge ({u}, {v}) not allowed")
         edge = (u, v) if u < v else (v, u)
         if edge in normalized:
             raise ValueError(f"duplicate edge {edge}")
@@ -108,21 +109,13 @@ def _bfs_tree(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     return tree
 
 
-def _connected(vertex_count: int, edges: Iterable[Edge]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    # a spanning tree has vertex_count - 1 edges; the empty graph has none
-    return len(_bfs_tree(adj)) >= vertex_count - 1
-
-
 def is_connected(graph: Graph) -> bool:
     """True when the graph has a single connected component.
 
     The empty graph counts as connected by convention.
     """
-    return _connected(graph.vertex_count, graph.edges)
+    # a spanning tree has vertex_count - 1 edges; the empty graph has none
+    return len(_bfs_tree(graph.adjacency())) >= graph.vertex_count - 1
 
 
 def betti(graph: Graph) -> int:
@@ -149,14 +142,14 @@ def delete_edges_connected(graph: Graph, m: int) -> Graph:
     rank = betti(graph)
     if m > rank:
         raise ValueError(f"cannot delete {m} edges and stay connected; cycle rank is {rank}")
-    remaining = set(graph.edges)
+    kept = graph
     for edge in sorted(graph.edges):
-        if len(remaining) == graph.edge_count - m:
+        if kept.edge_count == graph.edge_count - m:
             break
-        trial = remaining - {edge}
-        if _connected(graph.vertex_count, trial):
-            remaining = trial
-    return Graph(graph.vertex_count, frozenset(remaining))
+        trial = Graph(graph.vertex_count, kept.edges - {edge})
+        if is_connected(trial):
+            kept = trial
+    return kept
 
 
 def interlace(graph: Graph) -> Graph:
@@ -195,6 +188,13 @@ def graph_to_document(graph: Graph) -> dict:
     }
 
 
+def _id_list(value: object) -> bool:
+    """A list of non-bool ints."""
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    )
+
+
 def _is_count(value: object) -> bool:
     """A non-negative integer that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
@@ -214,7 +214,9 @@ def _vertex_count(doc: object, fmt: str) -> int:
 def graph_from_document(doc: object) -> Graph:
     """Parse and strictly validate a graph document.
 
-    Duplicate, unordered, or out-of-range edges are rejected.
+    The document's JSON shape and duplicate edges, which a frozenset would
+    merge silently, are checked here; unordered, looping and out-of-range
+    edges are Graph's to reject, its ValueError becoming FormatError.
     """
     vertex_count = _vertex_count(doc, GRAPH_FORMAT)
     raw_edges = doc.get("edges")
@@ -222,19 +224,16 @@ def graph_from_document(doc: object) -> Graph:
         raise FormatError("edges must be a list")
     edges: set[Edge] = set()
     for item in raw_edges:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
+        if not _id_list(item) or len(item) != 2:
             raise FormatError(f"bad edge entry {item!r}")
         i, j = item
-        if not 0 <= i < j < vertex_count:
-            raise FormatError(f"edge [{i}, {j}] out of range or not ordered")
         if (i, j) in edges:
             raise FormatError(f"duplicate edge [{i}, {j}]")
         edges.add((i, j))
-    return Graph(vertex_count, frozenset(edges))
+    try:
+        return Graph(vertex_count, frozenset(edges))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def save_graph(graph: Graph, path: str | Path) -> None:

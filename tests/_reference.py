@@ -112,6 +112,50 @@ def rotation_options(neighbours: int, successor: dict[int, int]) -> dict[int, in
     return options
 
 
+def rotation_fault(rotations: Sequence[Sequence[int]]) -> str | None:
+    """The message RotationSystem raises for a rotation list, or None when
+    it accepts the list, found dart by dart.
+
+    Each vertex's darts are walked in listing order and their faults noted;
+    the first vertex with a fault reports an out-of-range id before a
+    repeated one and a repeated one before the vertex itself.  Only then
+    are all darts walked again for one that is not listed back, the list is
+    tested for an edge, and a depth-first search from vertex 0 must reach
+    every vertex.
+    """
+    n = len(rotations)
+    for v, rotation in enumerate(rotations):
+        out_of_range = repeated = itself = False
+        earlier: list[int] = []
+        for u in rotation:
+            out_of_range |= not 0 <= u < n
+            repeated |= u in earlier
+            itself |= u == v
+            earlier.append(u)
+        if out_of_range:
+            return f"rotation at vertex {v} mentions an out-of-range vertex"
+        if repeated:
+            return f"rotation at vertex {v} repeats a neighbor"
+        if itself:
+            return f"rotation at vertex {v} lists the vertex itself"
+    for v, rotation in enumerate(rotations):
+        for u in rotation:
+            if v not in rotations[u]:
+                return f"rotation asymmetry: {u} listed at {v} but not {v} at {u}"
+    if not any(rotations):
+        return "rotation system needs a graph with at least one edge"
+    reached = {0}
+    stack = [0]
+    while stack:
+        for u in rotations[stack.pop()]:
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    if len(reached) != n:
+        return "rotation system needs a connected graph"
+    return None
+
+
 def trace_faces(system: RotationSystem) -> list[tuple[int, ...]]:
     """Partition all 2|E| darts into face boundary walks, each given as the
     tuple of its corners in walk order; face c has the darts (c[i], c[i + 1]),

@@ -31,7 +31,7 @@ from qforge.graph import (
 )
 from qforge.spinal import build_spinal_report
 
-from _reference import rotate_to_min, trace_faces
+from _reference import rotate_to_min, rotation_fault, trace_faces
 
 try:
     from hypothesis import given, settings
@@ -264,6 +264,11 @@ _STRUCTURAL_REJECTIONS = (
     ([[1], [2, 2], [1]], "rotation at vertex 1 repeats a neighbor"),
     ([[1], [2], [3]], "rotation at vertex 2 mentions an out-of-range vertex"),
     ([[1], [2], [2]], "rotation at vertex 2 lists the vertex itself"),
+    # a negative id is not an edge v < u, so Graph passes it and the dart
+    # count (three entries, one edge) catches it
+    ([[1, -1], [0]], "rotation at vertex 0 mentions an out-of-range vertex"),
+    # an id far above its vertex: Graph's range check catches it
+    ([[1], [0, 10**30]], "rotation at vertex 1 mentions an out-of-range vertex"),
     ([[], []], "rotation system needs a graph with at least one edge"),
     # symmetric rotations but a disconnected graph
     ([[1], [0], [3], [2]], "rotation system needs a connected graph"),
@@ -518,6 +523,41 @@ if st is not None:
         _parses_or_rejects(graph_from_document, graph_doc)
         _parses_or_rejects(embedding_from_document, embedding_doc)
 
+    @st.composite
+    def _perturbed_rotations(draw):
+        """The rotation lists of a random system with up to four entries
+        dropped, repeated, swapped with an entry of any row, or replaced by
+        an id in -2..n+1 (an empty row gains that id instead)."""
+        rotations = [list(rotation) for rotation in draw(_rotation_systems()).rotations]
+        n = len(rotations)
+        for _ in range(draw(st.integers(0, 4))):
+            row = rotations[draw(st.integers(0, n - 1))]
+            i = draw(st.integers(0, max(len(row) - 1, 0)))
+            how = draw(st.sampled_from(["drop", "repeat", "swap", "replace"]))
+            if how == "replace" or not row:
+                row[i : i + 1] = [draw(st.integers(-2, n + 1))]
+            elif how == "drop":
+                del row[i]
+            elif how == "repeat":
+                row.insert(i, row[i])
+            else:
+                other = rotations[draw(st.integers(0, n - 1))]
+                if other:
+                    j = draw(st.integers(0, len(other) - 1))
+                    row[i], other[j] = other[j], row[i]
+        return rotations
+
+    @settings(max_examples=300, deadline=None)
+    @given(_perturbed_rotations())
+    def test_rotation_system_refuses_exactly_the_reference_faults(rotations):
+        fault = rotation_fault(rotations)
+        try:
+            RotationSystem(tuple(map(tuple, rotations)))
+        except ValueError as exc:
+            assert str(exc) == fault
+        else:
+            assert fault is None
+
 else:
 
     @pytest.mark.skip(reason="hypothesis is not installed")
@@ -534,4 +574,8 @@ else:
 
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_parsers_reject_perturbed_documents_only_with_format_error():
+        pass
+
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_rotation_system_refuses_exactly_the_reference_faults():
         pass

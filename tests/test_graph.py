@@ -179,6 +179,26 @@ def test_graph_invariants_enforced():
         make_graph(4, [(2, 2)])
 
 
+_BROKEN_EDGES = (
+    [[1, 0]],  # unordered
+    [[0, 1], [1, 3]],  # out of range
+    [[-1, 1]],  # negative
+    [[1, 1]],  # loop
+)
+
+
+def test_graph_and_reader_reject_broken_edges_alike():
+    # Graph is the one check of an edge's range, order and loop; the
+    # reader's message is Graph's
+    for edges in _BROKEN_EDGES:
+        with pytest.raises(ValueError) as direct:
+            Graph(3, frozenset(map(tuple, edges)))
+        doc = {"format": "qforge-graph/1", "vertex_count": 3, "edges": edges}
+        with pytest.raises(FormatError) as read:
+            graph_from_document(doc)
+        assert str(direct.value) == str(read.value), edges
+
+
 def test_document_round_trip(tmp_path):
     graph = make_graph(5, [(3, 0), (0, 1), (2, 4)])
     doc = graph_to_document(graph)
