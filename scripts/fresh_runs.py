@@ -22,10 +22,10 @@ document declares no genus.
 ``verify P`` builds the document of ``spinal P`` untimed, then times the
 best of 20 calls of ``embedding_from_document(json.loads(document))``
 followed by ``validate_quadrangulation``: JSON parsing, the rotation
-system's checks, the reader's genus check and the validation, each of the
-last two tracing every face.  Its fields are p, the darts (twice the
-edges), the best seconds and darts per second; the document is the one it
-reads.
+system's checks and its one trace of every face, which both the reader's
+genus check and the validation read.  Its fields are p, the darts (twice
+the edges), the best seconds and darts per second; the document is the
+one it reads.
 
     python3 scripts/fresh_runs.py [--src DIR ...] [--rounds R] {spinal,top,verify} N [N ...]
 

@@ -5,10 +5,11 @@ file format.
 A rotation system fixes a cyclic neighbor order at every vertex and thereby
 an oriented cellular embedding.  The rotations alone fix the graph, so
 ``RotationSystem(rotations)`` takes nothing else: it validates the rotation
-lists and derives the graph from them.  Rotations are read
-counterclockwise; the face-tracing successor of a dart (u, v) is (v, w)
-where w is the neighbor after u in the rotation at v.  Any consistent
-convention would do; this one is fixed so face lists are reproducible.
+lists, derives the graph from them and traces the faces, once.  Rotations
+are read counterclockwise; the face-tracing successor of a dart (u, v) is
+(v, w) where w is the neighbor after u in the rotation at v.  Any
+consistent convention would do; this one is fixed so face lists are
+reproducible.
 """
 
 from __future__ import annotations
@@ -75,6 +76,25 @@ def _first_fault(rotations: Sequence[Sequence[int]], neighbours: list[set[int]])
     raise AssertionError("a rotation list failed a test but shows no fault")
 
 
+def _checked_graph(rotations: Sequence[Sequence[int]]) -> Graph:
+    """The graph a rotation list describes, after every structural check of
+    the list (see RotationSystem).  The checks' neighbour sets and edge set
+    are freed when this returns, before the faces are traced."""
+    neighbours = list(map(set, rotations))
+    edges = frozenset((v, u) for v, near in enumerate(neighbours) for u in near if v < u)
+    try:
+        graph = Graph(len(rotations), edges)
+    except ValueError:
+        raise ValueError(_first_fault(rotations, neighbours)) from None
+    if not _symmetric(rotations, edges, neighbours):
+        raise ValueError(_first_fault(rotations, neighbours))
+    if not edges:
+        raise ValueError("rotation system needs a graph with at least one edge")
+    if len(_bfs_tree(rotations)) != len(rotations) - 1:
+        raise ValueError("rotation system needs a connected graph")
+    return graph
+
+
 @dataclass(frozen=True)
 class RotationSystem:
     """A cyclic neighbor order at every vertex of a connected simple graph,
@@ -91,29 +111,19 @@ class RotationSystem:
     there).  Either refusal raises ``_first_fault``'s message, never
     Graph's own.  Each rotation is stored starting from the vertex's
     smallest neighbor, so equal embeddings compare and serialize
-    identically.  Instances are immutable; tracing and validation are pure.
+    identically.  The faces are traced once, here, and what
+    ``validate_quadrangulation`` reports is derived with the graph.
+    Instances are immutable.
     """
 
     rotations: tuple[tuple[int, ...], ...]
     graph: Graph = field(init=False, repr=False, compare=False)
+    _validation: EmbeddingReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rotations = self.rotations
-        n = len(rotations)
-        neighbours = list(map(set, rotations))
-        edges = frozenset((v, u) for v, near in enumerate(neighbours) for u in near if v < u)
-        try:
-            graph = Graph(n, edges)
-        except ValueError:
-            raise ValueError(_first_fault(rotations, neighbours)) from None
-        if not _symmetric(rotations, edges, neighbours):
-            raise ValueError(_first_fault(rotations, neighbours))
-        if not edges:
-            raise ValueError("rotation system needs a graph with at least one edge")
-        if len(_bfs_tree(rotations)) != n - 1:
-            raise ValueError("rotation system needs a connected graph")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "rotations", tuple(map(_rotate_to_min, rotations)))
+        object.__setattr__(self, "graph", _checked_graph(self.rotations))
+        object.__setattr__(self, "rotations", tuple(map(_rotate_to_min, self.rotations)))
+        object.__setattr__(self, "_validation", _report(self.rotations, self.graph))
 
 
 @dataclass(frozen=True)
@@ -182,6 +192,30 @@ def _quad_defect(corners: Sequence[int]) -> str | None:
     return None
 
 
+def _report(rotations: Sequence[Sequence[int]], graph: Graph) -> EmbeddingReport:
+    """Trace the faces of a checked rotation list on its graph and report
+    them; see validate_quadrangulation."""
+    faces = _trace(rotations)
+    failures: list[str] = []
+    for index, corners in enumerate(faces):
+        defect = _quad_defect(corners)
+        if defect:
+            label = "-".join(map(str, corners))
+            failures.append(f"face {index} ({label}) {defect}")
+    chi = graph.vertex_count - graph.edge_count + len(faces)
+    if chi % 2 or chi > 2:
+        raise RuntimeError(f"impossible Euler characteristic {chi} for an oriented embedding")
+    return EmbeddingReport(
+        vertex_count=graph.vertex_count,
+        edge_count=graph.edge_count,
+        face_count=len(faces),
+        euler_characteristic=chi,
+        genus=(2 - chi) // 2,
+        is_quadrangulation=not failures,
+        failures=tuple(failures),
+    )
+
+
 def validate_quadrangulation(system: RotationSystem) -> EmbeddingReport:
     """Check that every face of the embedding is a genuine 4-cycle.
 
@@ -192,25 +226,7 @@ def validate_quadrangulation(system: RotationSystem) -> EmbeddingReport:
     Violations are reported per face, never raised; the Euler characteristic
     |V| - |E| + |F| and genus (2 - chi) / 2 are reported for any embedding.
     """
-    faces = _trace(system.rotations)
-    failures: list[str] = []
-    for index, corners in enumerate(faces):
-        defect = _quad_defect(corners)
-        if defect:
-            label = "-".join(map(str, corners))
-            failures.append(f"face {index} ({label}) {defect}")
-    chi = system.graph.vertex_count - system.graph.edge_count + len(faces)
-    if chi % 2 or chi > 2:
-        raise RuntimeError(f"impossible Euler characteristic {chi} for an oriented embedding")
-    return EmbeddingReport(
-        vertex_count=system.graph.vertex_count,
-        edge_count=system.graph.edge_count,
-        face_count=len(faces),
-        euler_characteristic=chi,
-        genus=(2 - chi) // 2,
-        is_quadrangulation=not failures,
-        failures=tuple(failures),
-    )
+    return system._validation
 
 
 # ============================================================
@@ -232,27 +248,12 @@ def embedding_to_document(system: RotationSystem, declared_genus: int | None = N
 def embedding_from_document(doc: object) -> RotationSystem:
     """Parse an embedding document into its rotation system.
 
-    RotationSystem checks the rotations, which must be mutually symmetric
-    (u listed at v exactly when v is listed at u), and derives the graph.  If
-    the document declares a genus, it is compared against the traced genus
-    and a mismatch raises GenusMismatchError.
+    The document's JSON shape is checked here.  RotationSystem checks the
+    rotations, which must be mutually symmetric (u listed at v exactly when
+    v is listed at u), and derives the graph, its ValueError becoming
+    FormatError.  If the document declares a genus, it is compared against
+    the traced genus and a mismatch raises GenusMismatchError.
     """
-    system, declared = _parse_document(doc)
-    if declared is not None:
-        _check_declared_genus(declared, validate_quadrangulation(system).genus)
-    return system
-
-
-def _check_declared_genus(declared: int | None, genus: int) -> None:
-    if declared is not None and genus != declared:
-        raise GenusMismatchError(f"declared genus {declared} but traced genus is {genus}")
-
-
-def _parse_document(doc: object) -> tuple[RotationSystem, int | None]:
-    """Everything embedding_from_document checks except the traced genus:
-    the rotation system and the declared genus, if any, still unchecked.
-    The document's JSON shape is checked here; every structural check of
-    the rotations is RotationSystem's, its ValueError becoming FormatError."""
     vertex_count = _vertex_count(doc, EMBEDDING_FORMAT)
     raw = doc.get("rotations")
     if not isinstance(raw, list) or len(raw) != vertex_count:
@@ -265,9 +266,13 @@ def _parse_document(doc: object) -> tuple[RotationSystem, int | None]:
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     declared = doc.get("declared_genus")
-    if declared is not None and not _is_count(declared):
-        raise FormatError("declared_genus must be a non-negative integer")
-    return system, declared
+    if declared is not None:
+        if not _is_count(declared):
+            raise FormatError("declared_genus must be a non-negative integer")
+        genus = validate_quadrangulation(system).genus
+        if genus != declared:
+            raise GenusMismatchError(f"declared genus {declared} but traced genus is {genus}")
+    return system
 
 
 def save_embedding(
@@ -281,8 +286,3 @@ def save_embedding(
 def load_embedding(path: str | Path) -> RotationSystem:
     return embedding_from_document(_read_document(path))
 
-
-def _load_unchecked(path: str | Path) -> tuple[RotationSystem, int | None]:
-    """load_embedding without the genus check, for a caller that traces the
-    faces anyway: the rotation system and its declared genus, if any."""
-    return _parse_document(_read_document(path))

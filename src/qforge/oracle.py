@@ -37,8 +37,8 @@ is one record in its frame, which both directions read: taking the face
 back restores the per-vertex entries from it, and one loop of XOR flips
 per advance keeps the packed integers exact for the face taken back and
 the face placed alike.  A witness's rotations become a
-``RotationSystem``, which derives its graph from them, and the witness is
-validated in full before it is returned.
+``RotationSystem``, which derives its graph and its faces from them, and
+the witness is validated in full before it is returned.
 
 Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration, the corner-link test and assembly; running out of it
@@ -86,7 +86,8 @@ class SearchBudget:
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
         # NaN fails every comparison, so test for a positive cap, not a non-positive one
-        if not self.time_cap > 0:
+        cap = self.time_cap
+        if isinstance(cap, bool) or not isinstance(cap, (int, float)) or not cap > 0:
             raise ValueError("time_cap must be positive")
 
 

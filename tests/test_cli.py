@@ -270,17 +270,26 @@ def test_verify_rejects_non_quadrangulation(capsys, tmp_path):
 
 
 def test_verify_genus_mismatch(capsys, tmp_path):
-    doc = {
+    square = {
         "format": "qforge-embedding/1",
         "vertex_count": 4,
         "rotations": [[1, 3], [0, 2], [1, 3], [0, 2]],
         "declared_genus": 2,
     }
-    path = tmp_path / "wrong.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run(capsys, "verify", str(path))
-    assert code == 1
-    assert err == "verification failed: declared genus 2 but traced genus is 0\n"
+    # not a quadrangulation either: the genus check comes before any FAIL line
+    triangle = {
+        "format": "qforge-embedding/1",
+        "vertex_count": 3,
+        "rotations": [[1, 2], [0, 2], [0, 1]],
+        "declared_genus": 1,
+    }
+    for doc in (square, triangle):
+        path = tmp_path / "wrong.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        declared = doc["declared_genus"]
+        assert err == f"verification failed: declared genus {declared} but traced genus is 0\n"
 
 
 def test_verify_traces_the_faces_once(capsys, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from qforge import embedding
 from qforge.embedding import (
     EMBEDDING_FORMAT,
     EmbeddingReport,
@@ -29,7 +30,8 @@ from qforge.graph import (
     graph_to_document,
     make_graph,
 )
-from qforge.spinal import build_spinal_report
+from qforge.oracle import search_quadrangulation
+from qforge.spinal import build_instance, build_spinal_report
 
 from _reference import rotate_to_min, rotation_fault, trace_faces
 
@@ -242,6 +244,28 @@ def test_declared_genus_is_checked_on_any_embedding(tmp_path):
     save_embedding(triangle, path, declared_genus=1)
     with pytest.raises(GenusMismatchError, match="declared genus 1 but traced genus is 0"):
         load_embedding(path)
+
+
+def test_each_rotation_system_is_traced_once(tmp_path, monkeypatch):
+    path = tmp_path / "k5.json"
+    save_embedding(build_spinal_report(complete_graph(5)).embedding, path, declared_genus=6)
+    calls = []
+    trace = embedding._trace
+
+    def counting(rotations):
+        calls.append(len(rotations))
+        return trace(rotations)
+
+    monkeypatch.setattr(embedding, "_trace", counting)
+    # the reader's genus check and the validation read the same trace
+    assert validate_quadrangulation(load_embedding(path)).genus == 6
+    assert calls == [10]
+    calls.clear()
+    assert validate_quadrangulation(build_instance(5, 0).embedding).genus == 6
+    assert calls == [10]
+    calls.clear()
+    assert validate_quadrangulation(search_quadrangulation(5, 1)).genus == 1
+    assert calls == [5]
 
 
 # rotation lists that are well-formed JSON but no rotation system, with the

@@ -918,9 +918,11 @@ def test_budget_validation():
 
 
 def test_budget_rejects_nan_time_cap():
-    # NaN compares false with everything, so it would silently disable the cap
-    with pytest.raises(ValueError):
-        SearchBudget(time_cap=float("nan"))
+    # NaN compares false with everything, so it would silently disable the cap;
+    # True would be a 1-second cap, and "5" or None a TypeError
+    for bad in (float("nan"), True, "5", None):
+        with pytest.raises(ValueError, match="time_cap must be positive"):
+            SearchBudget(time_cap=bad)
 
 
 def test_budget_rejects_non_integer_max_nodes():
