@@ -7,7 +7,7 @@ minimum degree, each as per-vertex neighbour bitmasks.  Only one labelling
 rule's graphs are listed: vertex n - 1 has the largest degree d and is
 adjacent to exactly 0..d-1, and the assembler fixes the rotation there to
 (0, 1, ..., d-1); every quadrangulation has such a labelling and embedding
-(see ``_candidate_graphs``).  Each connected candidate first meets the
+(see ``_candidate_graphs``).  Each candidate first meets the
 corner-link test: two neighbours consecutive in the rotation at a vertex
 share a quad face, so they have a second common neighbour, and a graph in
 which some neighbour of a vertex has fewer than two such partners among
@@ -38,7 +38,10 @@ back restores the per-vertex entries from it, and one loop of XOR flips
 per advance keeps the packed integers exact for the face taken back and
 the face placed alike.  A witness's rotations become a
 ``RotationSystem``, which derives its graph and its faces from them, and
-the witness is validated in full before it is returned.
+the witness is validated in full before it is returned.  Connectivity is
+read off that witness alone: the enumerator lists disconnected graphs too,
+and a disconnected graph has no quadrangulation, so an assembled rotation
+list whose breadth-first tree misses a vertex is skipped.
 
 Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration, the corner-link test and assembly; running out of it
@@ -146,10 +149,10 @@ def quad_edge_count(n: int, genus: int) -> int | None:
 
 
 def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker):
-    """The connected labeled graphs on n vertices with the target edge count
-    and minimum degree whose vertex n - 1 has the largest degree d and is
-    adjacent to exactly 0..d-1, in a fixed order, each as its neighbour
-    masks: bit w of ``nmask[v]`` is the edge vw.
+    """Every labeled graph on n vertices, connected or not, with the target
+    edge count and minimum degree whose vertex n - 1 has the largest degree
+    d and is adjacent to exactly 0..d-1, in a fixed order, each as its
+    neighbour masks: bit w of ``nmask[v]`` is the edge vw.
 
     The labelling rule loses no quadrangulation.  Take any quadrangulation
     of such a graph and a vertex x of largest degree d in it.  Label x as
@@ -187,18 +190,11 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     spare count.  When no pair (i, n - 1) drops, n - 1 has degree n - 1.
     The sphere's first candidate is still K_{2,n-2}, whose hub n - 1 is
     adjacent to 0..n-3.
-
-    Connectivity needs no search when the missing edges are too few to cut
-    the graph: every part of a disconnected graph of minimum degree d holds
-    at least d + 1 vertices, so a part of s vertices misses all s(n - s)
-    pairs across, at least (d + 1)(n - d - 1) of them.  Otherwise each
-    combination goes through the package's one graph search.
     """
     total = n * (n - 1) // 2
     cap = n - 1 - min_degree
     if n and cap < 0:  # even the complete graph is too sparse
         return
-    search_needed = total - edge_target >= (min_degree + 1) * cap  # cap = n - d - 1
     last = n - 1  # the anchor
     hub = n  # the first i whose pair (i, last) is dropped; every later one must drop too
     spare = [cap]  # one entry per vertex the cursor has reached
@@ -245,9 +241,7 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
                     u, w = divmod(pair, n)
                     nmask[u] ^= 1 << w
                     nmask[w] ^= 1 << u
-                # a spanning tree has n - 1 edges
-                if not search_needed or len(_bfs_tree([list(_bits(m)) for m in nmask])) >= n - 1:
-                    yield nmask
+                yield nmask
             while True:  # take back the last dropped pair that may be kept instead
                 if not dropped:
                     return
@@ -649,7 +643,8 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
         if matrix is None:
             continue
         rotations = _FaceAssembler(nmask, ticker, matrix).search()
-        if rotations is None:
+        # a disconnected graph has no quadrangulation, and a spanning tree has n - 1 edges
+        if rotations is None or len(_bfs_tree(rotations)) < n - 1:
             continue
         system = RotationSystem(rotations)
         report = validate_quadrangulation(system)

@@ -19,7 +19,7 @@ from qforge.graph import (
     make_graph,
     save_graph,
 )
-from qforge.spinal import build_spinal_report
+from qforge.spinal import BuildError, build_spinal_report
 
 from _reference import octahedral_graph
 
@@ -232,6 +232,18 @@ def test_build_bad_requests(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.err.startswith("error:"), argv
+
+
+def test_build_failure_exits_1_and_writes_nothing(capsys, monkeypatch, tmp_path):
+    def failing(*args, **kwargs):
+        raise BuildError("no witness left")
+
+    monkeypatch.setattr(cli, "build_instance", failing)
+    out_file = tmp_path / "k5.json"
+    code, out, err = run(capsys, "build", "--spine", "complete:5", "-o", str(out_file))
+    assert (code, out) == (1, "")
+    assert err == "build failed: no witness left\n"
+    assert not out_file.exists()
 
 
 def test_build_requires_exactly_one_source(capsys, tmp_path):

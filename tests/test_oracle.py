@@ -168,9 +168,11 @@ def test_mini_oracle_small_genus_spectrum():
 # ============================================================
 #
 # The generate-and-filter enumerator that _candidate_graphs replaced.  It
-# lists all combinations and only then applies the degree and connectivity
-# tests, so it is slow but obviously complete, and it keeps every labelling;
-# _candidate_graphs lists only those that obey its labelling rule.
+# lists all combinations and only then applies the degree test, so it is
+# slow but obviously complete, and it keeps every labelling; _candidate_graphs
+# lists only those that obey its labelling rule.  Neither tests connectivity:
+# the search reads that off an assembled witness, so a caller that needs
+# connected graphs filters with _mini_connected.
 
 
 def _reference_candidates(n, edge_target, min_degree):
@@ -183,9 +185,13 @@ def _reference_candidates(n, edge_target, min_degree):
             deficit[j] += 1
         if any(n - 1 - d < min_degree for d in deficit):
             continue
-        edges = [pairs[k] for k in range(len(pairs)) if k not in removed]
+        yield frozenset(pairs[k] for k in range(len(pairs)) if k not in removed)
+
+
+def _connected_reference_candidates(n, edge_target, min_degree):
+    for edges in _reference_candidates(n, edge_target, min_degree):
         if _mini_connected(n, edges):
-            yield frozenset(edges)
+            yield edges
 
 
 def _anchor_canonical(n, edges):
@@ -233,7 +239,8 @@ def _relabelled_at_anchor(graph, rotations):
 def test_anchor_canonical_candidates_lose_no_quadrangulation():
     # every order up to 7 and every genus whose edge count fits, and order 8
     # at genus 1: the search answers None exactly when the assembler embeds
-    # no graph the reference enumerator lists, every labelling included.
+    # no connected graph the reference enumerator lists, every labelling
+    # included.
     # Order 8 is sliced to the first 1,691 reference graphs (which include
     # the first that embeds); its reference at genus 0 is slow to start.
     searches = [(n, genus, None) for n in range(4, 8) for genus in range(3)] + [(8, 1, 1691)]
@@ -241,7 +248,8 @@ def test_anchor_canonical_candidates_lose_no_quadrangulation():
         edge_target = quad_edge_count(n, genus)
         if edge_target is None:
             continue
-        reference = islice(_reference_candidates(n, edge_target, 2 if genus == 0 else 3), count)
+        min_degree = 2 if genus == 0 else 3
+        reference = islice(_connected_reference_candidates(n, edge_target, min_degree), count)
         ticker = _Ticker(SearchBudget())
         embeds = any(
             _assemble(_masks(Graph(n, edges)), ticker).search() is not None
@@ -258,7 +266,7 @@ def test_anchor_canonical_candidates_lose_no_quadrangulation():
         min_degree = 2 if genus == 0 else 3
         ticker = _Ticker(SearchBudget())
         listed = {_edges(m) for m in _candidate_graphs(n, edge_target, min_degree, ticker)}
-        for edges in _reference_candidates(n, edge_target, min_degree):
+        for edges in _connected_reference_candidates(n, edge_target, min_degree):
             graph = Graph(n, edges)
             rotations = _assemble(_masks(graph), ticker).search()
             if rotations is None:
@@ -300,6 +308,24 @@ def test_candidate_enumeration_meets_its_budget_before_listing_every_pair():
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 5 * 2**20
+
+
+def test_enumeration_far_above_the_minimum_order_reads_no_adjacency_lists():
+    # order 600 at genus 44,028 misses 2,392 edges of K_600, enough to cut
+    # off a part of minimum degree 3; the first candidate goes straight to
+    # the corner-link test, which reads the clock, and is not first turned
+    # into adjacency lists of its 177,308 edges to prove it connected
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(BudgetExhausted, match="time cap"):
+            search_quadrangulation(600, 44028, SearchBudget(time_cap=0.2))
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 4 * 2**20
 
 
 class _StepLimit:
@@ -796,6 +822,22 @@ def test_search_answers_none_after_a_finished_enumeration(monkeypatch):
     assert oracle._search(6, 1, ticker) is None
     # one node per candidate, and the assembler's own
     assert ticker.nodes == len(candidates) + assembled
+
+
+def test_search_skips_a_disconnected_candidate_the_assembler_embeds(monkeypatch):
+    # 2K_5 has the 20 edges of an order-10 torus quadrangulation and obeys the
+    # anchor rule (vertex 9 is adjacent to 0..3); each K_5 quadrangulates the
+    # torus, so the assembler embeds it, but a quadrangulation is connected
+    parts = ((0, 1, 2, 3, 9), (4, 5, 6, 7, 8))
+    nmask = [0] * 10
+    for part in parts:
+        for u, w in combinations(part, 2):
+            nmask[u] |= 1 << w
+            nmask[w] |= 1 << u
+    assert _corners_linked(nmask, _Ticker(SearchBudget())) is not None
+    assert _assemble(nmask, _Ticker(SearchBudget())).search() is not None
+    monkeypatch.setattr(oracle, "_candidate_graphs", lambda *args: iter([nmask]))
+    assert oracle._search(10, 1, _Ticker(SearchBudget())) is None
 
 
 # ============================================================
