@@ -195,8 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scope = p_oracle.add_mutually_exclusive_group()
     scope.add_argument("--order", type=int, default=None, help="test one specific order")
     scope.add_argument("--max-order", type=int, default=None, help="cap the minimum-order scan")
-    p_oracle.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
-    p_oracle.add_argument("--time-cap", type=float, default=SearchBudget.time_cap)
+    defaults = SearchBudget()
+    p_oracle.add_argument("--max-nodes", type=int, default=defaults.max_nodes)
+    p_oracle.add_argument("--time-cap", type=float, default=defaults.time_cap)
     p_oracle.add_argument("-o", "--out", default=None, help="witness embedding to write on success")
     p_oracle.set_defaults(handler=_cmd_oracle)
 

@@ -14,12 +14,11 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
 from itertools import accumulate
-from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .graph import FormatError, Graph, canonical_json
+from .graph import FormatError, Graph, _Value, canonical_json
 from .graph import _bfs_tree, _id_list, _is_count, _read_document, _vertex_count
 
 EMBEDDING_FORMAT = "qforge-embedding/1"
@@ -95,8 +94,7 @@ def _checked_graph(rotations: Sequence[Sequence[int]]) -> Graph:
     return graph
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(_Value):
     """A cyclic neighbor order at every vertex of a connected simple graph,
     given by the rotations alone: u and v are adjacent exactly when each is
     listed at the other.
@@ -113,21 +111,24 @@ class RotationSystem:
     smallest neighbor, so equal embeddings compare and serialize
     identically.  The faces are traced once, here, and what
     ``validate_quadrangulation`` reports is derived with the graph.
-    Instances are immutable.
+    Instances are immutable and compare by their rotations alone.
     """
 
+    __slots__ = ("rotations", "graph", "_validation")
+    _fields = ("rotations",)
     rotations: tuple[tuple[int, ...], ...]
-    graph: Graph = field(init=False, repr=False, compare=False)
-    _validation: EmbeddingReport = field(init=False, repr=False, compare=False)
+    graph: Graph
+    _validation: EmbeddingReport
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "graph", _checked_graph(self.rotations))
-        object.__setattr__(self, "rotations", tuple(map(_rotate_to_min, self.rotations)))
-        object.__setattr__(self, "_validation", _report(self.rotations, self.graph))
+    def __init__(self, rotations: Sequence[Sequence[int]]) -> None:
+        graph = _checked_graph(rotations)
+        rotations = tuple(map(_rotate_to_min, rotations))
+        object.__setattr__(self, "rotations", rotations)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "_validation", _report(rotations, graph))
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """Outcome of quadrangulation validation plus the embedding's counts."""
 
     vertex_count: int
@@ -276,13 +277,12 @@ def embedding_from_document(doc: object) -> RotationSystem:
 
 
 def save_embedding(
-    system: RotationSystem, path: str | Path, declared_genus: int | None = None
+    system: RotationSystem, path: str | os.PathLike[str], declared_genus: int | None = None
 ) -> None:
-    Path(path).write_text(
-        canonical_json(embedding_to_document(system, declared_genus)), encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(canonical_json(embedding_to_document(system, declared_genus)))
 
 
-def load_embedding(path: str | Path) -> RotationSystem:
+def load_embedding(path: str | os.PathLike[str]) -> RotationSystem:
     return embedding_from_document(_read_document(path))
 

@@ -7,9 +7,10 @@ module, so results stay exact for arbitrarily large genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
+
+from .graph import _Value
 
 __all__ = [
     "MinOrderResult",
@@ -26,8 +27,7 @@ __all__ = [
 _SMALL_GENUS_MIN_ORDER = {0: 4, 1: 5, 2: 7}
 
 
-@dataclass(frozen=True)
-class MinOrderResult:
+class MinOrderResult(_Value):
     """Minimum order of a quadrangulation of a closed orientable surface, as
     the proven interval lower..upper: exact where the interval is closed.
 
@@ -35,13 +35,17 @@ class MinOrderResult:
     "small-genus-table", "complete-spine", "matched-bounds", or "bounds".
     """
 
+    __slots__ = _fields = ("lower", "upper", "source")
     lower: int
     upper: int
     source: str
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
+    def __init__(self, lower: int, upper: int, source: str) -> None:
+        if lower > upper:
             raise ValueError("lower bound exceeds upper bound")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "source", source)
 
     @property
     def kind(self) -> str:

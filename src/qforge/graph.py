@@ -7,14 +7,14 @@ graph and embedding documents share.
 connectivity check of a rotation system, and the spinal builder's order of
 tree edges all come from it.  ``Graph(n, edges)`` is the package's one
 check of an edge's range, order and loop: the graph reader, ``make_graph``
-and ``RotationSystem`` leave that test to it."""
+and ``RotationSystem`` leave that test to it.  ``_Value`` is the immutable
+base of the package's checked value types."""
 
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -31,25 +31,62 @@ class FormatError(ValueError):
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Immutable base of a checked value type.  A subclass declares its
+    ``__slots__``, names the slots that make its value in ``_fields`` and
+    sets each slot once in ``__init__`` with ``object.__setattr__``;
+    equality, hashing, repr, copying and pickling read ``_fields``, and
+    assignment raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Graph(_Value):
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
     Edges are stored as ordered pairs (i, j) with i < j; no loops, no
     duplicates.  All operations in this module are pure.
     """
 
+    __slots__ = _fields = ("vertex_count", "edges")
     vertex_count: int
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges: frozenset[Edge]) -> None:
+        if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        for i, j in self.edges:
+        for i, j in edges:
             if i == j:
                 raise ValueError(f"loop edge ({i}, {j}) not allowed")
-            if not 0 <= i < j < self.vertex_count:
+            if not 0 <= i < j < vertex_count:
                 raise ValueError(f"edge ({i}, {j}) out of range or not ordered")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -137,9 +174,11 @@ def delete_edges_connected(graph: Graph, m: int) -> Graph:
     rank.  Raises ValueError when m exceeds the cycle rank, since no
     connected result exists then.
 
-    Beyond the cycle-rank check, m = 0 costs nothing.  Otherwise each trial
-    is one breadth-first search over one mutable adjacency of sets, about
-    |V| + |E| steps, and one Graph is built at the end.
+    Beyond the cycle-rank check, m = 0 costs nothing.  Otherwise the trials
+    share one mutable adjacency of sets, and one Graph is built at the end.
+    An edge whose ends have a common neighbour closes a triangle, so it is
+    no bridge and goes at once; any other trial is one breadth-first
+    search, about |V| + |E| steps.
     """
     if m < 0:
         raise ValueError("number of edges to delete must be non-negative")
@@ -154,7 +193,7 @@ def delete_edges_connected(graph: Graph, m: int) -> Graph:
         near[u].remove(w)
         near[w].remove(u)
         # a spanning tree has vertex_count - 1 edges
-        if len(_bfs_tree(near)) >= graph.vertex_count - 1:
+        if not near[u].isdisjoint(near[w]) or len(_bfs_tree(near)) >= graph.vertex_count - 1:
             kept.remove((u, w))
             m -= 1
             if not m:
@@ -249,20 +288,22 @@ def graph_from_document(doc: object) -> Graph:
         raise FormatError(str(exc)) from exc
 
 
-def save_graph(graph: Graph, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(graph_to_document(graph)), encoding="utf-8")
+def save_graph(graph: Graph, path: str | os.PathLike[str]) -> None:
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(canonical_json(graph_to_document(graph)))
 
 
-def _read_document(path: str | Path) -> object:
+def _read_document(path: str | os.PathLike[str]) -> object:
     """The one reader of document files (UTF-8 JSON).  Bad bytes, bad JSON
     and integers over the interpreter's digit limit all become FormatError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as source:
+            return json.loads(source.read())
     except ValueError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("JSON nesting is too deep") from exc
 
 
-def load_graph(path: str | Path) -> Graph:
+def load_graph(path: str | os.PathLike[str]) -> Graph:
     return graph_from_document(_read_document(path))

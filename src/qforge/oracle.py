@@ -55,12 +55,12 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import min_spine_size, order_lower_bound
-from .graph import _bfs_tree
+from .graph import _Value, _bfs_tree
 
 __all__ = [
     "SearchBudget",
@@ -76,22 +76,23 @@ class BudgetExhausted(RuntimeError):
     """The search hit its node or time budget before reaching a verdict."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Value):
     """Caps on the backtracking search; the defaults fit a desk-scale run."""
 
-    max_nodes: int = 100_000_000
-    time_cap: float = 900.0
+    __slots__ = _fields = ("max_nodes", "time_cap")
+    max_nodes: int
+    time_cap: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_nodes, int) or isinstance(self.max_nodes, bool):
+    def __init__(self, max_nodes: int = 100_000_000, time_cap: float = 900.0) -> None:
+        if not isinstance(max_nodes, int) or isinstance(max_nodes, bool):
             raise ValueError("max_nodes must be an integer")
-        if self.max_nodes <= 0:
+        if max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
         # NaN fails every comparison, so test for a positive cap, not a non-positive one
-        cap = self.time_cap
-        if isinstance(cap, bool) or not isinstance(cap, (int, float)) or not cap > 0:
+        if isinstance(time_cap, bool) or not isinstance(time_cap, (int, float)) or not time_cap > 0:
             raise ValueError("time_cap must be positive")
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "time_cap", time_cap)
 
 
 class _Ticker:
@@ -674,8 +675,7 @@ def search_quadrangulation(
     return _search(n, genus, _Ticker(budget or SearchBudget()))
 
 
-@dataclass(frozen=True)
-class MinOrderWitness:
+class MinOrderWitness(NamedTuple):
     """Result of a minimum-order scan: the order found, a verified witness,
     and the number of search nodes spent."""
 

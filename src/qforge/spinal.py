@@ -39,8 +39,8 @@ p = 12..100 (CPython 3.11 on a 2-CPU shared host).
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .embedding import RotationSystem, _rotate_to_min, validate_quadrangulation
 from .formulas import min_order
@@ -195,8 +195,7 @@ class _Build:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class BuildReport:
+class BuildReport(NamedTuple):
     """A finished build: the verified embedding plus search statistics."""
 
     embedding: RotationSystem

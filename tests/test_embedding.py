@@ -98,7 +98,18 @@ def test_rotation_system_rejections():
 def test_rotation_system_derives_its_graph():
     system = RotationSystem(((2, 1), (0, 2), (1, 0)))
     assert system.graph == complete_graph(3)
-    assert system == RotationSystem(((1, 2), (2, 0), (0, 1)))
+    same = RotationSystem(((1, 2), (2, 0), (0, 1)))
+    assert system == same
+    # equal rotations are the whole value: equal hashes, equal reports, and
+    # a repr of the rotations alone
+    assert hash(system) == hash(same)
+    assert repr(system) == "RotationSystem(rotations=((1, 2), (0, 2), (0, 1)))"
+    report = validate_quadrangulation(system)
+    assert report == validate_quadrangulation(same)
+    assert hash(report) == hash(validate_quadrangulation(same))
+    for value, name in ((system, "rotations"), (system, "graph"), (report, "genus")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
 
 
 def test_trace_triangle_sphere():

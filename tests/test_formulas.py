@@ -168,6 +168,13 @@ def test_min_order_exact_parity():
 def test_min_order_result_guards():
     with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
         MinOrderResult(6, 5, "bounds")
+    result = MinOrderResult(5, 6, "bounds")
+    assert result == MinOrderResult(5, 6, "bounds")
+    assert hash(result) == hash(MinOrderResult(5, 6, "bounds"))
+    assert result != MinOrderResult(5, 6, "matched-bounds")
+    for name in ("lower", "upper", "source"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, 7)
 
 
 def test_kind_and_value_are_read_from_the_interval():

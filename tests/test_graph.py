@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 import sys
 
@@ -135,6 +136,11 @@ def _delete_edges_with_restarts(graph: Graph, m: int) -> Graph:
 def test_delete_edges_single_scan_matches_restarts():
     rng = random.Random(5)
     graphs = [complete_graph(p) for p in range(2, 11)] + [_random_connected(rng) for _ in range(30)]
+    # edges on no triangle, where each trial takes the breadth-first search:
+    # K_{3,4}, the interlaced 5-cycle and the interlaced K_4's late trials
+    k34 = make_graph(7, [(a, b) for a in range(3) for b in range(3, 7)])
+    c5 = make_graph(5, [(v, (v + 1) % 5) for v in range(5)])
+    graphs += [k34, interlace(c5), interlace(complete_graph(4))]
     for graph in graphs:
         for m in range(betti(graph) + 1):
             assert delete_edges_connected(graph, m) == _delete_edges_with_restarts(graph, m)
@@ -177,6 +183,15 @@ def test_graph_invariants_enforced():
         make_graph(4, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         make_graph(4, [(2, 2)])
+    # an immutable value: equal fields compare and hash alike
+    graph = complete_graph(3)
+    same = Graph(3, frozenset({(1, 2), (0, 2), (0, 1)}))
+    assert graph == same and hash(graph) == hash(same)
+    assert graph != Graph(3, frozenset({(0, 1), (1, 2)}))
+    assert pickle.loads(pickle.dumps(graph)) == graph
+    for name in ("vertex_count", "edges"):
+        with pytest.raises(AttributeError):
+            setattr(graph, name, None)
 
 
 _BROKEN_EDGES = (

@@ -2,13 +2,16 @@
 
 Package re-exports in __init__.py, names listed in __all__ and __future__
 imports are exempt.  Every name a module lists in __all__ must exist there
-and be re-exported by the package.
+and be re-exported by the package.  Importing the command-line module loads
+none of the standard library's slow-to-import modules listed below.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import qforge
@@ -59,3 +62,25 @@ def test_all_names_are_defined_and_reexported():
         if missing:
             stale[name] = missing
     assert stale == {}
+
+
+# dataclasses, the inspect it pulls in, and pathlib: about half of a fresh
+# import of qforge.cli before the package stopped using them
+SLOW_IMPORTS = ("dataclasses", "inspect", "pathlib")
+
+FOOTPRINT_PROBE = (
+    "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]);"
+    " import qforge.cli; print(*sorted(set(sys.modules) - before))"
+)
+
+
+def test_cli_import_loads_no_slow_module():
+    # an isolated interpreter without site, so no .pth file has loaded
+    # pathlib before the probe records what is there
+    probe = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", FOOTPRINT_PROBE, str(SOURCE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = set(probe.stdout.split())
+    assert "qforge.cli" in loaded
+    assert sorted(loaded.intersection(SLOW_IMPORTS)) == []

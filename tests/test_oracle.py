@@ -17,7 +17,7 @@ try:
 except ImportError:  # the property test is skipped without hypothesis
     given = None
 
-from qforge import oracle
+from qforge import cli, oracle
 from qforge.embedding import RotationSystem, embedding_to_document, validate_quadrangulation
 from qforge.formulas import order_lower_bound
 from qforge.graph import Graph, canonical_json, is_connected
@@ -956,7 +956,15 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(time_cap=0)
-    assert SearchBudget().max_nodes == 100_000_000
+    budget = SearchBudget()
+    assert (budget.max_nodes, budget.time_cap) == (100_000_000, 900.0)
+    # the oracle command's defaults are the budget's own
+    args = cli._build_parser().parse_args(["oracle", "-g", "1"])
+    assert SearchBudget(args.max_nodes, args.time_cap) == budget
+    assert hash(SearchBudget(100_000_000, 900.0)) == hash(budget)
+    for name in ("max_nodes", "time_cap"):
+        with pytest.raises(AttributeError):
+            setattr(budget, name, 1)
 
 
 def test_budget_rejects_nan_time_cap():
@@ -1108,6 +1116,9 @@ def test_min_order_scan_is_deterministic():
     first = min_order_bruteforce(2)
     second = min_order_bruteforce(2)
     assert first == second
+    assert hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        first.order = 8
 
 
 def test_min_order_scan_requires_budget_above_genus_2():

@@ -322,9 +322,12 @@ def test_build_k4_driver_rotations():
 
 def test_build_is_deterministic():
     graph = make_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])
-    first = build_spinal_report(graph).embedding
-    second = build_spinal_report(graph).embedding
+    first = build_spinal_report(graph)
+    second = build_spinal_report(graph)
     assert first == second
+    assert hash(first) == hash(second)
+    with pytest.raises(AttributeError):
+        first.genus = 0
 
 
 def test_complete_spines_small():
