@@ -22,8 +22,9 @@ document declares no genus.
 ``verify P`` builds the document of ``spinal P`` untimed, then times the
 best of 20 calls of ``embedding_from_document(json.loads(document))``
 followed by ``validate_quadrangulation``: JSON parsing, the rotation
-system's checks and its one trace of every face, which both the reader's
-genus check and the validation read.  Its fields are p, the darts (twice
+system's one dart index, its checks and its one trace of every face, which
+both read that index; the reader's genus check and the validation read the
+one trace.  Its fields are p, the darts (twice
 the edges), the best seconds and darts per second; the document is the
 one it reads.
 

@@ -4,8 +4,9 @@ file format.
 
 A rotation system fixes a cyclic neighbor order at every vertex and thereby
 an oriented cellular embedding.  The rotations alone fix the graph, so
-``RotationSystem(rotations)`` takes nothing else: it validates the rotation
-lists, derives the graph from them and traces the faces, once.  Rotations
+``RotationSystem(rotations)`` takes nothing else: it indexes the darts of
+the rotation lists once and, from that one index, validates the lists,
+derives the graph and traces the faces.  Rotations
 are read counterclockwise; the face-tracing successor of a dart (u, v) is
 (v, w) where w is the neighbor after u in the rotation at v.  Any
 consistent convention would do; this one is fixed so face lists are
@@ -15,7 +16,7 @@ reproducible.
 from __future__ import annotations
 
 import os
-from itertools import accumulate
+from itertools import count
 from typing import NamedTuple, Sequence
 
 from .graph import FormatError, Graph, _Value, canonical_json
@@ -34,34 +35,12 @@ def _rotate_to_min(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
 
 
-def _symmetric(
-    rotations: Sequence[Sequence[int]],
-    edges: frozenset[tuple[int, int]],
-    neighbours: list[set[int]],
-) -> bool:
-    """Whether a rotation list repeats no entry and is symmetric, given its
-    edges v < u with u listed at v, which Graph has checked for range.
-
-    Each edge accounts for at least two entries: u in the rotation at v and,
-    once the loop finds it, v in the rotation at u.  When the rotations hold
-    exactly 2|E| entries, these are all of them, each listed once, so no
-    entry is left to repeat, to be the vertex itself or a negative id, or to
-    be a dart that is not listed back.  One count of the entries and one
-    look per edge, half as many as darts."""
-    if sum(map(len, rotations)) != 2 * len(edges):
-        return False
-    for v, u in edges:
-        if v not in neighbours[u]:
-            return False
-    return True
-
-
-def _first_fault(rotations: Sequence[Sequence[int]], neighbours: list[set[int]]) -> str:
-    """The error message for a rotation list that Graph or _symmetric
-    refuses.  The checks run in their fixed order, vertex by vertex and
-    then dart by dart, so the first fault in that order is the one named."""
+def _first_fault(rotations: Sequence[Sequence[int]], at: list[dict[int, int]]) -> str:
+    """The error message for a rotation list that _indexed refuses.  The
+    checks run in their fixed order, vertex by vertex and then dart by dart,
+    so the first fault in that order is the one named."""
     n = len(rotations)
-    for v, (rotation, near) in enumerate(zip(rotations, neighbours)):
+    for v, (rotation, near) in enumerate(zip(rotations, at)):
         if any(not 0 <= u < n for u in near):
             return f"rotation at vertex {v} mentions an out-of-range vertex"
         if len(near) != len(rotation):
@@ -70,28 +49,42 @@ def _first_fault(rotations: Sequence[Sequence[int]], neighbours: list[set[int]])
             return f"rotation at vertex {v} lists the vertex itself"
     for v, rotation in enumerate(rotations):
         for u in rotation:
-            if v not in neighbours[u]:
+            if v not in at[u]:
                 return f"rotation asymmetry: {u} listed at {v} but not {v} at {u}"
     raise AssertionError("a rotation list failed a test but shows no fault")
 
 
-def _checked_graph(rotations: Sequence[Sequence[int]]) -> Graph:
-    """The graph a rotation list describes, after every structural check of
-    the list (see RotationSystem).  The checks' neighbour sets and edge set
-    are freed when this returns, before the faces are traced."""
-    neighbours = list(map(set, rotations))
-    edges = frozenset((v, u) for v, near in enumerate(neighbours) for u in near if v < u)
+def _indexed(rotations: Sequence[Sequence[int]]) -> tuple[Graph, list[dict[int, int]]]:
+    """The graph a rotation list describes and its dart index, after every
+    structural check of the list (see RotationSystem).
+
+    ``at[v][u]`` is the id of the dart (v, u): the darts are numbered in
+    the order of the list, vertex by vertex, so the ids at v are
+    consecutive and follow the rotation at v.  The checks read the index's
+    keys and the face tracer reads the whole index, so a rotation list is
+    indexed once.
+
+    Each edge v < u with u listed at v accounts for at least two entries:
+    u at v and, once the loop finds it, v at u.  When the rotations hold
+    exactly 2|E| entries, these are all of them, each listed once, so no
+    entry is left to repeat, to be the vertex itself or a negative id, or
+    to be a dart that is not listed back.  One count of the entries and
+    one look per edge, half as many as darts."""
+    # zip reads the rotation first, so it takes no id past the rotation's end
+    ids = count()
+    at = [dict(zip(rotation, ids)) for rotation in rotations]
+    edges = frozenset((v, u) for v, near in enumerate(at) for u in near if v < u)
     try:
         graph = Graph(len(rotations), edges)
     except ValueError:
-        raise ValueError(_first_fault(rotations, neighbours)) from None
-    if not _symmetric(rotations, edges, neighbours):
-        raise ValueError(_first_fault(rotations, neighbours))
+        raise ValueError(_first_fault(rotations, at)) from None
+    if sum(map(len, rotations)) != 2 * len(edges) or any(v not in at[u] for v, u in edges):
+        raise ValueError(_first_fault(rotations, at))
     if not edges:
         raise ValueError("rotation system needs a graph with at least one edge")
     if len(_bfs_tree(rotations)) != len(rotations) - 1:
         raise ValueError("rotation system needs a connected graph")
-    return graph
+    return graph, at
 
 
 class RotationSystem(_Value):
@@ -105,12 +98,13 @@ class RotationSystem(_Value):
     and is connected.  That graph is kept as the derived ``graph``.  It is
     built first, from the pairs v < u with u listed at v, so ``Graph``'s
     range check is the check of every id listed above its vertex; the dart
-    count in ``_symmetric`` rules out every other fault (the argument is
+    count in ``_indexed`` rules out every other fault (the argument is
     there).  Either refusal raises ``_first_fault``'s message, never
     Graph's own.  Each rotation is stored starting from the vertex's
     smallest neighbor, so equal embeddings compare and serialize
-    identically.  The faces are traced once, here, and what
-    ``validate_quadrangulation`` reports is derived with the graph.
+    identically.  The faces are traced once, here, over the dart index the
+    checks built, and what ``validate_quadrangulation`` reports is derived
+    with the graph.
     Instances are immutable and compare by their rotations alone.
     """
 
@@ -121,11 +115,10 @@ class RotationSystem(_Value):
     _validation: EmbeddingReport
 
     def __init__(self, rotations: Sequence[Sequence[int]]) -> None:
-        graph = _checked_graph(rotations)
-        rotations = tuple(map(_rotate_to_min, rotations))
-        object.__setattr__(self, "rotations", rotations)
+        graph, at = _indexed(rotations)
+        object.__setattr__(self, "rotations", tuple(map(_rotate_to_min, rotations)))
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "_validation", _report(rotations, graph))
+        object.__setattr__(self, "_validation", _report(graph, at))
 
 
 class EmbeddingReport(NamedTuple):
@@ -140,35 +133,31 @@ class EmbeddingReport(NamedTuple):
     failures: tuple[str, ...]
 
 
-def _trace(rotations: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The one face tracer: every face as its list of corners.
+def _trace(at: list[dict[int, int]]) -> list[list[int]]:
+    """The one face tracer: every face as its list of corners, walked over
+    the dart index of a checked rotation list (see _indexed).
 
-    The dart (v, rotations[v][i]) has the integer id offset[v] + i, and one
-    table gives each dart's successor id.  Start darts are taken in
+    One table gives each dart's successor id.  Start darts are taken in
     ascending (tail, head) order, so each face starts at its smallest dart
     and faces come in ascending order of that dart.  Face k's darts are
-    (c[i], c[i + 1]) for its corners c, read cyclically.
+    (c[i], c[i + 1]) for its corners c, read cyclically.  The faces depend
+    only on the cyclic order at each vertex, not on where the rotation
+    list starts it.
     """
-    offset = [0, *accumulate(map(len, rotations))]
-    darts = offset.pop()
-    # one int object per dart id, shared by both tables below
-    ids = list(range(darts + 1))
-    # at[v][h]: the id of the dart (v, h)
-    at = [
-        dict(zip(rotation, ids[start : start + len(rotation)]))
-        for start, rotation in zip(offset, rotations)
-    ]
-    # the successor of (v, h) is (h, w) with w after v in the rotation at h:
-    # the id after that of (h, v), wrapping at the end of h's ids
-    successor = [ids[at[head][tail] + 1] for tail, rotation in enumerate(rotations) for head in rotation]
-    for head, (start, rotation) in enumerate(zip(offset, rotations)):
-        if rotation:
-            successor[at[rotation[-1]][head]] = ids[start]
-    corner = [tail for tail, rotation in enumerate(rotations) for _ in rotation]
-    seen = bytearray(darts)
+    # after[d]: the dart after d around its tail, wrapping at the end of the
+    # tail's ids; it holds at's own int objects, so no id is made twice
+    after: list[int] = []
+    for near in at:
+        ids = list(near.values())
+        after += ids[1:]
+        after += ids[:1]
+    # the successor of (v, h) is (h, w) with w after v in the rotation at h
+    successor = [after[at[head][tail]] for tail, near in enumerate(at) for head in near]
+    corner = [tail for tail, near in enumerate(at) for _ in near]
+    seen = bytearray(len(corner))
     faces: list[list[int]] = []
-    for tail, rotation in enumerate(rotations):
-        for first in map(at[tail].__getitem__, sorted(rotation)):
+    for tail, near in enumerate(at):
+        for first in map(near.__getitem__, sorted(near)):
             if seen[first]:
                 continue
             face = [tail]
@@ -193,10 +182,10 @@ def _quad_defect(corners: Sequence[int]) -> str | None:
     return None
 
 
-def _report(rotations: Sequence[Sequence[int]], graph: Graph) -> EmbeddingReport:
-    """Trace the faces of a checked rotation list on its graph and report
-    them; see validate_quadrangulation."""
-    faces = _trace(rotations)
+def _report(graph: Graph, at: list[dict[int, int]]) -> EmbeddingReport:
+    """Trace the faces of a checked rotation list, given its graph and dart
+    index, and report them; see validate_quadrangulation."""
+    faces = _trace(at)
     failures: list[str] = []
     for index, corners in enumerate(faces):
         defect = _quad_defect(corners)

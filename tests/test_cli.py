@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qforge import cli, embedding
+from qforge import cli
 from qforge.cli import main
 from qforge.embedding import load_embedding, save_embedding, validate_quadrangulation
 from qforge.formulas import min_order
@@ -304,20 +304,14 @@ def test_verify_genus_mismatch(capsys, tmp_path):
         assert err == f"verification failed: declared genus {declared} but traced genus is 0\n"
 
 
-def test_verify_traces_the_faces_once(capsys, tmp_path, monkeypatch):
+def test_verify_traces_the_faces_once(capsys, tmp_path, trace_calls):
     path = tmp_path / "k5.json"
     save_embedding(build_spinal_report(complete_graph(5)).embedding, path, declared_genus=6)
-    calls = []
-    trace = embedding._trace
-
-    def counting(rotations):
-        calls.append(len(rotations))
-        return trace(rotations)
-
-    monkeypatch.setattr(embedding, "_trace", counting)
+    assert trace_calls == [10]  # the build's own trace
+    trace_calls.clear()
     code, out, _ = run(capsys, "verify", str(path))
     assert (code, out) == (0, "ok: order=10 edges=40 faces=20 genus=6\n")
-    assert calls == [10]
+    assert trace_calls == [10]
 
 
 def test_verify_bad_documents(capsys, tmp_path):

@@ -7,12 +7,12 @@ import tracemalloc
 
 import pytest
 
-from qforge import embedding
 from qforge.embedding import (
     EMBEDDING_FORMAT,
     EmbeddingReport,
     GenusMismatchError,
     RotationSystem,
+    _indexed,
     _rotate_to_min,
     _trace,
     embedding_from_document,
@@ -54,6 +54,11 @@ def _system(n, edges, rotations):
 def _darts(face):
     """The darts of a face given by its corners in walk order."""
     return tuple(zip(face, face[1:] + face[:1]))
+
+
+def _faces(system):
+    """The faces of a rotation system, traced over its own dart index."""
+    return _trace(_indexed(system.rotations)[1])
 
 
 def _shuffled_system(graph: Graph, rng: random.Random) -> RotationSystem:
@@ -114,7 +119,7 @@ def test_rotation_system_derives_its_graph():
 
 def test_trace_triangle_sphere():
     system = _system(3, [(0, 1), (0, 2), (1, 2)], [(1, 2), (0, 2), (0, 1)])
-    faces = _trace(system.rotations)
+    faces = _faces(system)
     assert faces == [[0, 1, 2], [0, 2, 1]]
     assert _darts(faces[0]) == ((0, 1), (1, 2), (2, 0))
     assert euler_genus(system) == (2, 0)
@@ -123,7 +128,7 @@ def test_trace_triangle_sphere():
 def test_trace_k4_ascending_is_torus():
     graph = complete_graph(4)
     system = RotationSystem(tuple(tuple(row) for row in graph.adjacency()))
-    faces = _trace(system.rotations)
+    faces = _faces(system)
     assert faces == [[0, 1, 2, 3], [0, 2, 1, 3, 2, 0, 3, 1]]
     assert euler_genus(system) == (0, 1)
 
@@ -137,7 +142,7 @@ def test_face_orbits_cover_all_darts():
         extra = rng.sample(pool, min(len(pool), rng.randint(0, 6)))
         graph = make_graph(n, tree + extra)
         system = _shuffled_system(graph, rng)
-        faces = _trace(system.rotations)
+        faces = _faces(system)
         darts = [d for f in faces for d in _darts(f)]
         assert len(darts) == 2 * graph.edge_count
         assert len(set(darts)) == len(darts)
@@ -170,7 +175,7 @@ def test_quadrangulation_rejects_degenerate_walk():
     # it pinches at the middle vertex and reuses both edges.
     system = _system(3, [(0, 1), (1, 2)], [(1,), (0, 2), (1,)])
     report = validate_quadrangulation(system)
-    faces = _trace(system.rotations)
+    faces = _faces(system)
     assert faces == [[0, 1, 2, 1]]
     assert report.failures == ("face 0 (0-1-2-1) revisits a vertex",)
 
@@ -181,7 +186,7 @@ def test_quadrangulation_repeated_edge_detected():
     # 4-distinct-vertex walk with a repeated edge cannot occur in a simple
     # graph, which is why the edge check is a backstop, not dead code.
     system = _system(2, [(0, 1)], [(1,), (0,)])
-    faces = _trace(system.rotations)
+    faces = _faces(system)
     assert faces[0] == [0, 1]
     report = validate_quadrangulation(system)
     assert report.failures == ("face 0 (0-1) has length 2, not 4",)
@@ -190,7 +195,7 @@ def test_quadrangulation_repeated_edge_detected():
 def test_opposite_faces_may_share_all_edges():
     # The order-4 sphere quadrangulation: both faces use the same four edges.
     system = _system(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(1, 3), (0, 2), (1, 3), (0, 2)])
-    faces = _trace(system.rotations)
+    faces = _faces(system)
     first = {frozenset(d) for d in _darts(faces[0])}
     second = {frozenset(d) for d in _darts(faces[1])}
     assert first == second
@@ -257,26 +262,20 @@ def test_declared_genus_is_checked_on_any_embedding(tmp_path):
         load_embedding(path)
 
 
-def test_each_rotation_system_is_traced_once(tmp_path, monkeypatch):
+def test_each_rotation_system_is_traced_once(tmp_path, trace_calls):
     path = tmp_path / "k5.json"
     save_embedding(build_spinal_report(complete_graph(5)).embedding, path, declared_genus=6)
-    calls = []
-    trace = embedding._trace
-
-    def counting(rotations):
-        calls.append(len(rotations))
-        return trace(rotations)
-
-    monkeypatch.setattr(embedding, "_trace", counting)
+    assert trace_calls == [10]  # the build's own trace
+    trace_calls.clear()
     # the reader's genus check and the validation read the same trace
     assert validate_quadrangulation(load_embedding(path)).genus == 6
-    assert calls == [10]
-    calls.clear()
+    assert trace_calls == [10]
+    trace_calls.clear()
     assert validate_quadrangulation(build_instance(5, 0).embedding).genus == 6
-    assert calls == [10]
-    calls.clear()
+    assert trace_calls == [10]
+    trace_calls.clear()
     assert validate_quadrangulation(search_quadrangulation(5, 1)).genus == 1
-    assert calls == [5]
+    assert trace_calls == [5]
 
 
 # rotation lists that are well-formed JSON but no rotation system, with the
@@ -413,7 +412,7 @@ def _reference_validate_quadrangulation(system):
 
 
 def _assert_matches_reference(system):
-    faces = _trace(system.rotations)
+    faces = _faces(system)
     assert list(map(tuple, faces)) == trace_faces(system)
     assert all(type(v) is int for face in faces for v in face)
     report = validate_quadrangulation(system)
@@ -449,7 +448,7 @@ def test_tracer_memory_is_linear_in_darts():
     system = _system(n, [(0, v) for v in range(1, n)], [range(1, n)] + [(0,)] * (n - 1))
     tracemalloc.start()
     try:
-        faces = _trace(system.rotations)
+        faces = _faces(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -472,7 +471,7 @@ if st is not None:
     @settings(max_examples=100, deadline=None)
     @given(_rotation_systems())
     def test_faces_partition_darts_and_mirror_keeps_genus(system):
-        faces = _trace(system.rotations)
+        faces = _faces(system)
         darts = [dart for face in faces for dart in _darts(face)]
         edges = system.graph.edges
         assert sorted(darts) == sorted(d for i, j in edges for d in ((i, j), (j, i)))
@@ -480,7 +479,7 @@ if st is not None:
         assert chi % 2 == 0 and chi <= 2
         assert euler_genus(system) == (chi, (2 - chi) // 2)
         mirror = RotationSystem(tuple(r[::-1] for r in system.rotations))
-        assert len(_trace(mirror.rotations)) == len(faces)
+        assert len(_faces(mirror)) == len(faces)
         assert euler_genus(mirror) == euler_genus(system)
 
     @settings(max_examples=200, deadline=None)

@@ -21,6 +21,7 @@ from qforge.graph import (
     make_graph,
     save_graph,
 )
+from qforge.oracle import SearchBudget
 
 from _reference import octahedral_graph
 
@@ -188,10 +189,15 @@ def test_graph_invariants_enforced():
     same = Graph(3, frozenset({(1, 2), (0, 2), (0, 1)}))
     assert graph == same and hash(graph) == hash(same)
     assert graph != Graph(3, frozenset({(0, 1), (1, 2)}))
+    # another type is never equal, even one holding the same fields
+    assert graph != (3, graph.edges)
+    assert (graph == SearchBudget()) is False
     assert pickle.loads(pickle.dumps(graph)) == graph
     for name in ("vertex_count", "edges"):
         with pytest.raises(AttributeError):
             setattr(graph, name, None)
+    with pytest.raises(AttributeError, match="cannot delete field"):
+        del graph.edges
 
 
 _BROKEN_EDGES = (
