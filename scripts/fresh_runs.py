@@ -6,11 +6,12 @@ fields, wall seconds of the timed call, the process's peak RSS and the
 SHA-256 of the witness's canonical document.
 
 ``spinal P`` builds the order-2p quadrangulation over the spine K_p with
-``build_instance(p, 0)``: one surgery step per spine edge, p(p - 1)/2 in
-all, followed by the one full validation of the finished embedding.  Its
-fields are p, the steps, the seconds, microseconds per step (the whole
-build, final validation included, over its steps) and the backtracks; the
-document is the one ``qforge build`` writes, declared genus included.
+``build_instance(p, 0)``: the closed-form rotations, four entries per
+spine edge (a step), p(p - 1)/2 steps in all, followed by the one full
+validation of the finished embedding.  Its fields are p, the steps, the
+seconds, microseconds per step (the whole build, final validation
+included, over its steps) and the backtracks (always 0); the document is
+the one ``qforge build`` writes, declared genus included.
 
 ``top N`` searches order n alone at g_top(n) = ((2n - 5)^2 + 7) // 32, the
 largest genus whose arithmetic lower bound is n, with

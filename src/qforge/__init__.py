@@ -1,8 +1,9 @@
 """Minimum-order quadrangulations of closed orientable surfaces.
 
 The package computes minimum quadrangulation orders by exact integer
-arithmetic, constructs verified spinal quadrangulations by incremental
-surgery, and confirms small-genus ground truths by exhaustive search.
+arithmetic, constructs verified spinal quadrangulations from one
+closed-form rotation system, and confirms small-genus ground truths by
+exhaustive search.
 """
 
 from .embedding import (

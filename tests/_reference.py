@@ -5,11 +5,10 @@ that interlace(complete_graph(p)) must equal, the closed forms of the
 bounds whose meeting formulas._classify decides, the spine inequality that
 min_order's minimality rule reduces to, the corner options the oracle's
 face assembler reads from its maintained tables, the rotation of a cycle
-to its smallest element that the embedding and the builder canonicalise
-with, and the faces of a rotation system walked dart by dart, which the
-library's tracer finds through a table of integer dart ids.  They are kept
-here, not in the package, so an assertion against them compares two
-derivations.
+to its smallest element that the embedding canonicalises with, and the
+faces of a rotation system walked dart by dart, which the library's
+tracer finds through a table of integer dart ids.  They are kept here, not
+in the package, so an assertion against them compares two derivations.
 """
 
 from __future__ import annotations
