@@ -20,7 +20,7 @@ from itertools import count
 from typing import NamedTuple, Sequence
 
 from .graph import FormatError, Graph, _Value, canonical_json
-from .graph import _bfs_tree, _id_list, _is_count, _read_document, _vertex_count
+from .graph import _connected, _id_list, _is_count, _read_document, _vertex_count
 
 EMBEDDING_FORMAT = "qforge-embedding/1"
 
@@ -82,7 +82,7 @@ def _indexed(rotations: Sequence[Sequence[int]]) -> tuple[Graph, list[dict[int, 
         raise ValueError(_first_fault(rotations, at))
     if not edges:
         raise ValueError("rotation system needs a graph with at least one edge")
-    if len(_bfs_tree(rotations)) != len(rotations) - 1:
+    if not _connected(rotations):
         raise ValueError("rotation system needs a connected graph")
     return graph, at
 
@@ -252,7 +252,7 @@ def embedding_from_document(doc: object) -> RotationSystem:
         if not _id_list(row):
             raise FormatError(f"rotation at vertex {v} must be a list of vertex ids")
     try:
-        system = RotationSystem(tuple(map(tuple, raw)))
+        system = RotationSystem(raw)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     declared = doc.get("declared_genus")

@@ -3,18 +3,17 @@ package builds on: complete graphs, cycle rank, connectivity-preserving edge
 deletion, 2-fold interlacement, and the file reader and header check that
 graph and embedding documents share.
 
-``_bfs_tree`` is the package's one graph search: connectivity here, the
-connectivity check of a rotation system, and the spinal builder's order of
-tree edges all come from it.  ``Graph(n, edges)`` is the package's one
-check of an edge's range, order and loop: the graph reader, ``make_graph``
-and ``RotationSystem`` leave that test to it.  ``_Value`` is the immutable
-base of the package's checked value types."""
+``_connected`` is the package's one graph search: connectivity here, the
+bridge trials of edge deletion, and the connectivity checks of a rotation
+list, a spine and an oracle witness all ask it.  ``Graph(n, edges)`` is
+the package's one check of an edge's range, order and loop: the graph
+reader, ``make_graph`` and ``RotationSystem`` leave that test to it.
+``_Value`` is the immutable base of the package's checked value types."""
 
 from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -127,23 +126,20 @@ def complete_graph(p: int) -> Graph:
     return Graph(p, frozenset((i, j) for i in range(p) for j in range(i + 1, p)))
 
 
-def _bfs_tree(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """The one graph search: the tree edges (parent, child) of a breadth-first
-    search from vertex 0, in discovery order, taking neighbours in list order."""
+def _connected(adjacency: Sequence[Iterable[int]]) -> bool:
+    """The one graph search: whether a search from vertex 0 over the listed
+    neighbours reaches every vertex.  The empty graph counts as connected."""
     if not adjacency:
-        return []
+        return True
     seen = [False] * len(adjacency)
     seen[0] = True
-    queue = deque([0])
-    tree: list[tuple[int, int]] = []
-    while queue:
-        v = queue.popleft()
-        for w in adjacency[v]:
+    stack = [0]
+    while stack:
+        for w in adjacency[stack.pop()]:
             if not seen[w]:
                 seen[w] = True
-                tree.append((v, w))
-                queue.append(w)
-    return tree
+                stack.append(w)
+    return all(seen)
 
 
 def is_connected(graph: Graph) -> bool:
@@ -151,8 +147,7 @@ def is_connected(graph: Graph) -> bool:
 
     The empty graph counts as connected by convention.
     """
-    # a spanning tree has vertex_count - 1 edges; the empty graph has none
-    return len(_bfs_tree(graph.adjacency())) >= graph.vertex_count - 1
+    return _connected(graph.adjacency())
 
 
 def betti(graph: Graph) -> int:
@@ -177,7 +172,7 @@ def delete_edges_connected(graph: Graph, m: int) -> Graph:
     Beyond the cycle-rank check, m = 0 costs nothing.  Otherwise the trials
     share one mutable adjacency of sets, and one Graph is built at the end.
     An edge whose ends have a common neighbour closes a triangle, so it is
-    no bridge and goes at once; any other trial is one breadth-first
+    no bridge and goes at once; any other trial is one ``_connected``
     search, about |V| + |E| steps.
     """
     if m < 0:
@@ -192,8 +187,7 @@ def delete_edges_connected(graph: Graph, m: int) -> Graph:
     for u, w in sorted(graph.edges):
         near[u].remove(w)
         near[w].remove(u)
-        # a spanning tree has vertex_count - 1 edges
-        if not near[u].isdisjoint(near[w]) or len(_bfs_tree(near)) >= graph.vertex_count - 1:
+        if not near[u].isdisjoint(near[w]) or _connected(near):
             kept.remove((u, w))
             m -= 1
             if not m:

@@ -41,7 +41,7 @@ the face placed alike.  A witness's rotations become a
 the witness is validated in full before it is returned.  Connectivity is
 read off that witness alone: the enumerator lists disconnected graphs too,
 and a disconnected graph has no quadrangulation, so an assembled rotation
-list whose breadth-first tree misses a vertex is skipped.
+list in which a search from vertex 0 misses a vertex is skipped.
 
 Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration, the corner-link test and assembly; running out of it
@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import min_spine_size, order_lower_bound
-from .graph import _Value, _bfs_tree
+from .graph import _Value, _connected
 
 __all__ = [
     "SearchBudget",
@@ -644,8 +644,8 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
         if matrix is None:
             continue
         rotations = _FaceAssembler(nmask, ticker, matrix).search()
-        # a disconnected graph has no quadrangulation, and a spanning tree has n - 1 edges
-        if rotations is None or len(_bfs_tree(rotations)) < n - 1:
+        # a disconnected graph has no quadrangulation
+        if rotations is None or not _connected(rotations):
             continue
         system = RotationSystem(rotations)
         report = validate_quadrangulation(system)

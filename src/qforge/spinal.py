@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .embedding import RotationSystem, validate_quadrangulation
 from .formulas import min_order
-from .graph import Graph, _bfs_tree, complete_graph, delete_edges_connected
+from .graph import Graph, _connected, complete_graph, delete_edges_connected
 
 
 class BuildError(RuntimeError):
@@ -75,7 +75,7 @@ def build_spinal_report(graph: Graph) -> BuildReport:
     if graph.edge_count < graph.vertex_count - 1:
         raise ValueError("spine must be connected")
     adjacency = graph.adjacency()
-    if len(_bfs_tree(adjacency)) != graph.vertex_count - 1:
+    if not _connected(adjacency):
         raise ValueError("spine must be connected")
     rotations: list[tuple[int, ...]] = []
     for near in adjacency:
@@ -92,6 +92,7 @@ def build_spinal_report(graph: Graph) -> BuildReport:
         raise BuildError(f"the rotations are no quadrangulation: {'; '.join(check.failures[:3])}")
     # the cycle rank, read directly: betti would search the spine again
     genus = graph.edge_count - graph.vertex_count + 1
+    # catches a tracer defect: Euler gives this genus only if _trace partitions the darts
     if check.genus != genus:
         raise BuildError(f"embedding genus {check.genus} does not match spine rank {genus}")
     return BuildReport(

@@ -137,7 +137,7 @@ def _delete_edges_with_restarts(graph: Graph, m: int) -> Graph:
 def test_delete_edges_single_scan_matches_restarts():
     rng = random.Random(5)
     graphs = [complete_graph(p) for p in range(2, 11)] + [_random_connected(rng) for _ in range(30)]
-    # edges on no triangle, where each trial takes the breadth-first search:
+    # edges on no triangle, where each trial takes the graph search:
     # K_{3,4}, the interlaced 5-cycle and the interlaced K_4's late trials
     k34 = make_graph(7, [(a, b) for a in range(3) for b in range(3, 7)])
     c5 = make_graph(5, [(v, (v + 1) % 5) for v in range(5)])

@@ -20,7 +20,7 @@ except ImportError:  # the property test is skipped without hypothesis
 from qforge import cli, oracle
 from qforge.embedding import RotationSystem, embedding_to_document, validate_quadrangulation
 from qforge.formulas import order_lower_bound
-from qforge.graph import Graph, canonical_json, is_connected
+from qforge.graph import Graph, _connected, canonical_json, is_connected
 from qforge.oracle import (
     BudgetExhausted,
     SearchBudget,
@@ -943,7 +943,11 @@ def test_is_connected_agrees_with_mini_connected():
         edges = frozenset(
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
         )
-        assert is_connected(Graph(n, edges)) == _mini_connected(n, edges), (n, sorted(edges))
+        graph = Graph(n, edges)
+        expected = _mini_connected(n, edges)
+        assert is_connected(graph) == expected, (n, sorted(edges))
+        # rows of sets, the form delete_edges_connected passes
+        assert _connected([set(row) for row in graph.adjacency()]) == expected, (n, sorted(edges))
 
 
 # ============================================================
