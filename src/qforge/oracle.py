@@ -300,25 +300,25 @@ class _FaceAssembler:
     ``_advance`` makes the flips for the face it takes back and the face it
     places in one loop, after its completion search, which reads only
     ``rule`` and ``free``.  Nothing here grows with n^3 before the search
-    runs: ``rk`` starts at -1, and ``spread[a]``, bit v*n for every
-    neighbour v of a, is filled the first time a scan reaches row a.
+    runs: ``rk`` starts at -1.
 
     Each step branches on an open dart (a, b) with the fewest face
     completions, k(a, b) = sum over c in options(b, a) of
     popcount(options(c, b) & nmask[a]): the most-constrained-first rule.
-    Multiplying ``spread[a]`` by a mask m of columns keeps rows N(a) and
-    columns m (the ``_tally`` product), so with o = options(b, a), k(a, b)
-    is the popcount of ``spread[a] * (o & uf[b])`` against ``ft & rk[b]``,
-    less ``popcount(o & uf[b] & pf[b])`` for row b, plus the popcount of
-    ``spread[a] * (o & ~uf[b])`` against ``fb[b]``; a dart whose successor
-    is set has one option c and costs one n-bit AND.  Only the open darts
-    out of and into the four corners of the face placed last are scored,
-    since their options are the ones that just narrowed; before the first
-    face, and when none of those darts is open, every open dart is, and such
-    a full scan reads the clock every 16th row.  Any open dart is a complete
-    choice: it lies in exactly one face and every completion of that face is
-    tried, so the rule changes the search order and the witness found, never
-    a verdict.  Ties go to the first dart in ascending order, the scan stops
+    The row mask ``rows_a = matrix >> a & column``, bit v*n for every
+    neighbour v of a, is made once per scanned row.  Multiplying it by a
+    mask m of columns keeps rows N(a) and columns m (the ``_tally``
+    product), so with o = options(b, a), k(a, b) is the popcount of
+    ``rows_a * (o & uf[b])`` against ``ft & rk[b]``, less
+    ``popcount(o & uf[b] & pf[b])`` for row b, plus the popcount of
+    ``rows_a * (o & ~uf[b])`` against ``fb[b]``, one formula for every
+    open dart.  Only the open darts out of and into the four corners of
+    the face placed last are scored, since their options are the ones that
+    just narrowed; before the first face, and when none of those darts is
+    open, every open dart is, and such a full scan reads the clock every
+    16th row.  Any open dart is a complete choice: it lies in exactly one
+    face and every completion of that face is tried, so the rule changes the
+    search order and the witness found, never a verdict.  Ties go to the first dart in ascending order, the scan stops
     at the first dart with k <= 1, and k = 0 ends the branch.
 
     The search is one loop over an explicit stack with one frame per placed
@@ -361,7 +361,6 @@ class _FaceAssembler:
         self.ends = list(map(list.copy, [itself] * n))
         self.ticker = ticker
         self.matrix, self.column = matrix, _column(n)
-        self.spread: list[int | None] = [None] * n  # filled as the scans reach each row
         self.rk = [-1] * n
         fb = self.fb = [0] * n
         uf = self.uf = nmask[:]
@@ -411,8 +410,8 @@ class _FaceAssembler:
         """The open dart to branch on among those out of or into the corners
         mask, or over all open darts when none of those is open; None when
         every dart is in a face."""
-        nmask, rule, free = self.nmask, self.rule, self.free
-        ft, rk, fb, uf, pf, spread = self.ft, self.rk, self.fb, self.uf, self.pf, self.spread
+        rule, free = self.rule, self.free
+        ft, rk, fb, uf, pf = self.ft, self.rk, self.fb, self.uf, self.pf
         matrix, column = self.matrix, self.column
         best, fewest = None, 1 << 62
         full = corners == -1
@@ -423,26 +422,18 @@ class _FaceAssembler:
                 self.ticker.clock()  # a full scan's row costs O(n^3) bit operations at a dense graph
             if not darts:
                 continue
-            near_a, rows_a = nmask[a], spread[a]
-            if rows_a is None:
-                rows_a = spread[a] = matrix >> a & column
+            rows_a = matrix >> a & column
             while darts:
                 low = darts & -darts
                 darts ^= low
                 b = low.bit_length() - 1
                 after_b = rule[b][a]
-                if after_b >= 0:  # one option c
-                    c = after_b.bit_length() - 1
-                    after_c = rule[c][b]
-                    if after_c < 0:
-                        after_c &= free[c]
-                    count = (after_c & near_a).bit_count()
-                else:
+                if after_b < 0:
                     after_b &= free[b]
-                    loose = after_b & uf[b]
-                    count = (rows_a * loose & ft & rk[b]).bit_count() - (loose & pf[b]).bit_count()
-                    if loose != after_b:
-                        count += (rows_a * (after_b ^ loose) & fb[b]).bit_count()
+                loose = after_b & uf[b]
+                count = (rows_a * loose & ft & rk[b]).bit_count() - (loose & pf[b]).bit_count()
+                if loose != after_b:
+                    count += (rows_a * (after_b ^ loose) & fb[b]).bit_count()
                 if count < fewest:
                     best, fewest = (a, b), count
                     if count <= 1:
@@ -475,22 +466,19 @@ class _FaceAssembler:
         # only its own corner's state, so a completion fits when a may
         # follow c at d and b may follow d at a.  Only rule and free are
         # read here, so the packed tables catch up after the search.
-        near_a, corners, fresh = self.nmask[a], 0, []
+        corners, fresh = 0, []
         while after_c or after_b:
             if not after_c:  # the next option c, with its options d
                 low = after_b & -after_b
                 after_b ^= low
                 c = low.bit_length() - 1
-                after_c = self._options(c, b) & near_a
+                after_c = self._options(c, b) & self.nmask[a]
                 continue
             low = after_c & -after_c
             after_c ^= low
             d = low.bit_length() - 1
             self.ticker()
-            at_d, at_a = rule[d][c], rule[a][d]
-            if (at_d if at_d >= 0 else free[d] & at_d) >> a & 1 and (
-                at_a if at_a >= 0 else free[a] & at_a
-            ) >> b & 1:
+            if self._options(d, c) >> a & 1 and self._options(a, d) >> b & 1:
                 corners = 1 << a | 1 << b | 1 << c | 1 << d
                 break
         if corners:

@@ -554,18 +554,26 @@ def test_corner_link_rejections_are_sound_at_small_orders():
 def test_order_8_genus_1_lists_only_anchor_canonical_candidates(monkeypatch):
     # listing every labelling, the search took 1,691 candidates and 2,940
     # nodes to its first witness
-    listed = []
-    enumerate_all = oracle._candidate_graphs
+    # (README: the corner-link test removes 299 of the 542 candidates)
+    listed, rejected = [], []
+    enumerate_all, link = oracle._candidate_graphs, oracle._corners_linked
 
     def counted(*args):
         for nmask in enumerate_all(*args):
             listed.append(nmask)
             yield nmask
 
+    def linked(nmask, ticker):
+        matrix = link(nmask, ticker)
+        if matrix is None:
+            rejected.append(nmask)
+        return matrix
+
     monkeypatch.setattr(oracle, "_candidate_graphs", counted)
+    monkeypatch.setattr(oracle, "_corners_linked", linked)
     ticker = _Ticker(SearchBudget())
     assert oracle._search(8, 1, ticker) is not None
-    assert (len(listed), ticker.nodes) == (542, 1073)
+    assert (len(listed), len(rejected), ticker.nodes) == (542, 299, 1073)
 
 
 def test_known_quadrangulations_pass_the_corner_link_test():
@@ -639,11 +647,12 @@ def _packed_count(assembler, a, b):
 
 class _BranchSpy(_FaceAssembler):
     """Checks every branching dart against the rule, and every open dart's
-    packed count against its completions, tracking placed faces."""
+    packed count against its completions, tracking placed faces; ``forced``
+    counts the checked darts (a, b) whose successor at b is already set."""
 
     def __init__(self, nmask, ticker):
         super().__init__(nmask, ticker, _matrix(nmask))
-        self.faces, self.local_differs, self.scored = [], 0, 0
+        self.faces, self.local_differs, self.scored, self.forced = [], 0, 0, 0
 
     def _toggle_face(self, a, b, c, d):
         super()._toggle_face(a, b, c, d)
@@ -662,6 +671,7 @@ class _BranchSpy(_FaceAssembler):
         self.local_differs += expected != _first_most_constrained(self, darts)
         for a, b in darts:
             assert _packed_count(self, a, b) == len(_completions(self, a, b)), (self.faces, a, b)
+            self.forced += self.rule[b][a] >= 0
         self.scored += len(darts)
         return dart
 
@@ -676,6 +686,8 @@ def test_assembler_branches_at_the_face_placed_last():
     assert validate_quadrangulation(system).genus == 1
     assert spy.local_differs == 1
     assert spy.scored > 0
+    # the darts into the anchor have their successor set from the start
+    assert spy.forced > 0
 
 
 if given is not None:
