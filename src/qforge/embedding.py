@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from itertools import count
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import FormatError, Graph, _Value, canonical_json
 from .graph import _connected, _id_list, _is_count, _read_document, _vertex_count
@@ -133,9 +133,9 @@ class EmbeddingReport(NamedTuple):
     failures: tuple[str, ...]
 
 
-def _trace(at: list[dict[int, int]]) -> list[list[int]]:
-    """The one face tracer: every face as its list of corners, walked over
-    the dart index of a checked rotation list (see _indexed).
+def _trace(at: list[dict[int, int]]) -> Iterator[list[int]]:
+    """The one face tracer: yields every face as its list of corners,
+    walked over the dart index of a checked rotation list (see _indexed).
 
     One table gives each dart's successor id.  Start darts are taken in
     ascending (tail, head) order, so each face starts at its smallest dart
@@ -155,7 +155,6 @@ def _trace(at: list[dict[int, int]]) -> list[list[int]]:
     successor = [after[at[head][tail]] for tail, near in enumerate(at) for head in near]
     corner = [tail for tail, near in enumerate(at) for _ in near]
     seen = bytearray(len(corner))
-    faces: list[list[int]] = []
     for tail, near in enumerate(at):
         for first in map(near.__getitem__, sorted(near)):
             if seen[first]:
@@ -166,39 +165,34 @@ def _trace(at: list[dict[int, int]]) -> list[list[int]]:
                 seen[dart] = 1
                 face.append(corner[dart])
                 dart = successor[dart]
-            faces.append(face)
-    return faces
-
-
-def _quad_defect(corners: Sequence[int]) -> str | None:
-    """Why a closed face walk, given by its corners in walk order, is not a
-    genuine quad, or None if it is one.  A quad walk has length four and
-    four distinct corners; its four edges are then distinct too, since two
-    edges of a 4-walk with distinct corners never join the same pair."""
-    if len(corners) != 4:
-        return f"has length {len(corners)}, not 4"
-    if len(set(corners)) != 4:
-        return "revisits a vertex"
-    return None
+            yield face
 
 
 def _report(graph: Graph, at: list[dict[int, int]]) -> EmbeddingReport:
-    """Trace the faces of a checked rotation list, given its graph and dart
-    index, and report them; see validate_quadrangulation."""
-    faces = _trace(at)
+    """Check each face of a checked rotation list, given its graph and dart
+    index, as the tracer walks it, and count the faces; no list of faces is
+    kept.  See validate_quadrangulation."""
     failures: list[str] = []
-    for index, corners in enumerate(faces):
-        defect = _quad_defect(corners)
-        if defect:
-            label = "-".join(map(str, corners))
-            failures.append(f"face {index} ({label}) {defect}")
-    chi = graph.vertex_count - graph.edge_count + len(faces)
+    face_count = 0
+    for face_count, corners in enumerate(_trace(at), 1):
+        # a quad walk has length four and four distinct corners; its four
+        # edges are then distinct too, since two edges of a 4-walk with
+        # distinct corners never join the same pair
+        if len(corners) != 4:
+            defect = f"has length {len(corners)}, not 4"
+        elif len(set(corners)) != 4:
+            defect = "revisits a vertex"
+        else:
+            continue
+        label = "-".join(map(str, corners))
+        failures.append(f"face {face_count - 1} ({label}) {defect}")
+    chi = graph.vertex_count - graph.edge_count + face_count
     if chi % 2 or chi > 2:
         raise RuntimeError(f"impossible Euler characteristic {chi} for an oriented embedding")
     return EmbeddingReport(
         vertex_count=graph.vertex_count,
         edge_count=graph.edge_count,
-        face_count=len(faces),
+        face_count=face_count,
         euler_characteristic=chi,
         genus=(2 - chi) // 2,
         is_quadrangulation=not failures,

@@ -207,12 +207,10 @@ def interlace(graph: Graph) -> Graph:
     K_p literally equal to K_2p minus the matching {2k, 2k+1}, the octahedral
     graph, not merely isomorphic to it; tests/_reference.py checks that.
     """
-    doubled: set[Edge] = set()
-    for u, v in graph.edges:
-        for a in (2 * u, 2 * u + 1):
-            for b in (2 * v, 2 * v + 1):
-                doubled.add((min(a, b), max(a, b)))
-    return Graph(2 * graph.vertex_count, frozenset(doubled))
+    # u < v in every stored edge, so both copies of u lie below both copies
+    # of v: each pair is already ordered, and distinct edges give distinct pairs
+    pairs = ((a, b) for u, v in graph.edges for a in (2 * u, 2 * u + 1) for b in (2 * v, 2 * v + 1))
+    return Graph(2 * graph.vertex_count, frozenset(pairs))
 
 
 # ============================================================

@@ -367,7 +367,7 @@ class _FaceAssembler:
         # the last vertex of largest degree
         degrees = [near.bit_count() for near in nmask]
         anchor = n - 1 - degrees[::-1].index(max(degrees))
-        ring, fixed = list(_bits(nmask[anchor])), rule[anchor]
+        ring, fixed = [u for u in range(n) if nmask[anchor] >> u & 1], rule[anchor]
         for u, w in zip(ring, ring[1:] + ring[:1]):
             fixed[u] = 1 << w
             fb[u] = 1 << w * n + anchor
@@ -522,14 +522,6 @@ class _FaceAssembler:
         opened[b] ^= 1 << c
         opened[c] ^= 1 << d
         opened[d] ^= 1 << a
-
-
-def _bits(mask: int):
-    """The set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 @lru_cache(maxsize=1)

@@ -58,7 +58,7 @@ def _darts(face):
 
 def _faces(system):
     """The faces of a rotation system, traced over its own dart index."""
-    return _trace(_indexed(system.rotations)[1])
+    return list(_trace(_indexed(system.rotations)[1]))
 
 
 def _shuffled_system(graph: Graph, rng: random.Random) -> RotationSystem:

@@ -169,6 +169,10 @@ def test_interlace_counts_and_rank():
         assert doubled.vertex_count == 2 * graph.vertex_count
         assert doubled.edge_count == 4 * graph.edge_count
         assert betti(doubled) == 4 * graph.edge_count - 2 * graph.vertex_count + 1
+        n = doubled.vertex_count
+        assert doubled.edges == {
+            (a, b) for a in range(n) for b in range(a + 1, n) if (a >> 1, b >> 1) in graph.edges
+        }
 
 
 def test_graph_invariants_enforced():
