@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .embedding import GenusMismatchError, load_embedding, save_embedding, validate_quadrangulation
 from .formulas import MinOrderResult, min_order_runs, spectrum
-from .graph import FormatError, interlace, load_graph, save_graph
+from .graph import interlace, load_graph, save_graph
 from .oracle import (
     BudgetExhausted,
     SearchBudget,
@@ -237,7 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BuildError as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -46,9 +46,10 @@ list in which a search from vertex 0 misses a vertex is skipped.
 Verdicts are deterministic and independent of traversal order.  One budget
 covers enumeration, the corner-link test and assembly; running out of it
 raises BudgetExhausted instead of answering, and that outcome is never
-collapsed into "no".  The time cap is read at every search node, and every
-16th pass of the loops whose passes cost O(n^2) bit operations or more: the
-corner-link test's and the rows of a scan over every open dart.
+collapsed into "no".  The time cap is read at every search node, at every
+4096th vertex pair the enumerator considers, and at every 16th pass of the
+loops whose passes cost O(n^2) bit operations or more: the corner-link
+test's and the rows of a scan over every open dart.
 """
 
 from __future__ import annotations
@@ -102,32 +103,27 @@ class _Ticker:
     graph): a node is followed by a scan of the open darts at the four
     corners of the face it placed, or of every open dart when none of those
     is open.  A candidate's node comes before its corner-link test and its
-    assembler's first scan.  Cheap steps (``node=False``) are the candidate
-    enumerator's pairs; they read it only every 4096th time.  The work
-    between two nodes can still be long at a large order: the corner-link
-    test makes O(n) passes over n^2-bit integers, and a full scan's row
-    scores about n darts with a few operations on n^2-bit integers each, so
-    at n = 900 the test takes seconds and the first full scan longer.  Those loops call
-    ``clock``, which reads the clock and counts nothing, every 16th pass.
+    assembler's first scan.  The work between two nodes can still be long:
+    the candidate enumerator may consider many vertex pairs before it yields
+    a graph, the corner-link test makes O(n) passes over n^2-bit integers,
+    and a full scan's row scores about n darts with a few operations on
+    n^2-bit integers each, so at n = 900 the test takes seconds and the
+    first full scan longer.  Those loops call ``clock``, which reads the
+    clock and counts nothing: the enumerator at every 4096th pair it
+    considers, the others every 16th pass.
     """
 
-    __slots__ = ("budget", "nodes", "steps", "start")
+    __slots__ = ("budget", "nodes", "start")
 
     def __init__(self, budget: SearchBudget) -> None:
         self.budget = budget
         self.nodes = 0
-        self.steps = 0
         self.start = time.monotonic()
 
-    def __call__(self, node: bool = True) -> None:
-        if node:
-            self.nodes += 1
-            if self.nodes > self.budget.max_nodes:
-                raise BudgetExhausted(f"node budget {self.budget.max_nodes} exhausted")
-        else:
-            self.steps += 1
-            if self.steps % 4096:
-                return
+    def __call__(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.budget.max_nodes:
+            raise BudgetExhausted(f"node budget {self.budget.max_nodes} exhausted")
         self.clock()
 
     def clock(self) -> None:
@@ -166,17 +162,17 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     Enumeration runs over the complement: lexicographic combinations of the
     missing edges.  Near the minimum order very few edges are missing, so
     this is exponentially smaller than enumerating edge subsets directly.
-    A pair is dropped only while both endpoints can spare an edge; each pair
-    considered is a timed step of the ticker, not a search node.  The
-    combinations come from one loop over an explicit stack of dropped pairs,
-    so the number of missing edges is not bounded by Python's recursion
-    limit.  The loop walks the pairs with a cursor instead of listing them,
-    and builds masks only when a combination is complete, so a large order
-    meets its first budget check at once.  Far above the minimum order
-    nearly every pair considered is dropped, so each dropped pair (i, j) is
-    one machine integer i * n + j, and a vertex's spare count is made when
-    the cursor first reaches it: memory grows with the pairs considered, not
-    with n, and stays small until the budget ends.
+    A pair is dropped only while both endpoints can spare an edge; the pairs
+    considered are not search nodes, and every 4096th reads the ticker's
+    clock.  The combinations come from one loop over an explicit stack of
+    dropped pairs, so the number of missing edges is not bounded by Python's
+    recursion limit.  The loop walks the pairs with a cursor instead of
+    listing them, and builds masks only when a combination is complete, so a
+    large order meets its first budget check at once.  Far above the minimum
+    order nearly every pair considered is dropped, so each dropped pair
+    (i, j) is one machine integer i * n + j, and a vertex's spare count is
+    made when the cursor first reaches it: memory grows with the pairs
+    considered, not with n, and stays small until the budget ends.
 
     The rule runs inside the same loop.  The pairs (i, n - 1) are the last
     of each row, and the first one dropped fixes d = i: every later
@@ -203,11 +199,14 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     dropped = array("q")  # ascending, the pair (i, j) as i * n + j
     k, i, j = 0, 0, 1  # the pair (i, j) under consideration, and its index k
     left = total - edge_target  # the drops still due
+    pairs = 0  # the pairs considered
     while True:
         # consider pair k while enough pairs remain for the drops still due;
         # otherwise this combination is complete or exhausted: backtrack
         if left and k <= total - left:
-            ticker(node=False)
+            pairs += 1
+            if not pairs & 4095:
+                ticker.clock()
             if j == len(spare):  # row 0 reaches every vertex in order first
                 spare.append(cap)
             if j < last:
@@ -268,6 +267,11 @@ class _FaceAssembler:
     matrix the test packed.  The test is sound: it only restates what the
     quad faces around any vertex force, so it never withholds a graph this
     search could complete.
+
+    Precondition: the graph is labelled as ``_candidate_graphs`` lists it.
+    The rotation at the anchor is fixed in ascending order (see the last
+    paragraph), so on any other labelling of a graph that quadrangulates
+    the search may answer None, and that None proves nothing.
 
     The rotation under construction at v is a set of partial paths of
     neighbours, "w follows u at v" joining the path that ends at u to the
@@ -336,16 +340,17 @@ class _FaceAssembler:
     v, and rule_u and rule_t are the rule entries it rewrote.  Taking the
     face back restores ``rule``, ``ends`` and ``free`` from the record
     alone, and the same record drives the packed tables' flips in both
-    directions, so every table comes back exactly.  The
-    anchor, the last vertex of largest degree, has its rotation pre-fixed
-    to ascending order.  On a graph ``_candidate_graphs`` lists, the anchor
-    is n - 1 and its neighbours are 0..d-1, so the fixed rotation is
-    (0, 1, ..., d-1).  Relabelling any quadrangulation at a largest-degree
-    vertex x (x becomes n - 1, its neighbours 0..d-1 in rotation order, the
-    rest d..n-2) gives a listed graph with exactly that rotation at n - 1,
-    so no witness is lost while the symmetry factor drops out.  The tables
-    are allocated after one clock read, so a spent time cap stops a large
-    order before it pays for them.
+    directions, so every table comes back exactly.
+
+    The anchor, the last vertex of largest degree, has its rotation
+    pre-fixed to ascending order.  On a graph ``_candidate_graphs`` lists,
+    the anchor is n - 1 and its neighbours are 0..d-1, so the fixed rotation
+    is (0, 1, ..., d-1).  Relabelling any quadrangulation at a largest-degree vertex x
+    (x becomes n - 1, its neighbours 0..d-1 in rotation order, the rest
+    d..n-2) gives a listed graph with exactly that rotation at n - 1, so no
+    witness is lost while the symmetry factor drops out.  The tables are
+    allocated after one clock read, so a spent time cap stops a large order
+    before it pays for them.
     """
 
     def __init__(self, nmask: list[int], ticker: _Ticker, matrix: int) -> None:

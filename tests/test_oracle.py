@@ -142,7 +142,9 @@ def _matrix(nmask):
 
 
 def _assemble(nmask, ticker):
-    """A face assembler on any graph, whether or not it passes the corner-link test."""
+    """A face assembler on a graph, whether or not it passes the corner-link
+    test.  Its None proves nothing unless the graph is labelled as
+    ``_candidate_graphs`` lists it: the rotation at the anchor is fixed."""
     return _FaceAssembler(nmask, ticker, _matrix(nmask))
 
 
@@ -217,7 +219,7 @@ def test_candidate_graphs_match_reference_enumerator():
                 reference = _reference_candidates(n, edge_target, min_degree)
                 expected = [edges for edges in reference if _anchor_canonical(n, edges)]
                 assert pruned == expected, (n, edge_target, min_degree)
-                assert ticker.nodes == 0  # enumeration steps are not search nodes
+                assert ticker.nodes == 0  # the pairs considered are not search nodes
 
 
 def _relabelled_at_anchor(graph, rotations):
@@ -283,15 +285,31 @@ def test_anchor_canonical_candidates_lose_no_quadrangulation():
     assert embedded == 3 + 10 + 1 + 105 + 40 + 54
 
 
+class _ClockCount:
+    """A ticker stub that counts the enumerator's clock readings."""
+
+    def __init__(self) -> None:
+        self.readings = 0
+
+    def clock(self) -> None:
+        self.readings += 1
+
+
 def test_candidate_enumeration_obeys_time_cap():
     # 14 edges cannot give 12 vertices degree 3, so nothing is ever yielded and
-    # only the clock checked between enumeration steps can stop the search
+    # only the clock the enumerator reads between pairs can stop the search
     ticker = _Ticker(SearchBudget(time_cap=1e-9))
     with pytest.raises(BudgetExhausted, match="time cap"):
         for _ in _candidate_graphs(12, 14, 3, ticker):
             pass
     assert ticker.nodes == 0
-    assert ticker.steps == 4096
+    # the clock is read at every 4096th pair considered: these full listings
+    # consider 18,363 and 27,394 pairs
+    for edge_target, readings in ((11, 4), (12, 6)):
+        counter = _ClockCount()
+        for _ in _candidate_graphs(7, edge_target, 3, counter):
+            pass
+        assert counter.readings == readings, edge_target
 
 
 def test_candidate_enumeration_meets_its_budget_before_listing_every_pair():
@@ -329,18 +347,17 @@ def test_enumeration_far_above_the_minimum_order_reads_no_adjacency_lists():
 
 
 class _StepLimit:
-    """A ticker stub that ends the budget after a fixed number of cheap
-    steps, so a test can run the enumerator for a set amount of work
-    without reading the clock."""
+    """A ticker stub that ends the budget at the first clock reading after
+    a given number of pairs considered (one reading per 4096 pairs), so a
+    test can run the enumerator for a set amount of work without a clock."""
 
     def __init__(self, steps: int) -> None:
-        self.left = steps
+        self.left = steps // 4096
 
-    def __call__(self, node: bool = True) -> None:
-        if not node:
-            self.left -= 1
-            if self.left < 0:
-                raise BudgetExhausted("step limit reached")
+    def clock(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExhausted("step limit reached")
 
 
 def test_candidate_enumeration_memory_grows_with_steps_not_order():
@@ -480,6 +497,8 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
         if not nx.is_connected(small):
             continue
         graph = Graph(n, frozenset(tuple(sorted(e)) for e in small.edges()))
+        # the verdicts match on the atlas's own labellings; a relabelling
+        # the enumerator would not list may lose a quadrangulation
         found = _assemble(_masks(graph), _Ticker(SearchBudget())).search()
         reference = _ReferenceAssembler(graph).search()
         assert (found is None) == (reference is None), sorted(graph.edges)
@@ -997,6 +1016,27 @@ def test_budget_rejects_non_integer_max_nodes():
             SearchBudget(max_nodes=bad)
 
 
+def test_search_raises_when_a_defect_guard_fails(monkeypatch):
+    # the search never returns an invalid witness or scans past the spinal
+    # order, so each defect guard is reached by corrupting what it reads;
+    # BudgetExhausted is a RuntimeError too, so the messages are matched
+    validate = oracle.validate_quadrangulation
+    for fault in ({"is_quadrangulation": False}, {"genus": 2}):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                oracle,
+                "validate_quadrangulation",
+                lambda system: validate(system)._replace(**fault),
+            )
+            with pytest.raises(RuntimeError, match="produced an invalid witness; search defect"):
+                search_quadrangulation(8, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_search", lambda n, genus, ticker: None)
+        with pytest.raises(RuntimeError, match="up to the guaranteed spinal order; search defect"):
+            min_order_bruteforce(1)
+    assert search_quadrangulation(8, 1) is not None
+
+
 def test_budget_exhaustion_is_an_exception_not_a_verdict():
     with pytest.raises(BudgetExhausted):
         search_quadrangulation(7, 2, budget=SearchBudget(max_nodes=5))
@@ -1011,7 +1051,7 @@ def test_time_cap_type():
 
 def test_time_cap_is_read_at_every_search_node(monkeypatch):
     # a clock that advances 1 s per reading: the first search node is past a
-    # 0.5 s cap, long before 4096 cheap steps would have read the clock
+    # 0.5 s cap, long before the enumerator's 4096th pair would read the clock
     clock = iter(range(10**6))
     monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
     with pytest.raises(BudgetExhausted, match="time cap"):
