@@ -34,7 +34,9 @@ one it reads.
 ``--src`` names a tree holding the ``qforge`` package (default: this
 checkout's ``src``).  Given twice or more, every round runs each tree once
 per size, and the tree that runs first alternates from round to round, so
-two commits can be timed in pairs on a noisy host.
+two commits can be timed in pairs on a noisy host.  A job that fails, as
+at a size it cannot run (``top 3``, ``spinal 1``), passes on its child's
+stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ genus = ((2 * n - 5) ** 2 + 7) // 32
 start = time.perf_counter()
 found = min_order_bruteforce(genus, SearchBudget(max_nodes=200_000), max_order=n)
 seconds = time.perf_counter() - start
+if found is None:
+    sys.exit(f"genus {genus} has no quadrangulation of order {n} or less")
 fields = {"order": found.order, "genus": genus, "nodes": found.nodes, "seconds": round(seconds, 4)}
 witness, declared = found.witness, None
 """,
@@ -111,12 +115,16 @@ print(json.dumps({
 
 
 def _run(src: Path, job: str, size: int) -> dict:
+    """One job's fields; a failed child's stderr is passed on, and exit 1."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     child = _PRELUDE + _JOBS[job] + _EPILOGUE
     out = subprocess.run(
         [sys.executable, "-c", child, str(size)],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True,
     )
+    if out.returncode:
+        sys.stderr.write(out.stderr)
+        sys.exit(f"{job} {size} failed with exit code {out.returncode} ({src})")
     return {"src": str(src), **json.loads(out.stdout)}
 
 

@@ -7,49 +7,56 @@ minimum degree, each as per-vertex neighbour bitmasks.  Only one labelling
 rule's graphs are listed: vertex n - 1 has the largest degree d and is
 adjacent to exactly 0..d-1, and the assembler fixes the rotation there to
 (0, 1, ..., d-1); every quadrangulation has such a labelling and embedding
-(see ``_candidate_graphs``).  Each candidate first meets the
-corner-link test: two neighbours consecutive in the rotation at a vertex
-share a quad face, so they have a second common neighbour, and a graph in
-which some neighbour of a vertex has fewer than two such partners among
-that vertex's other neighbours (one at degree 2) has no quadrangulation.
-The test costs O(n) operations on n^2-bit integers and reads no labels, so
-it composes with the assembler's symmetry break.  A candidate that passes
-goes to the assembler, which places quad faces dart by dart, growing the
-rotation at every vertex incrementally and abandoning a branch as soon as a
-face would close at the wrong length or revisit a vertex.  Each step places
-a face on the open dart with the fewest ways left to complete one
-(most-constrained first, as in Knuth's Dancing Links), scoring only the
-darts at the corners of the face placed last, where the options just
-narrowed, and every open dart only when none of those is open.  A
-corner's options are one AND of two maintained per-vertex entries, the
-corner's rule (its forced successor, or the neighbours it must not take)
-and the mask of neighbours that still lack a predecessor in the rotation,
-with no walk along a partial rotation.  The same options are also packed,
-for every vertex x, into n^2-bit integers whose column c holds the options
-at c after x, so scoring a dart is one product, a few ANDs and popcounts
-over whole masks instead of a loop over its options.  The search runs as
-one loop over an explicit stack of placed faces: it pushes a frame for the
-chosen dart and advances it, and advancing a frame takes back the face it
-placed and places its next completion that fits, read off the frame's
-option masks instead of listed up front, so a witness of any size fits in
-it without touching Python's recursion limit.  Each successor a face sets
-is one record in its frame, which both directions read: taking the face
-back restores the per-vertex entries from it, and one loop of XOR flips
-per advance keeps the packed integers exact for the face taken back and
-the face placed alike.  A witness's rotations become a
-``RotationSystem``, which derives its graph and its faces from them, and
-the witness is validated in full before it is returned.  Connectivity is
-read off that witness alone: the enumerator lists disconnected graphs too,
-and a disconnected graph has no quadrangulation, so an assembled rotation
-list in which a search from vertex 0 misses a vertex is skipped.
+(see ``_candidate_graphs``).  Each candidate first meets the ring test,
+which reads that fixed rotation: every corner (u, n - 1, w) of it lies on a
+quad face, so the consecutive neighbours u and w need a common neighbour
+other than n - 1, and a candidate where some consecutive pair has none
+cannot be assembled.  It costs d ANDs of n-bit masks and, at
+order 8, genus 1, rejects 422 of the 542 candidates listed before the first
+witness.  The corner-link test follows: two neighbours consecutive in the
+rotation at a vertex share a quad face, so they have a second common
+neighbour, and a graph in which some neighbour of a vertex has fewer than
+two such partners among that vertex's other neighbours (one at degree 2)
+has no quadrangulation.  That test costs O(n) operations on n^2-bit
+integers and reads no labels, so it composes with the assembler's symmetry
+break.  A candidate that passes both goes to the assembler, which places
+quad faces dart by dart, growing the rotation at every vertex incrementally
+and abandoning a branch as soon as a face would close at the wrong length
+or revisit a vertex.  Each step places a face on the open dart with the
+fewest ways left to complete one (most-constrained first, as in Knuth's
+Dancing Links), scoring only the darts at the corners of the face placed
+last, where the options just narrowed, and every open dart only when none
+of those is open.  A corner's options are one AND of two maintained
+per-vertex entries, the corner's rule (its forced successor, or the
+neighbours it must not take) and the mask of neighbours that still lack a
+predecessor in the rotation, with no walk along a partial rotation.  The
+same options are also packed, for every vertex x, into n^2-bit integers
+whose column c holds the options at c after x, so scoring a dart is one
+product, a few ANDs and popcounts over whole masks instead of a loop over
+its options.  The search runs as one loop over an explicit stack of placed
+faces: it pushes a frame for the chosen dart and advances it, and advancing
+a frame takes back the face it placed and places its next completion that
+fits, read off the frame's option masks instead of listed up front, so a
+witness of any size fits in it without touching Python's recursion limit.
+Each successor a face sets is one record in its frame, which both
+directions read: taking the face back restores the per-vertex entries from
+it, and one loop of XOR flips per advance keeps the packed integers exact
+for the face taken back and the face placed alike.  A witness's rotations
+become a ``RotationSystem``, which derives its graph and its faces from
+them, and the witness is validated in full before it is returned.
+Connectivity is read off that witness alone: the enumerator lists
+disconnected graphs too, and a disconnected graph has no quadrangulation,
+so an assembled rotation list in which a search from vertex 0 misses a
+vertex is skipped.
 
 Verdicts are deterministic and independent of traversal order.  One budget
-covers enumeration, the corner-link test and assembly; running out of it
+covers enumeration, both tests and assembly; running out of it
 raises BudgetExhausted instead of answering, and that outcome is never
 collapsed into "no".  The time cap is read at every search node, at every
 4096th vertex pair the enumerator considers, and at every 16th pass of the
 loops whose passes cost O(n^2) bit operations or more: the corner-link
-test's and the rows of a scan over every open dart.
+test's and the rows of a scan over every open dart.  The ring test reads no
+clock of its own: it makes O(n) passes over n-bit masks.
 """
 
 from __future__ import annotations
@@ -102,8 +109,10 @@ class _Ticker:
     The clock is read at every search node (a face placement or a candidate
     graph): a node is followed by a scan of the open darts at the four
     corners of the face it placed, or of every open dart when none of those
-    is open.  A candidate's node comes before its corner-link test and its
-    assembler's first scan.  The work between two nodes can still be long:
+    is open.  A candidate's node comes before both of its tests (the ring
+    test, then the corner-link test) and its assembler's first scan.  The
+    ring test makes O(n) passes over n-bit masks, too little work to need a
+    reading of its own.  The work between two nodes can still be long:
     the candidate enumerator may consider many vertex pairs before it yields
     a graph, the corner-link test makes O(n) passes over n^2-bit integers,
     and a full scan's row scores about n darts with a few operations on
@@ -261,12 +270,14 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
 class _FaceAssembler:
     """Backtracking assembly of quad faces over one candidate graph, given
     by the neighbour masks ``_candidate_graphs`` yields: bit w of
-    ``nmask[v]`` is the edge vw.  The caller runs the corner-link test
+    ``nmask[v]`` is the edge vw.  The caller runs the ring test
+    (``_anchor_ring_linked``) and then the corner-link test
     (``_corners_linked``) first, so the n x n state below is allocated only
-    for graphs that test cannot rule out, and hands over the adjacency
-    matrix the test packed.  The test is sound: it only restates what the
-    quad faces around any vertex force, so it never withholds a graph this
-    search could complete.
+    for graphs neither test can rule out, and hands over the adjacency
+    matrix the corner-link test packed.  Both tests are sound: they only
+    restate what the quad faces around a vertex force, the ring test at the
+    anchor's fixed rotation, so neither withholds a graph this search could
+    complete.
 
     Precondition: the graph is labelled as ``_candidate_graphs`` lists it.
     The rotation at the anchor is fixed in ascending order (see the last
@@ -342,15 +353,15 @@ class _FaceAssembler:
     alone, and the same record drives the packed tables' flips in both
     directions, so every table comes back exactly.
 
-    The anchor, the last vertex of largest degree, has its rotation
-    pre-fixed to ascending order.  On a graph ``_candidate_graphs`` lists,
-    the anchor is n - 1 and its neighbours are 0..d-1, so the fixed rotation
-    is (0, 1, ..., d-1).  Relabelling any quadrangulation at a largest-degree vertex x
-    (x becomes n - 1, its neighbours 0..d-1 in rotation order, the rest
-    d..n-2) gives a listed graph with exactly that rotation at n - 1, so no
-    witness is lost while the symmetry factor drops out.  The tables are
-    allocated after one clock read, so a spent time cap stops a large order
-    before it pays for them.
+    The anchor, the last vertex of largest degree (``_anchor``), has its
+    rotation pre-fixed to ascending order.  On a graph ``_candidate_graphs``
+    lists, the anchor is n - 1 and its neighbours are 0..d-1, so the fixed
+    rotation is (0, 1, ..., d-1).  Relabelling any quadrangulation at a
+    largest-degree vertex x (x becomes n - 1, its neighbours 0..d-1 in
+    rotation order, the rest d..n-2) gives a listed graph with exactly that
+    rotation at n - 1, so no witness is lost while the symmetry factor drops
+    out.  The tables are allocated after one clock read, so a spent time
+    cap stops a large order before it pays for them.
     """
 
     def __init__(self, nmask: list[int], ticker: _Ticker, matrix: int) -> None:
@@ -369,9 +380,7 @@ class _FaceAssembler:
         self.rk = [-1] * n
         fb = self.fb = [0] * n
         uf = self.uf = nmask[:]
-        # the last vertex of largest degree
-        degrees = [near.bit_count() for near in nmask]
-        anchor = n - 1 - degrees[::-1].index(max(degrees))
+        anchor = _anchor(nmask)
         ring, fixed = [u for u in range(n) if nmask[anchor] >> u & 1], rule[anchor]
         for u, w in zip(ring, ring[1:] + ring[:1]):
             fixed[u] = 1 << w
@@ -529,6 +538,34 @@ class _FaceAssembler:
         opened[d] ^= 1 << a
 
 
+def _anchor(nmask: list[int]) -> int:
+    """The vertex whose rotation the assembler fixes: the last of largest degree."""
+    degrees = list(map(int.bit_count, nmask))
+    return len(nmask) - 1 - degrees[::-1].index(max(degrees))
+
+
+def _anchor_ring_linked(nmask: list[int]) -> bool:
+    """The ring test: False proves that ``_FaceAssembler`` answers None on
+    the graph given by these neighbour masks.
+
+    The assembler fixes the rotation at its anchor to the anchor's
+    neighbours in ascending order, u_0 < ... < u_{d-1}.  Each corner
+    (u_i, anchor, u_{i+1}), indices cyclic, then lies on a quad face
+    (u_i, anchor, u_{i+1}, x) with x a common neighbour of u_i and u_{i+1}
+    other than the anchor, so a consecutive pair with no such x leaves the
+    assembler nothing to place there.  Unlike the corner-link test this
+    reads the labels: on a graph ``_candidate_graphs`` lists, skipping a
+    False loses no witness (see there), but on any other labelling False
+    says nothing about the graph itself.  It costs d ANDs of n-bit masks
+    after O(n) popcounts, so it needs no clock read of its own.
+    """
+    anchor = _anchor(nmask)
+    near, others = nmask[anchor], ~(1 << anchor)
+    # the ring's rows in ascending order, each without the anchor
+    rows = [row & others for u, row in enumerate(nmask) if near >> u & 1]
+    return all(map(int.__and__, rows, rows[1:] + rows[:1]))
+
+
 @lru_cache(maxsize=1)
 def _column(n: int) -> int:
     """Bit 0 of every row of an n x n matrix packed into one integer, row v
@@ -624,7 +661,9 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
     # bound that lists only such graphs finds the minimum order.
     min_degree = 2 if genus == 0 else 3
     for nmask in _candidate_graphs(n, edge_target, min_degree, ticker):
-        ticker()  # before the test, so a stream of rejected candidates meets the clock
+        ticker()  # before both tests, so a stream of rejected candidates meets the clock
+        if not _anchor_ring_linked(nmask):
+            continue
         matrix = _corners_linked(nmask, ticker)
         if matrix is None:
             continue

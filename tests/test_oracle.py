@@ -24,6 +24,7 @@ from qforge.graph import Graph, _connected, canonical_json, is_connected
 from qforge.oracle import (
     BudgetExhausted,
     SearchBudget,
+    _anchor_ring_linked,
     _candidate_graphs,
     _corners_linked,
     _FaceAssembler,
@@ -489,7 +490,7 @@ class _ReferenceAssembler:
 
 def test_assembler_verdicts_match_reference_on_graph_atlas():
     nx = pytest.importorskip("networkx")
-    verdicts, rejected = [], 0
+    verdicts, rejected, ring_rejected = [], 0, 0
     for small in nx.graph_atlas_g():
         n, m = small.number_of_nodes(), small.number_of_edges()
         if not 4 <= n <= 7 or m % 2 or min(d for _, d in small.degree()) < 2:
@@ -506,6 +507,10 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
         if _corners_linked(_masks(graph), _Ticker(SearchBudget())) is None:
             assert reference is None, sorted(graph.edges)
             rejected += 1
+        # nor does the ring test on the labelling both assemblers anchor
+        if not _anchor_ring_linked(_masks(graph)):
+            assert reference is None, sorted(graph.edges)
+            ring_rejected += 1
         for rotations in (found, reference):
             if rotations is not None:
                 system = RotationSystem(rotations)
@@ -514,6 +519,7 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
         verdicts.append(found is not None)
     assert (verdicts.count(True), verdicts.count(False)) == (10, 281)
     assert rejected == 177  # of the 281 that do not quadrangulate
+    assert ring_rejected == 230
 
 
 def _reference_corners_linked(nmask):
@@ -573,14 +579,25 @@ def test_corner_link_rejections_are_sound_at_small_orders():
 def test_order_8_genus_1_lists_only_anchor_canonical_candidates(monkeypatch):
     # listing every labelling, the search took 1,691 candidates and 2,940
     # nodes to its first witness
-    # (README: the corner-link test removes 299 of the 542 candidates)
-    listed, rejected = [], []
-    enumerate_all, link = oracle._candidate_graphs, oracle._corners_linked
+    # (README: of the 542 candidates, the ring test removes 422 and the
+    # corner-link test 85 of the rest)
+    listed, ring_rejected, rejected = [], [], []
+    enumerate_all, ring, link = (
+        oracle._candidate_graphs,
+        oracle._anchor_ring_linked,
+        oracle._corners_linked,
+    )
 
     def counted(*args):
         for nmask in enumerate_all(*args):
             listed.append(nmask)
             yield nmask
+
+    def ringed(nmask):
+        passed = ring(nmask)
+        if not passed:
+            ring_rejected.append(nmask)
+        return passed
 
     def linked(nmask, ticker):
         matrix = link(nmask, ticker)
@@ -589,10 +606,12 @@ def test_order_8_genus_1_lists_only_anchor_canonical_candidates(monkeypatch):
         return matrix
 
     monkeypatch.setattr(oracle, "_candidate_graphs", counted)
+    monkeypatch.setattr(oracle, "_anchor_ring_linked", ringed)
     monkeypatch.setattr(oracle, "_corners_linked", linked)
     ticker = _Ticker(SearchBudget())
     assert oracle._search(8, 1, ticker) is not None
-    assert (len(listed), len(rejected), ticker.nodes) == (542, 299, 1073)
+    counts = (len(listed), len(ring_rejected), len(rejected), ticker.nodes)
+    assert counts == (542, 422, 85, 658)
 
 
 def test_known_quadrangulations_pass_the_corner_link_test():
@@ -603,6 +622,37 @@ def test_known_quadrangulations_pass_the_corner_link_test():
     ticker = _Ticker(SearchBudget())
     for graph in graphs:
         assert _corners_linked(_masks(graph), ticker) is not None, sorted(graph.edges)
+
+
+def test_ring_rejections_are_sound_on_listed_candidates():
+    # every listed candidate of every search up to order 7, and those of
+    # order 8, genus 1 up to its first witness: the assembler, which fixes
+    # the anchor's rotation the ring test reads, embeds none the test rejects
+    searches = [(n, genus, None) for n in range(4, 8) for genus in range(3)] + [(8, 1, 542)]
+    rejected = 0
+    for n, genus, count in searches:
+        edge_target = quad_edge_count(n, genus)
+        if edge_target is None:
+            continue
+        ticker = _Ticker(SearchBudget())
+        candidates = _candidate_graphs(n, edge_target, 2 if genus == 0 else 3, ticker)
+        for nmask in islice(candidates, count):
+            if not _anchor_ring_linked(nmask):
+                assert _assemble(nmask, ticker).search() is None, sorted(_edges(nmask))
+                rejected += 1
+    assert rejected == 6728 + 422
+
+
+def test_known_witnesses_relabelled_at_their_anchor_pass_the_ring_test():
+    # relabelled as the enumerator's soundness argument does, a witness's
+    # rotation at n - 1 is the ascending ring, and every corner of it closes
+    witnesses = [search_quadrangulation(n, genus) for n, genus, _ in SEARCH_GOLDENS]
+    for genus, order, _, _ in SCAN_GOLDENS:
+        budget = SearchBudget(max_nodes=100_000) if genus > 2 else None
+        witnesses.append(min_order_bruteforce(genus, budget, max_order=order).witness)
+    for system in witnesses:
+        canonical, _ = _relabelled_at_anchor(system.graph, system.rotations)
+        assert _anchor_ring_linked(_masks(canonical)), sorted(canonical.edges)
 
 
 # ============================================================
@@ -843,16 +893,20 @@ def test_assembler_options_match_a_predecessor_walk_at_every_step():
 def test_search_answers_none_after_a_finished_enumeration(monkeypatch):
     candidates = _dead_end_masks()[1:]
     assert all(_corners_linked(nmask, _Ticker(SearchBudget())) is not None for nmask in candidates)
+    # one of them fails the ring test, so the search never assembles it
+    ringed = [nmask for nmask in candidates if _anchor_ring_linked(nmask)]
+    assert len(ringed) == len(candidates) - 1
     assembled = 0
-    for nmask in candidates:
+    for nmask in ringed:
         ticker = _Ticker(SearchBudget())
         _assemble(nmask, ticker).search()
         assembled += ticker.nodes
     monkeypatch.setattr(oracle, "_candidate_graphs", lambda *args: iter(candidates))
     ticker = _Ticker(SearchBudget())
     assert oracle._search(6, 1, ticker) is None
-    # one node per candidate, and the assembler's own
-    assert ticker.nodes == len(candidates) + assembled
+    # one node per candidate, the one the ring test rejects included, and the
+    # assembler's own on the rest
+    assert ticker.nodes == len(candidates) + assembled == 10
 
 
 def test_search_skips_a_disconnected_candidate_the_assembler_embeds(monkeypatch):
@@ -1056,20 +1110,26 @@ def test_time_cap_is_read_at_every_search_node(monkeypatch):
     monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
     with pytest.raises(BudgetExhausted, match="time cap"):
         search_quadrangulation(9, 3, SearchBudget(time_cap=0.5))
-    # a candidate the corner-link test rejects is a node too, read before the
-    # test: the ticker starts at 1 s, candidates 1 and 2 read 2 s and 3 s and
-    # are rejected, and candidate 3 reads 4 s, past the 2.5 s cap
+    # a rejected candidate is a node too, read before both tests: the ticker
+    # starts at 1 s, candidates 1 and 2 read 2 s and 3 s, pass the ring test
+    # and fail the corner-link test, and candidate 3 reads 4 s, past the
+    # 2.5 s cap, before either test sees it
     clock = iter(range(1, 10**6))
-    tested = []
+    ringed, tested = [], []
+
+    def accept(nmask):
+        ringed.append(nmask)
+        return True
 
     def reject(nmask, ticker):
         tested.append(nmask)
         return None
 
+    monkeypatch.setattr(oracle, "_anchor_ring_linked", accept)
     monkeypatch.setattr(oracle, "_corners_linked", reject)
     with pytest.raises(BudgetExhausted, match="time cap"):
         search_quadrangulation(8, 1, SearchBudget(time_cap=2.5))
-    assert len(tested) == 2
+    assert len(ringed) == len(tested) == 2
 
 
 def test_assembler_scoring_scan_obeys_time_cap(monkeypatch):
