@@ -18,7 +18,10 @@ largest genus whose arithmetic lower bound is n, with
 ``min_order_bruteforce(g_top(n), max_order=n)``: the oracle's densest
 searches, on a near-complete graph, which no ``perfbench`` workload runs.
 Its fields are the order, the genus, the search nodes and the seconds; the
-document declares no genus.
+document declares no genus.  No genus has lower bound 6 (g_top(6) = 1,
+whose bound is 5), and none has a bound below 4 (the sphere's, where the
+scan starts); at such an n the job exits 1 with a message instead of
+searching another order.
 
 ``verify P`` builds the document of ``spinal P`` untimed, then times the
 best of 20 calls of ``embedding_from_document(json.loads(document))``
@@ -35,7 +38,7 @@ one it reads.
 checkout's ``src``).  Given twice or more, every round runs each tree once
 per size, and the tree that runs first alternates from round to round, so
 two commits can be timed in pairs on a noisy host.  A job that fails, as
-at a size it cannot run (``top 3``, ``spinal 1``), passes on its child's
+at a size it cannot run (``top 6``, ``spinal 1``), passes on its child's
 stderr and exits 1.
 """
 
@@ -74,10 +77,14 @@ fields = {
 witness, declared = report.embedding, report.genus
 """,
     "top": """
+from qforge.formulas import order_lower_bound
 from qforge.oracle import SearchBudget, min_order_bruteforce
 
 n = int(sys.argv[1])
 genus = ((2 * n - 5) ** 2 + 7) // 32
+bound = order_lower_bound(genus) if genus else 4  # where the scan starts
+if bound != n:
+    sys.exit(f"no genus has lower bound {n}: g_top({n}) = {genus}, whose bound is {bound}")
 start = time.perf_counter()
 found = min_order_bruteforce(genus, SearchBudget(max_nodes=200_000), max_order=n)
 seconds = time.perf_counter() - start

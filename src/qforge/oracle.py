@@ -7,19 +7,20 @@ minimum degree, each as per-vertex neighbour bitmasks.  Only one labelling
 rule's graphs are listed: vertex n - 1 has the largest degree d and is
 adjacent to exactly 0..d-1, and the assembler fixes the rotation there to
 (0, 1, ..., d-1); every quadrangulation has such a labelling and embedding
-(see ``_candidate_graphs``).  Each candidate first meets the ring test,
+(see ``_candidate_graphs``).  The enumerator also runs the ring test,
 which reads that fixed rotation: every corner (u, n - 1, w) of it lies on a
 quad face, so the consecutive neighbours u and w need a common neighbour
-other than n - 1, and a candidate where some consecutive pair has none
-cannot be assembled.  It costs d ANDs of n-bit masks and, at
-order 8, genus 1, rejects 422 of the 542 candidates listed before the first
-witness.  The corner-link test follows: two neighbours consecutive in the
-rotation at a vertex share a quad face, so they have a second common
-neighbour, and a graph in which some neighbour of a vertex has fewer than
-two such partners among that vertex's other neighbours (one at degree 2)
-has no quadrangulation.  That test costs O(n) operations on n^2-bit
+other than n - 1, and a labelling where some consecutive pair has none
+cannot be assembled.  A pair is tested as soon as the rows of both its
+vertices are settled, so a failing labelling is cut before it is
+completed: at order 8, genus 1, 120 of the 542 labellings that obey the
+rule before the first witness are listed.  Each listed candidate meets the
+corner-link test: two neighbours consecutive in the rotation at a vertex
+share a quad face, so they have a second common neighbour, and a graph in
+which some neighbour of a vertex has fewer than two such partners among
+that vertex's other neighbours (one at degree 2) has no quadrangulation.  That test costs O(n) operations on n^2-bit
 integers and reads no labels, so it composes with the assembler's symmetry
-break.  A candidate that passes both goes to the assembler, which places
+break.  A candidate that passes it goes to the assembler, which places
 quad faces dart by dart, growing the rotation at every vertex incrementally
 and abandoning a branch as soon as a face would close at the wrong length
 or revisit a vertex.  Each step places a face on the open dart with the
@@ -50,13 +51,14 @@ so an assembled rotation list in which a search from vertex 0 misses a
 vertex is skipped.
 
 Verdicts are deterministic and independent of traversal order.  One budget
-covers enumeration, both tests and assembly; running out of it
+covers enumeration, the corner-link test and assembly; running out of it
 raises BudgetExhausted instead of answering, and that outcome is never
 collapsed into "no".  The time cap is read at every search node, at every
 4096th vertex pair the enumerator considers, and at every 16th pass of the
 loops whose passes cost O(n^2) bit operations or more: the corner-link
 test's and the rows of a scan over every open dart.  The ring test reads no
-clock of its own: it makes O(n) passes over n-bit masks.
+clock of its own: the enumerator tests one pair of n-bit masks per row it
+enters, and makes d ANDs of n-bit masks on a complete combination.
 """
 
 from __future__ import annotations
@@ -109,17 +111,16 @@ class _Ticker:
     The clock is read at every search node (a face placement or a candidate
     graph): a node is followed by a scan of the open darts at the four
     corners of the face it placed, or of every open dart when none of those
-    is open.  A candidate's node comes before both of its tests (the ring
-    test, then the corner-link test) and its assembler's first scan.  The
-    ring test makes O(n) passes over n-bit masks, too little work to need a
-    reading of its own.  The work between two nodes can still be long:
-    the candidate enumerator may consider many vertex pairs before it yields
-    a graph, the corner-link test makes O(n) passes over n^2-bit integers,
-    and a full scan's row scores about n darts with a few operations on
-    n^2-bit integers each, so at n = 900 the test takes seconds and the
-    first full scan longer.  Those loops call ``clock``, which reads the
-    clock and counts nothing: the enumerator at every 4096th pair it
-    considers, the others every 16th pass.
+    is open.  Only candidates that pass the ring test, which the enumerator
+    runs, are nodes; a candidate's node comes before its corner-link test
+    and its assembler's first scan.  The work between two nodes can still
+    be long: the candidate enumerator may consider many vertex pairs before
+    it yields a graph, the corner-link test makes O(n) passes over n^2-bit
+    integers, and a full scan's row scores about n darts with a few
+    operations on n^2-bit integers each, so at n = 900 the test takes
+    seconds and the first full scan longer.  Those loops call ``clock``,
+    which reads the clock and counts nothing: the enumerator at every 4096th
+    pair it considers, the others every 16th pass.
     """
 
     __slots__ = ("budget", "nodes", "start")
@@ -157,8 +158,9 @@ def quad_edge_count(n: int, genus: int) -> int | None:
 def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker):
     """Every labeled graph on n vertices, connected or not, with the target
     edge count and minimum degree whose vertex n - 1 has the largest degree
-    d and is adjacent to exactly 0..d-1, in a fixed order, each as its
-    neighbour masks: bit w of ``nmask[v]`` is the edge vw.
+    d and is adjacent to exactly 0..d-1, and that passes the ring test, in
+    a fixed order, each as its neighbour masks: bit w of ``nmask[v]`` is the
+    edge vw.
 
     The labelling rule loses no quadrangulation.  Take any quadrangulation
     of such a graph and a vertex x of largest degree d in it.  Label x as
@@ -167,6 +169,13 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     at n - 1 is (0, 1, ..., d-1), the one ``_FaceAssembler`` fixes at its
     anchor, so the assembler can find this embedding.  A "no" over the
     listed graphs is still a proof.
+
+    The ring test reads that fixed rotation.  Each corner (u, n - 1, w) of
+    it, with u and w consecutive in 0, 1, ..., d-1, 0, lies on a quad face
+    (u, n - 1, w, x) with x a common neighbour of u and w other than n - 1.
+    A labelling in which some consecutive pair has no such x leaves the
+    assembler nothing to place at that corner, so it gets None there, and
+    leaving it out loses no witness.
 
     Enumeration runs over the complement: lexicographic combinations of the
     missing edges.  Near the minimum order very few edges are missing, so
@@ -179,8 +188,9 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     listing them, and builds masks only when a combination is complete, so a
     large order meets its first budget check at once.  Far above the minimum
     order nearly every pair considered is dropped, so each dropped pair
-    (i, j) is one machine integer i * n + j, and a vertex's spare count is
-    made when the cursor first reaches it: memory grows with the pairs
+    (i, j) is one machine integer i * n + j, and a vertex's mask of dropped
+    pairs, whose popcount also gives the edges it can still spare, is made
+    when the cursor first reaches it: memory grows with the pairs
     considered, not with n, and stays small until the budget ends.
 
     The rule runs inside the same loop.  The pairs (i, n - 1) are the last
@@ -192,18 +202,34 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
     could not cover the forced pairs ahead, so no combination completes
     before its last forced pair.  And a pair (i, n - 1) drops only while
     vertices 0..i, whose degrees are settled once the cursor leaves row i,
-    keep degree at most d; a degree is ``min_degree`` plus the vertex's
-    spare count.  When no pair (i, n - 1) drops, n - 1 has degree n - 1.
+    keep degree at most d; a degree is ``min_degree`` plus the edges the
+    vertex can spare.  When no pair (i, n - 1) drops, n - 1 has degree n - 1.
     The sphere's first candidate is still K_{2,n-2}, whose hub n - 1 is
     adjacent to 0..n-3.
+
+    The ring test runs inside the loop too, on each pair as soon as the rows
+    of both its vertices are settled, when the cursor enters row i.  While
+    no pair (i', n - 1) is dropped, the ring still reaches i - 1, so the
+    pair (i - 2, i - 1) is tested; just after (i - 1, n - 1) is dropped,
+    the ring is 0..i-2 and the wrap-around pair (i - 2, 0) is tested.  A
+    pair fails when its two masks of dropped pairs, with both vertices and
+    n - 1, cover every vertex; the combination is then dead, as at a forced
+    pair that cannot drop, so a failing labelling is cut before its later
+    rows are enumerated.  A complete combination's masks are one XOR each
+    against K_n, and the whole ring is tested once more before it is
+    yielded, for the pairs whose rows were still open.  Its anchor is n - 1
+    by the rule.
     """
     total = n * (n - 1) // 2
     cap = n - 1 - min_degree
     if n and cap < 0:  # even the complete graph is too sparse
         return
     last = n - 1  # the anchor
+    others = ((1 << n) - 1) >> 1  # every vertex but the anchor
     hub = n  # the first i whose pair (i, last) is dropped; every later one must drop too
-    spare = [cap]  # one entry per vertex the cursor has reached
+    # one entry per vertex the cursor has reached: bit x of miss[v] is the
+    # dropped pair vx, and v can spare cap - miss[v].bit_count() more edges
+    miss = [0]
     complete = None  # every vertex's mask in K_n, built once the first combination is complete
     dropped = array("q")  # ascending, the pair (i, j) as i * n + j
     k, i, j = 0, 0, 1  # the pair (i, j) under consideration, and its index k
@@ -216,20 +242,25 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
             pairs += 1
             if not pairs & 4095:
                 ticker.clock()
-            if j == len(spare):  # row 0 reaches every vertex in order first
-                spare.append(cap)
+            if j == len(miss):  # row 0 reaches every vertex in order first
+                miss.append(0)
             if j < last:
                 # the drops still due must cover the forced pairs ahead
-                drop = spare[i] > 0 and spare[j] > 0 and (hub == n or left > last - i)
+                drop = (
+                    miss[i].bit_count() < cap
+                    and miss[j].bit_count() < cap
+                    and (hub == n or left > last - i)
+                )
             else:
                 # after dropping (i, last) and the last - i - 1 pairs it
                 # forces, the anchor keeps final spare edges; vertices 0..i,
-                # settled after this pair, may keep no more than that
-                final = spare[j] - (last - i)
+                # settled after this pair, may keep no more than that, so
+                # each must miss at least cap - final pairs
+                final = cap - miss[j].bit_count() - (last - i)
                 drop = (
-                    0 < spare[i] <= final + 1
+                    0 < cap - miss[i].bit_count() <= final + 1
                     and left >= last - i
-                    and max(spare[:i], default=0) <= final
+                    and min(map(int.bit_count, miss[:i]), default=cap) >= cap - final
                 )
                 if drop:
                     hub = min(hub, i)
@@ -237,47 +268,59 @@ def _candidate_graphs(n: int, edge_target: int, min_degree: int, ticker: _Ticker
                     k = total  # a forced pair cannot drop: this combination is dead
                     continue
             if drop:
-                spare[i] -= 1
-                spare[j] -= 1
+                miss[i] ^= 1 << j
+                miss[j] ^= 1 << i
                 dropped.append(i * n + j)
                 left -= 1
         else:
             if not left:
                 if complete is None:
                     complete = [((1 << n) - 1) ^ 1 << v for v in range(n)]
-                nmask = complete[:]
-                for pair in dropped:
-                    u, w = divmod(pair, n)
-                    nmask[u] ^= 1 << w
-                    nmask[w] ^= 1 << u
-                yield nmask
+                # vertices the cursor never reached miss no pair
+                nmask = [*map(int.__xor__, complete, miss), *complete[len(miss) :]]
+                ring = [row & others for row in nmask[: min(hub, last)]]
+                if all(map(int.__and__, ring, ring[1:] + ring[:1])):
+                    yield nmask
             while True:  # take back the last dropped pair that may be kept instead
                 if not dropped:
                     return
                 i, j = divmod(dropped.pop(), n)
                 left += 1
-                spare[i] += 1
-                spare[j] += 1
+                miss[i] ^= 1 << j
+                miss[j] ^= 1 << i
                 if j != last or hub == i:  # never the keep branch of a forced pair
                     break
             if j == last:
                 hub = n
             k = i * (2 * n - i - 1) // 2 + j - i - 1  # the index of (i, j)
         k += 1
-        i, j = (i, j + 1) if j + 1 < n else (i + 1, i + 2)
+        if j + 1 < n:
+            j += 1
+            continue
+        i, j = i + 1, i + 2
+        # rows 0..i-1 are settled: test the ring pair whose second row just
+        # settled, (i - 2, i - 1) while the ring may still reach i - 1, or
+        # the wrap-around pair (i - 2, 0) once row i - 1 has closed it
+        if hub == n:
+            u, w = i - 2, i - 1
+        elif hub == i - 1:
+            u, w = i - 2, 0
+        else:
+            continue
+        if u >= 0 and not others & ~(miss[u] | miss[w] | 1 << u | 1 << w):
+            k = total  # no fourth vertex closes the corner (u, last, w): dead
 
 
 class _FaceAssembler:
     """Backtracking assembly of quad faces over one candidate graph, given
     by the neighbour masks ``_candidate_graphs`` yields: bit w of
-    ``nmask[v]`` is the edge vw.  The caller runs the ring test
-    (``_anchor_ring_linked``) and then the corner-link test
-    (``_corners_linked``) first, so the n x n state below is allocated only
-    for graphs neither test can rule out, and hands over the adjacency
-    matrix the corner-link test packed.  Both tests are sound: they only
-    restate what the quad faces around a vertex force, the ring test at the
-    anchor's fixed rotation, so neither withholds a graph this search could
-    complete.
+    ``nmask[v]`` is the edge vw.  The enumerator has run the ring test and
+    the caller runs the corner-link test (``_corners_linked``) first, so the
+    n x n state below is allocated only for graphs neither test can rule
+    out, and hands over the adjacency matrix the corner-link test packed.
+    Both tests are sound: they only restate what the quad faces around a
+    vertex force, the ring test at the anchor's fixed rotation, so neither
+    withholds a graph this search could complete.
 
     Precondition: the graph is labelled as ``_candidate_graphs`` lists it.
     The rotation at the anchor is fixed in ascending order (see the last
@@ -544,28 +587,6 @@ def _anchor(nmask: list[int]) -> int:
     return len(nmask) - 1 - degrees[::-1].index(max(degrees))
 
 
-def _anchor_ring_linked(nmask: list[int]) -> bool:
-    """The ring test: False proves that ``_FaceAssembler`` answers None on
-    the graph given by these neighbour masks.
-
-    The assembler fixes the rotation at its anchor to the anchor's
-    neighbours in ascending order, u_0 < ... < u_{d-1}.  Each corner
-    (u_i, anchor, u_{i+1}), indices cyclic, then lies on a quad face
-    (u_i, anchor, u_{i+1}, x) with x a common neighbour of u_i and u_{i+1}
-    other than the anchor, so a consecutive pair with no such x leaves the
-    assembler nothing to place there.  Unlike the corner-link test this
-    reads the labels: on a graph ``_candidate_graphs`` lists, skipping a
-    False loses no witness (see there), but on any other labelling False
-    says nothing about the graph itself.  It costs d ANDs of n-bit masks
-    after O(n) popcounts, so it needs no clock read of its own.
-    """
-    anchor = _anchor(nmask)
-    near, others = nmask[anchor], ~(1 << anchor)
-    # the ring's rows in ascending order, each without the anchor
-    rows = [row & others for u, row in enumerate(nmask) if near >> u & 1]
-    return all(map(int.__and__, rows, rows[1:] + rows[:1]))
-
-
 @lru_cache(maxsize=1)
 def _column(n: int) -> int:
     """Bit 0 of every row of an n x n matrix packed into one integer, row v
@@ -661,9 +682,7 @@ def _search(n: int, genus: int, ticker: _Ticker) -> RotationSystem | None:
     # bound that lists only such graphs finds the minimum order.
     min_degree = 2 if genus == 0 else 3
     for nmask in _candidate_graphs(n, edge_target, min_degree, ticker):
-        ticker()  # before both tests, so a stream of rejected candidates meets the clock
-        if not _anchor_ring_linked(nmask):
-            continue
+        ticker()  # before the test, so a stream of rejected candidates meets the clock
         matrix = _corners_linked(nmask, ticker)
         if matrix is None:
             continue

@@ -4,7 +4,8 @@ Each restates a fact the package computes another way: the octahedral graph
 that interlace(complete_graph(p)) must equal, the closed forms of the
 bounds whose meeting formulas._classify decides, the spine inequality that
 min_order's minimality rule reduces to, the corner options the oracle's
-face assembler reads from its maintained tables, the rotation of a cycle
+face assembler reads from its maintained tables, the ring test the
+oracle's candidate enumerator runs row by row, the rotation of a cycle
 to its smallest element that the embedding canonicalises with, and the
 faces of a rotation system walked dart by dart, which the library's
 tracer finds through a table of integer dart ids.  They are kept here, not
@@ -109,6 +110,29 @@ def rotation_options(neighbours: int, successor: dict[int, int]) -> dict[int, in
             head = predecessor[head]
         options[u] = sum(1 << w for w in free if w != u and (w != head or len(free) == 1))
     return options
+
+
+def anchor_ring_linked(nmask: Sequence[int]) -> bool:
+    """The ring test on a whole graph given by its neighbour masks (bit w of
+    entry v is the edge vw): False proves that the oracle's face assembler
+    answers None on this labelling.
+
+    The assembler fixes the rotation at its anchor, the last vertex of
+    largest degree, to the anchor's neighbours in ascending order,
+    u_0 < ... < u_{d-1}.  Each corner (u_i, anchor, u_{i+1}), indices
+    cyclic, then lies on a quad face with a fourth vertex adjacent to both
+    u_i and u_{i+1} other than the anchor.  The graph with no vertex has no
+    anchor and passes.
+    """
+    n = len(nmask)
+    if not n:
+        return True
+    anchor = max(reversed(range(n)), key=lambda v: nmask[v].bit_count())
+    ring = [u for u in range(n) if nmask[anchor] >> u & 1]
+    return all(
+        any(x != anchor and nmask[u] >> x & nmask[w] >> x & 1 for x in range(n))
+        for u, w in zip(ring, ring[1:] + ring[:1])
+    )
 
 
 def rotation_fault(rotations: Sequence[Sequence[int]]) -> str | None:

@@ -24,7 +24,6 @@ from qforge.graph import Graph, _connected, canonical_json, is_connected
 from qforge.oracle import (
     BudgetExhausted,
     SearchBudget,
-    _anchor_ring_linked,
     _candidate_graphs,
     _corners_linked,
     _FaceAssembler,
@@ -35,7 +34,7 @@ from qforge.oracle import (
 )
 from qforge.spinal import build_instance
 
-from _reference import rotation_options
+from _reference import anchor_ring_linked, rotation_options
 
 
 # ============================================================
@@ -173,9 +172,10 @@ def test_mini_oracle_small_genus_spectrum():
 # The generate-and-filter enumerator that _candidate_graphs replaced.  It
 # lists all combinations and only then applies the degree test, so it is
 # slow but obviously complete, and it keeps every labelling; _candidate_graphs
-# lists only those that obey its labelling rule.  Neither tests connectivity:
-# the search reads that off an assembled witness, so a caller that needs
-# connected graphs filters with _mini_connected.
+# lists only those that obey its labelling rule and pass the ring test.
+# Neither tests connectivity: the search reads that off an assembled
+# witness, so a caller that needs connected graphs filters with
+# _mini_connected.
 
 
 def _reference_candidates(n, edge_target, min_degree):
@@ -218,7 +218,11 @@ def test_candidate_graphs_match_reference_enumerator():
                 ticker = _Ticker(SearchBudget())
                 pruned = [_edges(m) for m in _candidate_graphs(n, edge_target, min_degree, ticker)]
                 reference = _reference_candidates(n, edge_target, min_degree)
-                expected = [edges for edges in reference if _anchor_canonical(n, edges)]
+                expected = [
+                    edges
+                    for edges in reference
+                    if _anchor_canonical(n, edges) and anchor_ring_linked(_masks(Graph(n, edges)))
+                ]
                 assert pruned == expected, (n, edge_target, min_degree)
                 assert ticker.nodes == 0  # the pairs considered are not search nodes
 
@@ -305,12 +309,13 @@ def test_candidate_enumeration_obeys_time_cap():
             pass
     assert ticker.nodes == 0
     # the clock is read at every 4096th pair considered: these full listings
-    # consider 18,363 and 27,394 pairs
-    for edge_target, readings in ((11, 4), (12, 6)):
+    # consider 11,573, 16,968 and 310,237 pairs, ring cuts included (the
+    # last would read 79 times without the wrap-around pair's cut)
+    for args, readings in (((7, 11, 3), 2), ((7, 12, 3), 4), ((8, 12, 2), 75)):
         counter = _ClockCount()
-        for _ in _candidate_graphs(7, edge_target, 3, counter):
+        for _ in _candidate_graphs(*args, counter):
             pass
-        assert counter.readings == readings, edge_target
+        assert counter.readings == readings, args
 
 
 def test_candidate_enumeration_meets_its_budget_before_listing_every_pair():
@@ -508,7 +513,7 @@ def test_assembler_verdicts_match_reference_on_graph_atlas():
             assert reference is None, sorted(graph.edges)
             rejected += 1
         # nor does the ring test on the labelling both assemblers anchor
-        if not _anchor_ring_linked(_masks(graph)):
+        if not anchor_ring_linked(_masks(graph)):
             assert reference is None, sorted(graph.edges)
             ring_rejected += 1
         for rotations in (found, reference):
@@ -578,26 +583,17 @@ def test_corner_link_rejections_are_sound_at_small_orders():
 
 def test_order_8_genus_1_lists_only_anchor_canonical_candidates(monkeypatch):
     # listing every labelling, the search took 1,691 candidates and 2,940
-    # nodes to its first witness
-    # (README: of the 542 candidates, the ring test removes 422 and the
-    # corner-link test 85 of the rest)
-    listed, ring_rejected, rejected = [], [], []
-    enumerate_all, ring, link = (
-        oracle._candidate_graphs,
-        oracle._anchor_ring_linked,
-        oracle._corners_linked,
-    )
+    # nodes to its first witness; listing every anchor-canonical labelling
+    # and testing the ring afterwards, 542 candidates and 658 nodes
+    # (README: the enumerator's ring cuts leave 120 candidates, and the
+    # corner-link test removes 85 of them)
+    listed, rejected = [], []
+    enumerate_all, link = oracle._candidate_graphs, oracle._corners_linked
 
     def counted(*args):
         for nmask in enumerate_all(*args):
             listed.append(nmask)
             yield nmask
-
-    def ringed(nmask):
-        passed = ring(nmask)
-        if not passed:
-            ring_rejected.append(nmask)
-        return passed
 
     def linked(nmask, ticker):
         matrix = link(nmask, ticker)
@@ -606,12 +602,10 @@ def test_order_8_genus_1_lists_only_anchor_canonical_candidates(monkeypatch):
         return matrix
 
     monkeypatch.setattr(oracle, "_candidate_graphs", counted)
-    monkeypatch.setattr(oracle, "_anchor_ring_linked", ringed)
     monkeypatch.setattr(oracle, "_corners_linked", linked)
     ticker = _Ticker(SearchBudget())
     assert oracle._search(8, 1, ticker) is not None
-    counts = (len(listed), len(ring_rejected), len(rejected), ticker.nodes)
-    assert counts == (542, 422, 85, 658)
+    assert (len(listed), len(rejected), ticker.nodes) == (120, 85, 236)
 
 
 def test_known_quadrangulations_pass_the_corner_link_test():
@@ -625,22 +619,39 @@ def test_known_quadrangulations_pass_the_corner_link_test():
 
 
 def test_ring_rejections_are_sound_on_listed_candidates():
-    # every listed candidate of every search up to order 7, and those of
-    # order 8, genus 1 up to its first witness: the assembler, which fixes
-    # the anchor's rotation the ring test reads, embeds none the test rejects
-    searches = [(n, genus, None) for n in range(4, 8) for genus in range(3)] + [(8, 1, 542)]
-    rejected = 0
+    # the enumerator's ring cuts lose no witness: every anchor-canonical
+    # labelling the reference enumerator lists for a search up to order 7,
+    # and for order 8, genus 1 up to its first witness (on the 120th listed
+    # candidate), is either listed by _candidate_graphs, in the same order,
+    # or fails the ring test and gets None from the assembler, which fixes
+    # the anchor's rotation the ring test reads
+    searches = [(n, genus, None) for n in range(4, 8) for genus in range(3)] + [(8, 1, 120)]
+    cut = 0
     for n, genus, count in searches:
         edge_target = quad_edge_count(n, genus)
         if edge_target is None:
             continue
+        min_degree = 2 if genus == 0 else 3
         ticker = _Ticker(SearchBudget())
-        candidates = _candidate_graphs(n, edge_target, 2 if genus == 0 else 3, ticker)
-        for nmask in islice(candidates, count):
-            if not _anchor_ring_linked(nmask):
-                assert _assemble(nmask, ticker).search() is None, sorted(_edges(nmask))
-                rejected += 1
-    assert rejected == 6728 + 422
+        candidates = _candidate_graphs(n, edge_target, min_degree, ticker)
+        listed = [_edges(nmask) for nmask in islice(candidates, count)]
+        if count:
+            assert search_quadrangulation(n, genus).graph.edges == listed[-1]
+        known, met = set(listed), []
+        for edges in _reference_candidates(n, edge_target, min_degree):
+            if not _anchor_canonical(n, edges):
+                continue
+            if edges in known:
+                met.append(edges)
+                if len(met) == count:
+                    break
+                continue
+            nmask = _masks(Graph(n, edges))
+            assert not anchor_ring_linked(nmask), (n, genus, sorted(edges))
+            assert _assemble(nmask, ticker).search() is None, (n, genus, sorted(edges))
+            cut += 1
+        assert met == listed, (n, genus)
+    assert cut == 6728 + 422
 
 
 def test_known_witnesses_relabelled_at_their_anchor_pass_the_ring_test():
@@ -652,7 +663,7 @@ def test_known_witnesses_relabelled_at_their_anchor_pass_the_ring_test():
         witnesses.append(min_order_bruteforce(genus, budget, max_order=order).witness)
     for system in witnesses:
         canonical, _ = _relabelled_at_anchor(system.graph, system.rotations)
-        assert _anchor_ring_linked(_masks(canonical)), sorted(canonical.edges)
+        assert anchor_ring_linked(_masks(canonical)), sorted(canonical.edges)
 
 
 # ============================================================
@@ -891,22 +902,21 @@ def test_assembler_options_match_a_predecessor_walk_at_every_step():
 
 
 def test_search_answers_none_after_a_finished_enumeration(monkeypatch):
-    candidates = _dead_end_masks()[1:]
+    # the enumerator would cut one of the three for failing the ring test,
+    # so it hands over the other two
+    candidates = [nmask for nmask in _dead_end_masks()[1:] if anchor_ring_linked(nmask)]
+    assert len(candidates) == 2
     assert all(_corners_linked(nmask, _Ticker(SearchBudget())) is not None for nmask in candidates)
-    # one of them fails the ring test, so the search never assembles it
-    ringed = [nmask for nmask in candidates if _anchor_ring_linked(nmask)]
-    assert len(ringed) == len(candidates) - 1
     assembled = 0
-    for nmask in ringed:
+    for nmask in candidates:
         ticker = _Ticker(SearchBudget())
         _assemble(nmask, ticker).search()
         assembled += ticker.nodes
     monkeypatch.setattr(oracle, "_candidate_graphs", lambda *args: iter(candidates))
     ticker = _Ticker(SearchBudget())
     assert oracle._search(6, 1, ticker) is None
-    # one node per candidate, the one the ring test rejects included, and the
-    # assembler's own on the rest
-    assert ticker.nodes == len(candidates) + assembled == 10
+    # one node per candidate and the assembler's own
+    assert ticker.nodes == len(candidates) + assembled == 9
 
 
 def test_search_skips_a_disconnected_candidate_the_assembler_embeds(monkeypatch):
@@ -1110,26 +1120,21 @@ def test_time_cap_is_read_at_every_search_node(monkeypatch):
     monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
     with pytest.raises(BudgetExhausted, match="time cap"):
         search_quadrangulation(9, 3, SearchBudget(time_cap=0.5))
-    # a rejected candidate is a node too, read before both tests: the ticker
-    # starts at 1 s, candidates 1 and 2 read 2 s and 3 s, pass the ring test
-    # and fail the corner-link test, and candidate 3 reads 4 s, past the
-    # 2.5 s cap, before either test sees it
+    # a rejected candidate is a node too, read before the corner-link test:
+    # the ticker starts at 1 s, candidates 1 and 2 read 2 s and 3 s and fail
+    # the test, and candidate 3 reads 4 s, past the 2.5 s cap, before the
+    # test sees it
     clock = iter(range(1, 10**6))
-    ringed, tested = [], []
-
-    def accept(nmask):
-        ringed.append(nmask)
-        return True
+    tested = []
 
     def reject(nmask, ticker):
         tested.append(nmask)
         return None
 
-    monkeypatch.setattr(oracle, "_anchor_ring_linked", accept)
     monkeypatch.setattr(oracle, "_corners_linked", reject)
     with pytest.raises(BudgetExhausted, match="time cap"):
         search_quadrangulation(8, 1, SearchBudget(time_cap=2.5))
-    assert len(ringed) == len(tested) == 2
+    assert len(tested) == 2
 
 
 def test_assembler_scoring_scan_obeys_time_cap(monkeypatch):
